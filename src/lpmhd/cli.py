@@ -197,7 +197,10 @@ def _cmd_iterate(args) -> int:
     write_filter_bank(diag.final_state.bank, _out_path(cfg, "filter_bank.json"))
     write_field(_out_path(cfg, "final_u.field"), diag.final_state.u_series.snapshots[-1])
     write_field(_out_path(cfg, "final_B.field"), diag.final_state.b_series.snapshots[-1])
-    ok = True
+    ok = diag.horizon.condition_met
+    if not ok:
+        print(f"horizon not certified at T={diag.T:g}: free-evolution norm "
+              f"{diag.horizon.lhs:.6g} > eta^2 = {diag.horizon.threshold:.6g}", file=sys.stderr)
     for rec in diag.records:
         if rec.h1_lhs > rec.h1_rhs or rec.h2_lhs > rec.h2_rhs:
             print(f"bound violated at iterate {rec.n}", file=sys.stderr)

@@ -213,13 +213,9 @@ def heat_estimate_report(
     """
     if q1 > q:
         raise ValueError(f"need q1 <= q, got q1={q1}, q={q}")
-    grid = problem.grid
-    u0 = problem.u0
-    if isinstance(u0, SpectralField):
-        u0 = Field(grid, grid.ifft(u0.coeffs).real)
     lhs_exp = s + (0.0 if math.isinf(q) else 2.0 / q)
     lhs = chemin_lerner_norm(solution, BesovSpec(lhs_exp, p, r, q), bank)
-    u0_norm = besov_norm(u0, BesovSpec(s, p, r), bank)
+    u0_norm = besov_norm(problem.u0, BesovSpec(s, p, r), bank)
     g_series = _materialize_forcing(problem, solution.times)
     if g_series is None:
         g_norm = 0.0
@@ -420,19 +416,19 @@ def transport_estimate_report(
             f" (endpoint s={s_hi} only with r=1)"
         )
     times = solution.times
-    grad_strength = np.empty(times.size)
-    for i, t in enumerate(times):
-        v = problem.velocity.sample_at(float(t))
+
+    def strength(v: Field) -> float:
         gv = jacobian(v).as_field()
-        grad_strength[i] = max(
-            besov_norm(gv, BesovSpec(d / p, p, r), bank), lp_norm(gv, math.inf)
-        )
+        return max(besov_norm(gv, BesovSpec(d / p, p, r), bank), lp_norm(gv, math.inf))
+
+    snaps = problem.velocity.snapshots
+    if all(np.array_equal(v.samples, snaps[0].samples) for v in snaps[1:]):
+        grad_strength = np.full(times.size, strength(snaps[0]))  # steady velocity
+    else:
+        grad_strength = np.array([strength(problem.velocity.sample_at(float(t))) for t in times])
     V = cumulative_trapezoid(grad_strength, times, initial=0.0)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
-    f0_field = problem.f0
-    if isinstance(f0_field, SpectralField):
-        f0_field = Field(grid, grid.ifft(f0_field.coeffs).real)
-    f0_norm = besov_norm(f0_field, BesovSpec(s, p, r), bank)
+    f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)
     if problem.source is None:
         g_norms = np.zeros(times.size)
     else:

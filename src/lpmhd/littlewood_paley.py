@@ -18,6 +18,10 @@ Shell j multiplier:   phi_j(k)  = phi(2^-j k)        (annulus 2^j * [3/4, 8/3])
 Low-pass j:           S_j       = 1_{k=0} + sum_{j' <= j-1} phi_j'
 Besov norm:           || 2^(js) ||Delta_j f||_Lp ||_{l^r over j}
 Chemin-Lerner norm:   time L^q per shell first, then the l^r shell sum.
+
+Every shell norm comes from one kernel, ``_shell_lp_norms``.  At p = 2 it
+runs no transform: by Parseval ||Delta_j f||_L2 = sqrt(phi_j^2 . |f^|^2) / N^d.
+Other p invert each shell once and take the norm of the raw samples.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .spectral import Field, FrequencyGrid, SpectralField, lp_norm, to_physical
+from .spectral import Field, FrequencyGrid, SpectralField, _samples_lp_norm, lp_norm
 
 __all__ = [
     "ANNULUS_LO",
@@ -119,6 +123,7 @@ class FilterBank:
         for j in self.shells:
             shells.append(np.where(rho > 0.0, _bump(rho * 2.0 ** (-j)) / den_safe, 0.0))
         self.phi = np.stack(shells)
+        self.phi_sq = (self.phi**2).reshape(self.n_shells, -1)
         self.mean_indicator = (rho == 0.0).astype(np.float64)
         self._lowpass_cache: dict = {}
 
@@ -226,9 +231,6 @@ class BesovSpec:
         if self.q is not None and not (self.q >= 1.0):
             raise ValueError(f"q must be >= 1, got {self.q}")
 
-    def with_q(self, q: float) -> "BesovSpec":
-        return BesovSpec(self.s, self.p, self.r, q)
-
 
 def _aggregate(values: np.ndarray, r: float, axis: int = 0) -> np.ndarray:
     if math.isinf(r):
@@ -240,6 +242,22 @@ def _shell_weights(bank: FilterBank, s: float) -> np.ndarray:
     return 2.0 ** (s * np.asarray(bank.shells, dtype=np.float64))
 
 
+def _shell_lp_norms(hat: np.ndarray, p: float, bank: FilterBank) -> np.ndarray:
+    """||Delta_j f||_Lp for every shell j (|f(x)|_2 pointwise, as in ``lp_norm``)
+    from the (c, N, ..., N) coefficients of real samples; raises if not finite."""
+    grid = bank.grid
+    if p == 2.0:
+        power = np.sum(hat.real**2 + hat.imag**2, axis=0).reshape(-1)
+        vals = np.sqrt(bank.phi_sq @ power) / float(grid.N) ** grid.d
+    else:
+        # One shell at a time: on a 2-vCPU Xeon a batched (n_shells, 3, 32, 32, 32)
+        # inverse was 40% slower than five (3, 32, 32, 32) ones.
+        vals = np.array([_samples_lp_norm(grid.ifft(hat * phi).real, p) for phi in bank.phi])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field samples must be finite")
+    return vals
+
+
 def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     """Homogeneous Besov norm; the mean mode belongs to no shell and drops out."""
     if isinstance(f, Field):
@@ -248,13 +266,9 @@ def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
         hat = f.coeffs
     else:
         raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
-    grid = bank.grid
-    if f.grid != grid:
+    if f.grid != bank.grid:
         raise ValueError("field and bank live on different grids")
-    vals = np.empty(bank.n_shells)
-    for idx, j in enumerate(bank.shells):
-        block = Field(grid, grid.ifft(hat * bank.phi[idx]).real)
-        vals[idx] = lp_norm(block, spec.p)
+    vals = _shell_lp_norms(hat, spec.p, bank)
     return float(_aggregate(vals * _shell_weights(bank, spec.s), spec.r))
 
 
@@ -330,19 +344,7 @@ def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.n
     grid = bank.grid
     if series.grid != grid:
         raise ValueError("series and bank live on different grids")
-    out = np.empty((bank.n_shells, series.n_times))
-    for i, snap in enumerate(series.snapshots):
-        hat = grid.fft(snap.samples)
-        for idx in range(bank.n_shells):
-            block = Field(grid, grid.ifft(hat * bank.phi[idx]).real)
-            out[idx, i] = lp_norm(block, p)
-    return out
-
-
-def _time_aggregate_full(mat: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
-    if math.isinf(q):
-        return np.max(mat, axis=1)
-    return np.trapezoid(mat**q, times, axis=1) ** (1.0 / q)
+    return np.stack([_shell_lp_norms(grid.fft(s.samples), p, bank) for s in series.snapshots], 1)
 
 
 def _time_aggregate_prefix(mat: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
@@ -352,6 +354,21 @@ def _time_aggregate_prefix(mat: np.ndarray, times: np.ndarray, q: float) -> np.n
     return acc ** (1.0 / q)
 
 
+def _chemin_lerner_from_matrix(
+    mat: np.ndarray, times: np.ndarray, spec: BesovSpec, bank: FilterBank
+) -> float:
+    """``chemin_lerner_norm`` of the series whose shell matrix at spec.p is mat."""
+    if spec.q is None:
+        raise ValueError("spec.q is required for a time-mixed norm")
+    if math.isinf(spec.q):
+        per_shell = np.max(mat, axis=1)
+    elif times.size < 2:
+        raise ValueError("finite q needs at least two snapshots")
+    else:
+        per_shell = np.trapezoid(mat**spec.q, times, axis=1) ** (1.0 / spec.q)
+    return float(_aggregate(per_shell * _shell_weights(bank, spec.s), spec.r))
+
+
 def chemin_lerner_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) -> float:
     """Shell-first mixed norm: L^q in time per shell, then the l^r shell sum.
 
@@ -359,13 +376,8 @@ def chemin_lerner_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBan
     snapshots.  The ordering differs from the time-outer norm
     (``lq_besov_norm``) exactly as Minkowski's inequality dictates.
     """
-    if spec.q is None:
-        raise ValueError("spec.q is required for a time-mixed norm")
-    if series.n_times < 2 and not math.isinf(spec.q):
-        raise ValueError("finite q needs at least two snapshots")
     mat = shell_lp_matrix(series, spec.p, bank)
-    per_shell = _time_aggregate_full(mat, series.times, spec.q)
-    return float(_aggregate(per_shell * _shell_weights(bank, spec.s), spec.r))
+    return _chemin_lerner_from_matrix(mat, series.times, spec, bank)
 
 
 def chemin_lerner_trace(
@@ -384,7 +396,8 @@ def lq_besov_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) ->
     """Time-outer norm: Besov norm at each snapshot, then L^q over time."""
     if spec.q is None:
         raise ValueError("spec.q is required for a time-mixed norm")
-    vals = np.array([besov_norm(snap, spec, bank) for snap in series.snapshots])
+    mat = shell_lp_matrix(series, spec.p, bank)
+    vals = _aggregate(mat * _shell_weights(bank, spec.s)[:, None], spec.r, axis=0)
     if math.isinf(spec.q):
         return float(np.max(vals))
     if series.n_times < 2:
@@ -459,9 +472,7 @@ def bernstein_ratios(
         for alpha in combinations_with_replacement(range(grid.d), k_order):
             mult = np.ones(grid.shape, dtype=np.complex128)
             for a in alpha:
-                shape = [1] * grid.d
-                shape[a] = grid.N
-                mult = mult * (1j * grid.k1d.reshape(shape))
+                mult = mult * (1j * grid.k_axes[a])
             g = Field(grid, grid.ifft(hat * mult).real)
             best = max(best, lp_norm(g, norm_p))
         return best

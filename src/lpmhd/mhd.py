@@ -42,10 +42,13 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _chemin_lerner_from_matrix,
+    _shell_lp_norms,
     besov_norm,
     build_filter_bank,
     chemin_lerner_norm,
     chemin_lerner_trace,
+    shell_lp_matrix,
 )
 from .linear_solvers import HeatProblem, TransportProblem, solve_heat, solve_transport
 from .paraproduct import log_interpolation_ratio
@@ -276,12 +279,7 @@ def _free_evolution_traces(
     n_steps = int(round(t_max / dt))
     times = np.arange(n_steps + 1) * dt
     hat0 = grid.fft(u0.samples)
-    mat = np.empty((bank.n_shells, times.size))
-    for i, t in enumerate(times):
-        hat = hat0 * np.exp(-grid.k_sq * t)
-        for idx in range(bank.n_shells):
-            block = Field(grid, grid.ifft(hat * bank.phi[idx]).real)
-            mat[idx, i] = lp_norm(block, p)
+    mat = np.stack([_shell_lp_norms(hat0 * np.exp(-grid.k_sq * t), p, bank) for t in times], 1)
     shells = np.asarray(bank.shells, dtype=np.float64)
     l1 = cumulative_trapezoid(mat, times, axis=1, initial=0.0)
     l2 = cumulative_trapezoid(mat**2, times, axis=1, initial=0.0) ** 0.5
@@ -336,17 +334,6 @@ class IterationState:
     grid: FrequencyGrid
     bank: FilterBank
     p: float
-
-    def u_integral_trace(self) -> np.ndarray:
-        """U^n(t) = int_0^t ||u^n||_{B^{d/p+1}_{p,1}} dtau on the snapshot grid."""
-        d = self.grid.d
-        vals = np.array(
-            [
-                besov_norm(s, BesovSpec(d / self.p + 1.0, self.p, 1.0), self.bank)
-                for s in self.u_series.snapshots
-            ]
-        )
-        return cumulative_trapezoid(vals, self.u_series.times, initial=0.0)
 
 
 def compute_e0(data: MhdInitialData, p: float, bank: FilterBank) -> float:
@@ -459,17 +446,19 @@ class BoundsReport:
 
 
 def check_uniform_bounds(state: IterationState, config: IterationConfig) -> BoundsReport:
-    """Evaluate (H1) and (H2) for the current iterate."""
+    """Evaluate (H1) and (H2) for the current iterate from one shell matrix per field."""
     d = state.grid.d
     p = config.p
     bank = state.bank
-    inf = math.inf
-    h1 = chemin_lerner_norm(
-        state.u_series, BesovSpec(d / p - 1.0, p, 1.0, inf), bank
-    ) + chemin_lerner_norm(state.b_series, BesovSpec(d / p, p, 1.0, inf), bank)
-    h2 = chemin_lerner_norm(
-        state.u_series, BesovSpec(d / p + 1.0, p, 1.0, 1.0), bank
-    ) + chemin_lerner_norm(state.u_series, BesovSpec(d / p, p, 1.0, 2.0), bank)
+    u_times, b_times = state.u_series.times, state.b_series.times
+    u_mat = shell_lp_matrix(state.u_series, p, bank)
+    b_mat = shell_lp_matrix(state.b_series, p, bank)
+
+    def norm(mat, times, s, q):
+        return _chemin_lerner_from_matrix(mat, times, BesovSpec(s, p, 1.0, q), bank)
+
+    h1 = norm(u_mat, u_times, d / p - 1.0, math.inf) + norm(b_mat, b_times, d / p, math.inf)
+    h2 = norm(u_mat, u_times, d / p + 1.0, 1.0) + norm(u_mat, u_times, d / p, 2.0)
     return BoundsReport(
         h1_lhs=float(h1),
         h1_rhs=float(config.c0 * state.e0),
@@ -717,27 +706,26 @@ def _twin_report(
     times = du.times
     rho = chemin_lerner_trace(du, BesovSpec(d / p, p, math.inf, 1.0), bank)
     db_trace = chemin_lerner_trace(db, BesovSpec(d / p - 1.0, p, math.inf, math.inf), bank)
-    u1 = base.final_state.u_series
-    b1 = base.final_state.b_series
-    b2 = twin.final_state.b_series
-    u1_vals = np.array(
-        [besov_norm(s, BesovSpec(d / p + 1.0, p, 1.0), bank) for s in u1.snapshots]
-    )
-    u1_l1 = float(np.trapezoid(u1_vals, times))
-    b1_sup = chemin_lerner_norm(b1, BesovSpec(d / p, p, 1.0, math.inf), bank)
-    b2_sup = chemin_lerner_norm(b2, BesovSpec(d / p, p, 1.0, math.inf), bank)
+    u1_mat = shell_lp_matrix(base.final_state.u_series, p, bank)
+    du_mat = shell_lp_matrix(du, p, bank)
+
+    def norm(mat, s, r, q):
+        return _chemin_lerner_from_matrix(mat, times, BesovSpec(s, p, r, q), bank)
+
+    # L^1 in time and l^1 over shells commute, so this is int ||u1||_{B^{d/p+1}_{p,1}}.
+    u1_l1 = norm(u1_mat, d / p + 1.0, 1.0, 1.0)
+    sup_spec = BesovSpec(d / p, p, 1.0, math.inf)
+    b1_sup = chemin_lerner_norm(base.final_state.b_series, sup_spec, bank)
+    b2_sup = chemin_lerner_norm(twin.final_state.b_series, sup_spec, bank)
     bridge = log_interpolation_ratio(du, d / p, p, 1.0, 1.0, bank)
     c_emp = 1.0 if bridge.degenerate else max(1.0, bridge.ratio)
     a_t = c_emp * math.exp(c_emp * u1_l1) * b2_sup * (b1_sup + b2_sup)
     c_t = float(
-        chemin_lerner_norm(du, BesovSpec(d / p - 1.0, p, math.inf, 1.0), bank)
-        + chemin_lerner_norm(du, BesovSpec(d / p + 1.0, p, math.inf, 1.0), bank)
+        norm(du_mat, d / p - 1.0, math.inf, 1.0) + norm(du_mat, d / p + 1.0, math.inf, 1.0)
     )
     du0_norm = besov_norm(du.snapshots[0], BesovSpec(d / p, p, math.inf), bank)
     db0_norm = besov_norm(db.snapshots[0], BesovSpec(d / p - 1.0, p, math.inf), bank)
-    scale = chemin_lerner_norm(
-        u1, BesovSpec(d / p - 1.0, p, 1.0, math.inf), bank
-    ) + chemin_lerner_norm(b1, BesovSpec(d / p, p, 1.0, math.inf), bank)
+    scale = norm(u1_mat, d / p - 1.0, 1.0, math.inf) + b1_sup
     offset = (
         config.gauge_slack * base.T * (du0_norm + a_t * db0_norm)
         + 1e-14 * base.T * (1.0 + scale)

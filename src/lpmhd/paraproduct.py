@@ -28,8 +28,9 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _chemin_lerner_from_matrix,
     besov_norm,
-    chemin_lerner_norm,
+    shell_lp_matrix,
 )
 from .spectral import Field, dealiased_product
 
@@ -78,10 +79,7 @@ def _product_blocks(bank: FilterBank, f: Field) -> list:
     """Shell samples Delta_j f with the dealias mask folded in."""
     grid = bank.grid
     hat = grid.fft(f.samples)
-    return [
-        grid.ifft(hat * (bank.phi[idx] * grid.dealias_mask)).real
-        for idx in range(bank.n_shells)
-    ]
+    return list(grid.ifft(hat * (bank.phi * grid.dealias_mask)[:, None]).real)
 
 
 def _check_product_args(bank: FilterBank, u: Field, v: Field) -> None:
@@ -279,10 +277,11 @@ def log_interpolation_ratio(
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    lhs = chemin_lerner_norm(series, BesovSpec(s, p, 1.0, q), bank)
-    denom = chemin_lerner_norm(series, BesovSpec(s, p, math.inf, q), bank)
-    lo = chemin_lerner_norm(series, BesovSpec(s - eps, p, math.inf, q), bank)
-    hi = chemin_lerner_norm(series, BesovSpec(s + eps, p, math.inf, q), bank)
+    mat = shell_lp_matrix(series, p, bank)
+    lhs, denom, lo, hi = (
+        _chemin_lerner_from_matrix(mat, series.times, BesovSpec(s_j, p, r, q), bank)
+        for s_j, r in ((s, 1.0), (s, math.inf), (s - eps, math.inf), (s + eps, math.inf))
+    )
     indices = {"s": s, "p": p, "q": q, "eps": eps}
     if denom == 0.0:
         return EstimateReport(

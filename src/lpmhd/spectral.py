@@ -4,9 +4,9 @@ constant-coefficient operators everything else is built from.
 Conventions fixed here, once, for the whole package:
 
 * the box is [0, L)^d sampled on a uniform N^d lattice, N a power of two;
-* the forward transform is numpy's unnormalized ``fftn`` over the spatial
-  axes and the inverse divides by N**d, so physical samples and spectral
-  coefficients round-trip exactly up to floating roundoff;
+* the forward transform is numpy's unnormalized ``fftn`` over the trailing d
+  axes and the inverse divides by N**d, so samples and coefficients
+  round-trip exactly up to floating roundoff;
 * wavenumbers are k = (2*pi/L) * m with integer m in [-N/2, N/2), stored
   in FFT order;
 * L^p norms use the normalized measure (1/L^d) dx, so the constant field
@@ -90,7 +90,7 @@ class FrequencyGrid:
             shape[a] = self.N
             mask &= np.abs(self.m1d).reshape(shape) <= m_cut
         self.dealias_mask = mask
-        self._spatial_axes = tuple(range(1, self.d + 1))
+        self._spatial_axes = tuple(range(-self.d, 0))
 
     @property
     def shape(self) -> tuple:
@@ -102,7 +102,7 @@ class FrequencyGrid:
         return tuple(np.meshgrid(*([x1d] * self.d), indexing="ij"))
 
     def fft(self, samples: np.ndarray) -> np.ndarray:
-        """Forward transform over the spatial axes of a (c, N, ..., N) array."""
+        """Forward transform over the trailing d axes; leading axes (components, shells) batch."""
         return np.fft.fftn(samples, axes=self._spatial_axes)
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
@@ -296,12 +296,9 @@ def jacobian(f: Field) -> TensorField:
     d = f.grid.d
     if f.components != d:
         raise ValueError(f"jacobian expects a {d}-component field, got {f.components}")
+    mults = np.broadcast_arrays(*(_derivative_multiplier(f.grid, j) for j in range(d)))
     F = f.grid.fft(f.samples)
-    out = np.empty((d, d) + f.grid.shape, dtype=np.float64)
-    for j in range(d):
-        mult = _derivative_multiplier(f.grid, j)
-        out[:, j] = f.grid.ifft(F * mult).real
-    return TensorField(f.grid, out)
+    return TensorField(f.grid, f.grid.ifft(F[:, None] * np.stack(mults)).real)
 
 
 def divergence(f: Field) -> Field:
@@ -356,9 +353,13 @@ def lp_norm(f: Field, p: float) -> float:
 
     p may be any float >= 1 or inf; the constant field 1 has norm 1.
     """
+    return _samples_lp_norm(f.samples, p)
+
+
+def _samples_lp_norm(samples: np.ndarray, p: float) -> float:
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")
-    mag_sq = np.sum(f.samples * f.samples, axis=0)
+    mag_sq = np.sum(samples * samples, axis=0)
     if math.isinf(p):
         return float(np.sqrt(np.max(mag_sq)))
     if p == 2.0:

@@ -167,6 +167,15 @@ class TestIterateCommand:
         out = capsys.readouterr().out
         assert "converged=" in out
 
+    def test_uncertified_horizon_exit_1(self, capsys, tmp_path):
+        code = cli.main(
+            ["iterate", *self._FLAGS, "--eta", "0.01", "--output_dir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "horizon not certified" in err
+        assert (tmp_path / "diagnostics.csv").exists()
+
     def test_bad_config_file_exit_2(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n")

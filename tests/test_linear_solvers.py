@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lpmhd import linear_solvers
 from lpmhd import (
     Field,
     HeatProblem,
@@ -253,6 +254,27 @@ class TestTransportEstimate:
         ratios = mon.ratio_trace()
         assert ratios.shape == mon.times.shape
         assert np.all(ratios <= 1.0 + 1e-10)
+
+    def test_gradient_measured_once_for_steady_velocity(self, grid, bank, monkeypatch):
+        calls = []
+        original = linear_solvers.jacobian
+
+        def counted(v):
+            calls.append(v)
+            return original(v)
+
+        monkeypatch.setattr(linear_solvers, "jacobian", counted)
+        mon = self._shear_monitor(grid, bank)
+        assert len(calls) == 1
+        np.testing.assert_allclose(mon.V, mon.times * (mon.V[-1] / mon.times[-1]), rtol=1e-13)
+        calls.clear()
+        x1, x2 = grid.coords()
+        v = Field(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]))
+        vel = TimeSeriesField(np.array([0.0, 0.02]), [v, 2.0 * v])
+        problem = TransportProblem(Field(grid, np.cos(x1 + x2)[None]), vel, None, 0.02, 2e-3)
+        mon = transport_estimate_report(solve_transport(problem), problem, 1.0, 2.0, 1.0, bank)
+        assert len(calls) == mon.times.size
+        assert mon.V[-1] / mon.times[-1] > 1.3 * mon.V[1] / mon.times[1]
 
     def test_report_shape(self, grid, bank):
         mon = self._shear_monitor(grid, bank)

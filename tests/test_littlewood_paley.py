@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import shell_norm_oracle
+from lpmhd import littlewood_paley
 from lpmhd.littlewood_paley import (
     BesovSpec,
     TimeSeriesField,
@@ -15,9 +18,10 @@ from lpmhd.littlewood_paley import (
     dyadic_block,
     low_pass,
     lq_besov_norm,
+    shell_lp_matrix,
 )
 from lpmhd.random_fields import ball_field, decaying_series, interior_field, ring_field
-from lpmhd.spectral import Field, SpectralField, lp_norm, make_grid, to_spectral
+from lpmhd.spectral import Field, FrequencyGrid, SpectralField, lp_norm, make_grid, to_spectral
 
 
 class TestFilterBank:
@@ -129,6 +133,90 @@ class TestBesovNorm:
         np.testing.assert_allclose(
             besov_norm(shifted, spec, bank), besov_norm(f, spec, bank), rtol=1e-10
         )
+
+
+def _count_transforms(monkeypatch) -> Counter:
+    counts = Counter()
+    for name in ("fft", "ifft"):
+        original = getattr(FrequencyGrid, name)
+
+        def counted(self, arr, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, arr)
+
+        monkeypatch.setattr(FrequencyGrid, name, counted)
+    return counts
+
+
+class TestShellNormKernel:
+    """The one shell-norm kernel against the per-shell inverse-FFT oracle."""
+
+    @staticmethod
+    def _setup(d, c, n_times=3, seed=20):
+        grid = make_grid(d, 32 if d == 2 else 16)
+        bank = build_filter_bank(grid)
+        rng = np.random.default_rng(seed + 10 * d + c)
+        snaps = [Field(grid, rng.standard_normal((c,) + grid.shape)) for _ in range(n_times)]
+        return grid, bank, TimeSeriesField(np.linspace(0.0, 0.1, n_times), snaps)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_matches_oracle(self, p, d, vector):
+        grid, bank, series = self._setup(d, d if vector else 1)
+        expected = shell_norm_oracle.shell_matrix(
+            [s.samples for s in series.snapshots], bank.phi, p
+        )
+        got = shell_lp_matrix(series, p, bank)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+        f = series.snapshots[0]
+        for spec in (BesovSpec(0.5, p, 1.0), BesovSpec(-1.0, p, math.inf)):
+            want = shell_norm_oracle.besov_norm(
+                f.samples, bank.phi, bank.shells, spec.s, p, spec.r
+            )
+            assert abs(besov_norm(f, spec, bank) - want) <= 1e-13 * want
+            assert abs(besov_norm(to_spectral(f), spec, bank) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_non_finite_result_raises(self, p):
+        grid, bank, series = self._setup(2, 1)
+        hat = to_spectral(series.snapshots[0]).coeffs
+        hat[(0,) + (3,) * grid.d] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            besov_norm(SpectralField(grid, hat), BesovSpec(1.0, p, 1.0), bank)
+        huge = Field(grid, 1e300 * series.snapshots[0].samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                besov_norm(huge, BesovSpec(1.0, p, 1.0), bank)
+
+    def test_parseval_path_runs_no_inverse_transform(self, monkeypatch):
+        _, bank, series = self._setup(2, 2, n_times=5)
+        counts = _count_transforms(monkeypatch)
+        shell_lp_matrix(series, 2.0, bank)
+        assert counts == Counter(fft=5)
+
+    def test_other_p_inverts_each_shell_once(self, monkeypatch):
+        _, bank, series = self._setup(2, 2, n_times=5)
+        counts = _count_transforms(monkeypatch)
+        shell_lp_matrix(series, 3.0, bank)
+        assert counts == Counter(fft=5, ifft=5 * bank.n_shells)
+
+    def test_time_outer_norm_uses_one_matrix(self, monkeypatch):
+        _, bank, series = self._setup(2, 1, n_times=4)
+        calls = Counter()
+        original = littlewood_paley.shell_lp_matrix
+
+        def counted(*args):
+            calls["shell_lp_matrix"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(littlewood_paley, "shell_lp_matrix", counted)
+        spec = BesovSpec(0.5, 3.0, 2.0, 2.0)
+        vals = [besov_norm(s, spec, bank) for s in series.snapshots]
+        expected = np.trapezoid(np.array(vals) ** 2, series.times) ** 0.5
+        np.testing.assert_allclose(lq_besov_norm(series, spec, bank), expected, rtol=1e-13)
+        assert calls["shell_lp_matrix"] == 1
 
 
 class TestTimeSeries:

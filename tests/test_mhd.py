@@ -27,6 +27,7 @@ from lpmhd import (
     truncate_initial_data,
     twin_run_uniqueness,
 )
+from lpmhd import mhd
 from lpmhd.mhd import compute_e0
 
 
@@ -267,6 +268,22 @@ class TestIterationScheme:
         assert rep.h2_margin > 0.0
         np.testing.assert_allclose(rep.h1_rhs, cfg.c0 * diag.e0, rtol=1e-13)
         assert rep.h2_rhs == cfg.eta
+
+    def test_bounds_build_one_shell_matrix_per_series(self, grid, monkeypatch):
+        cfg = _small_config()
+        state = init_iterate(taylor_green_data(grid), cfg, 0.01)
+        expected = check_uniform_bounds(state, cfg)
+        calls = []
+        original = mhd.shell_lp_matrix
+
+        def counted(series, p, bank):
+            calls.append(series)
+            return original(series, p, bank)
+
+        monkeypatch.setattr(mhd, "shell_lp_matrix", counted)
+        assert check_uniform_bounds(state, cfg) == expected
+        assert len(calls) == 2
+        assert calls[0] is state.u_series and calls[1] is state.b_series
 
     def test_residual_probe(self, grid):
         diag = run_iteration(taylor_green_data(grid), _small_config())
