@@ -12,9 +12,10 @@ Subcommands:
     norms    print shell-localized norms of stored fields
 
 Exit codes: 0 all checks passed, 1 an assertion or monitor failed, 2 usage
-or configuration error.  Flags mirror run-config keys and override the
-config file.  Identical config and seed reproduce byte-identical data
-files; wallclock timing goes to a sidecar log only.
+or configuration error.  Each ``--key`` flag comes from the run-config
+key table ``io_config.CONFIG_KEYS`` and overrides the config file.
+Identical config and seed reproduce byte-identical data files; wallclock
+timing goes to a sidecar log only.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .io_config import (
+    CONFIG_KEYS,
     ConfigError,
-    FormatError,
     RunConfig,
     load_config,
     read_field,
-    validate_config,
     write_diagnostics,
     write_estimate_reports,
     write_field,
@@ -51,6 +52,7 @@ from .littlewood_paley import BesovSpec, TimeSeriesField, besov_norm, chemin_ler
 from .mhd import (
     prepare_initial_data,
     run_iteration,
+    select_time_horizon,
     taylor_green_data,
     twin_run_uniqueness,
 )
@@ -58,54 +60,24 @@ from .suites import SUITES
 
 __all__ = ["main", "entry"]
 
-_CONFIG_FLAGS = (
-    ("d", int),
-    ("N", int),
-    ("L", float),
-    ("p", float),
-    ("dt", float),
-    ("T_max", float),
-    ("cadence", int),
-    ("eta", float),
-    ("C0", float),
-    ("max_iterations", int),
-    ("tolerance", float),
-    ("seed", int),
-    ("output_dir", str),
-)
-_FLAG_TO_ATTR = {
-    "d": "d", "N": "N", "L": "L", "p": "p", "dt": "dt", "T_max": "t_max",
-    "cadence": "cadence", "eta": "eta", "C0": "c0",
-    "max_iterations": "max_iterations", "tolerance": "tolerance",
-    "seed": "seed", "output_dir": "output_dir",
-}
-
-
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="FILE", help="run-config file")
-    for key, caster in _CONFIG_FLAGS:
-        parser.add_argument(f"--{key}", type=caster, default=None,
+    for key, (attr, caster) in CONFIG_KEYS.items():
+        parser.add_argument(f"--{key}", dest=attr, type=caster, default=None,
                             help=f"override config key {key}")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap for corpus evaluation")
 
 
 def _build_config(args) -> RunConfig:
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        cfg = load_config(text)
-    else:
-        cfg = RunConfig()
-    for key, _ in _CONFIG_FLAGS:
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, _FLAG_TO_ATTR[key], val)
-    validate_config(cfg)
-    return cfg
+    overrides = {attr: getattr(args, attr) for attr, _ in CONFIG_KEYS.values()
+                 if getattr(args, attr) is not None}
+    if args.config is None:
+        return RunConfig(**overrides)
+    try:
+        with open(args.config) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    return replace(load_config(text), **overrides)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -116,9 +88,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 def _cmd_verify(args) -> int:
     cfg = _build_config(args)
     grid = cfg.grid()
-    bank = cfg.iteration().bank(grid)
-    kwargs = dict(grid=grid, bank=bank, seed=cfg.seed,
-                  n_samples=args.samples, threads=args.threads)
+    kwargs = dict(grid=grid, bank=cfg.bank(grid), seed=cfg.seed, n_samples=args.samples)
     if args.suite == "products":
         kwargs.update(p=cfg.p, s1=args.s1, s2=args.s2)
         if args.variant is not None:
@@ -145,7 +115,7 @@ def _read_field_checked(path, grid):
 def _cmd_solve(args) -> int:
     cfg = _build_config(args)
     grid = cfg.grid()
-    bank = cfg.iteration().bank(grid)
+    bank = cfg.bank(grid)
     d, p = grid.d, cfg.p
     f0 = _read_field_checked(args.initial, grid)
     T, dt = cfg.t_max, cfg.dt
@@ -188,19 +158,23 @@ def _load_initial_data(args, cfg: RunConfig):
     return taylor_green_data(grid)
 
 
+def _horizon_certified(horizon) -> bool:
+    """True if the horizon met its smallness condition; else say why on stderr."""
+    if not horizon.condition_met:
+        print(f"horizon not certified at T={horizon.T:g}: free-evolution norm "
+              f"{horizon.lhs:.6g} > eta^2 = {horizon.threshold:.6g}", file=sys.stderr)
+    return horizon.condition_met
+
+
 def _cmd_iterate(args) -> int:
     cfg = _build_config(args)
-    data = _load_initial_data(args, cfg)
     icfg = cfg.iteration()
-    diag = run_iteration(data, icfg)
+    diag = run_iteration(_load_initial_data(args, cfg), icfg)
     write_diagnostics(diag, _out_path(cfg, "diagnostics.csv"))
     write_filter_bank(diag.final_state.bank, _out_path(cfg, "filter_bank.json"))
     write_field(_out_path(cfg, "final_u.field"), diag.final_state.u_series.snapshots[-1])
     write_field(_out_path(cfg, "final_B.field"), diag.final_state.b_series.snapshots[-1])
-    ok = diag.horizon.condition_met
-    if not ok:
-        print(f"horizon not certified at T={diag.T:g}: free-evolution norm "
-              f"{diag.horizon.lhs:.6g} > eta^2 = {diag.horizon.threshold:.6g}", file=sys.stderr)
+    ok = _horizon_certified(diag.horizon)
     for rec in diag.records:
         if rec.h1_lhs > rec.h1_rhs or rec.h2_lhs > rec.h2_rhs:
             print(f"bound violated at iterate {rec.n}", file=sys.stderr)
@@ -215,23 +189,27 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_unique(args) -> int:
     cfg = _build_config(args)
+    icfg = cfg.iteration()
     if args.perturbation < 0.0:
         raise ConfigError(f"perturbation must be >= 0, got {args.perturbation}")
     data = _load_initial_data(args, cfg)
-    report = twin_run_uniqueness(data, cfg.iteration(), args.perturbation)
+    report = twin_run_uniqueness(data, icfg, args.perturbation)
     write_uniqueness_report(report, _out_path(cfg, "uniqueness.json"))
     print(
         f"perturbation={report.perturbation_size:g} rho(T)={report.rho[-1]:.6g} "
         f"A_T={report.a_t:.6g} C_T={report.c_t:.6g} "
         f"osgood={'pass' if report.osgood_passed else 'FAIL'}"
     )
-    return 0 if report.osgood_passed else 1
+    horizon = select_time_horizon(
+        data.u0, icfg.eta, icfg.dt, icfg.t_max, icfg.p, icfg.bank(data.grid)
+    )
+    return 0 if _horizon_certified(horizon) and report.osgood_passed else 1
 
 
 def _cmd_norms(args) -> int:
     cfg = _build_config(args)
     grid = cfg.grid()
-    bank = cfg.iteration().bank(grid)
+    bank = cfg.bank(grid)
     s = grid.d / cfg.p if args.s is None else args.s
     fields = [_read_field_checked(path, grid) for path in args.files]
     spec = BesovSpec(s, cfg.p, args.r)
@@ -309,11 +287,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # ConfigError and FormatError are ValueErrors: all three are usage errors.
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

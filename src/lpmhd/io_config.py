@@ -12,7 +12,6 @@ root documents every layout byte by byte.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -51,50 +50,10 @@ class FormatError(ValueError):
 FIELD_MAGIC = b"LPMHD001"
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters plus the output directory.
-
-    The numeric fields mirror ``IterationConfig``; ``iteration()`` converts.
-    """
-
-    d: int = 2
-    N: int = 64
-    L: float = 2.0 * math.pi
-    p: float = 2.0
-    dt: float = 2e-3
-    t_max: float = 0.5
-    cadence: int = 1
-    eta: float = 0.1
-    c0: float = 16.0
-    max_iterations: int = 12
-    tolerance: float = 1e-10
-    seed: int = 0
-    output_dir: str = "."
-
-    def iteration(self) -> IterationConfig:
-        return IterationConfig(
-            d=self.d,
-            N=self.N,
-            L=self.L,
-            p=self.p,
-            dt=self.dt,
-            t_max=self.t_max,
-            cadence=self.cadence,
-            eta=self.eta,
-            c0=self.c0,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            seed=self.seed,
-        )
-
-    def grid(self) -> FrequencyGrid:
-        return make_grid(self.d, self.N, self.L)
-
-
-# Config-file key -> (attribute, parser).  Key names are the file grammar;
-# attribute names are the dataclass fields.
-_KEY_TABLE = {
+# Config-file key -> (attribute, parser).  Key names are the file grammar
+# and the ``--key`` flags of the CLI; attribute names are the dataclass
+# fields.  ``j_min``, ``j_max`` and ``gauge_slack`` are Python-only.
+CONFIG_KEYS = {
     "d": ("d", int),
     "N": ("N", int),
     "L": ("L", float),
@@ -109,6 +68,38 @@ _KEY_TABLE = {
     "seed": ("seed", int),
     "output_dir": ("output_dir", str),
 }
+
+
+@dataclass
+class RunConfig(IterationConfig):
+    """Iteration parameters plus the two keys only the CLI reads.
+
+    ``cadence`` thins the snapshots of ``solve``; the coupled iteration
+    keeps every step, so ``iteration()`` requires it to be 1.  Construction
+    (and ``dataclasses.replace``) validates the iteration invariants, the
+    grid and the writability of ``output_dir``, raising ``ConfigError``.
+    """
+
+    cadence: int = 1
+    output_dir: str = "."
+
+    def __post_init__(self):
+        try:
+            self.grid()
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.cadence < 1:
+            raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
+        _check_writable(self.output_dir)
+
+    def iteration(self) -> IterationConfig:
+        if self.cadence != 1:
+            raise ConfigError(
+                f"cadence thins solve snapshots only; the coupled iteration "
+                f"needs cadence = 1, got {self.cadence}"
+            )
+        return self
 
 
 def _parse_value(raw: str, caster, key: str, lineno: int):
@@ -159,7 +150,7 @@ def load_config(text: str) -> RunConfig:
         key, _, raw_val = line.partition("=")
         key = key.strip()
         raw_val = raw_val.strip()
-        if key not in _KEY_TABLE:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in seen_lines:
             raise ConfigError(
@@ -168,27 +159,9 @@ def load_config(text: str) -> RunConfig:
         if not raw_val:
             raise ConfigError(f"line {lineno}: key '{key}' has no value")
         seen_lines[key] = lineno
-        attr, caster = _KEY_TABLE[key]
+        attr, caster = CONFIG_KEYS[key]
         values[attr] = _parse_value(raw_val, caster, key, lineno)
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig):
-    """Numeric invariants (delegated to the iteration config), grid
-    invariants, and output-path writability."""
-    if cfg.d not in (2, 3):
-        raise ConfigError(f"d must be 2 or 3, got {cfg.d}")
-    if cfg.N < 8 or cfg.N & (cfg.N - 1) != 0:
-        raise ConfigError(f"N must be a power of two >= 8, got {cfg.N}")
-    if not cfg.L > 0.0:
-        raise ConfigError(f"L must be positive, got {cfg.L}")
-    try:
-        cfg.iteration()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _check_writable(cfg.output_dir)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------

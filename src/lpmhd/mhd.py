@@ -110,7 +110,6 @@ class IterationConfig:
     p: float = 2.0
     dt: float = 2e-3
     t_max: float = 0.5
-    cadence: int = 1
     eta: float = 0.1
     c0: float = 16.0
     max_iterations: int = 12
@@ -131,8 +130,6 @@ class IterationConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_max < self.dt:
             raise ValueError(f"T_max must be >= dt, got T_max={self.t_max}, dt={self.dt}")
-        if self.cadence < 1:
-            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.tolerance < 0.0:

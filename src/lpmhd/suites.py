@@ -13,7 +13,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -85,13 +84,6 @@ def load_baselines() -> dict:
     return json.loads(text)
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _default_geometry(grid: FrequencyGrid | None, bank: FilterBank | None):
     grid = grid or make_grid(2, 64, 2.0 * math.pi)
     bank = bank or build_filter_bank(grid)
@@ -109,7 +101,6 @@ def run_bernstein_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    threads: int = 1,
     baselines: dict | None = None,
 ) -> SuiteResult:
     """Two-sided derivative-ratio measurements on exactly ring-supported
@@ -130,7 +121,7 @@ def run_bernstein_suite(
         f = ring_field(grid, lam, rng)
         return bernstein_ratios(f, lam, k_order, p, q, "ring", window=window)
 
-    reports = _map(one, range(n_samples), threads)
+    reports = [one(i) for i in range(n_samples)]
     failures = []
     uppers = np.array([r.upper_ratio for r in reports])
     lowers = np.array([r.lower_ratio for r in reports])
@@ -156,7 +147,6 @@ def run_bony_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    threads: int = 1,
     tolerance: float = 1e-10,
     baselines: dict | None = None,
 ) -> SuiteResult:
@@ -172,7 +162,7 @@ def run_bony_suite(
         resid = parts.reconstruction() - dealiased_product(u, v)
         return lp_norm(resid, 2.0) / (lp_norm(u, 2.0) * lp_norm(v, 2.0))
 
-    residuals = np.array(_map(one, range(n_samples), threads))
+    residuals = np.array([one(i) for i in range(n_samples)])
     failures = [
         f"sample {i}: relative residual {r:.3e} > {tolerance:.0e}"
         for i, r in enumerate(residuals)
@@ -197,7 +187,6 @@ def run_products_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    threads: int = 1,
     p: float = 2.0,
     s1: float | None = None,
     s2: float | None = None,
@@ -229,7 +218,7 @@ def run_products_suite(
                 bank, f, g, use_s1, use_s2, p, variant, seed=seed
             )
 
-        reports = _map(one, range(n_samples), threads)
+        reports = [one(i) for i in range(n_samples)]
         all_reports.extend(reports)
         ratios = np.array([r.ratio for r in reports])
         if not np.all(np.isfinite(ratios)):
@@ -254,7 +243,6 @@ def run_loginterp_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    threads: int = 1,
     p: float = 2.0,
     baselines: dict | None = None,
 ) -> SuiteResult:
@@ -272,7 +260,7 @@ def run_loginterp_suite(
         eps = eps_cycle[i % len(eps_cycle)]
         return log_interpolation_ratio(series, s, p, 1.0, eps, bank, seed=seed)
 
-    reports = _map(one, range(n_samples), threads)
+    reports = [one(i) for i in range(n_samples)]
     failures = []
     ratios = []
     for i, rep in enumerate(reports):
@@ -292,7 +280,6 @@ def run_heat_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    threads: int = 1,
     baselines: dict | None = None,
 ) -> SuiteResult:
     """Deterministic exactness and order checks for the heat marcher, plus
@@ -373,7 +360,7 @@ def run_heat_suite(
             solve_heat(prob), prob, 1.0, 1.0, d / 2.0 - 1.0, 2.0, 1.0, bank
         )
 
-    reports = _map(one, range(n_samples), threads)
+    reports = [one(i) for i in range(n_samples)]
     ratios = np.array([r.ratio for r in reports])
     stats["max_ratio"] = float(ratios.max())
     if not np.all(np.isfinite(ratios)):
@@ -387,7 +374,7 @@ def _constant_velocity_series(grid: FrequencyGrid, vec, T: float) -> TimeSeriesF
         np.asarray(vec, dtype=np.float64).reshape((grid.d,) + (1,) * grid.d),
         (grid.d,) + grid.shape,
     ).copy())
-    return TimeSeriesField(np.array([0.0, T]), [v, v.copy()])
+    return _steady_series(v, T)
 
 
 def _steady_series(v: Field, T: float) -> TimeSeriesField:
@@ -399,7 +386,6 @@ def run_transport_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    threads: int = 1,
     baselines: dict | None = None,
 ) -> SuiteResult:
     """Exact-translation and conservation checks for the advection marcher,
@@ -466,7 +452,7 @@ def run_transport_suite(
             solve_transport(prob), prob, 1.0, 2.0, 1.0, bank
         )
 
-    monitors = _map(one, range(n_samples), threads)
+    monitors = [one(i) for i in range(n_samples)]
     cs = np.array([m.minimal_c for m in monitors])
     stats["max_minimal_c"] = float(cs.max())
     if not np.all(np.isfinite(cs)):

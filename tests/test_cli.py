@@ -20,6 +20,7 @@ from lpmhd import (
     heat_semigroup,
 )
 from lpmhd import cli
+from lpmhd.io_config import CONFIG_KEYS, RunConfig
 
 
 def _write_initial(tmp_path, n=32, name="f0.field", components=1):
@@ -47,6 +48,12 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "variant T requires s2 <= d/p" in err
+
+    def test_threads_flag_is_gone(self, capsys):
+        code = cli.main(["verify", "bony", "--threads", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments: --threads" in err
 
     def test_unknown_suite_exit_2(self, capsys):
         code = cli.main(["verify", "nosuch"])
@@ -176,6 +183,23 @@ class TestIterateCommand:
         assert "horizon not certified" in err
         assert (tmp_path / "diagnostics.csv").exists()
 
+    def test_cadence_flag_rejected(self, capsys, tmp_path):
+        code = cli.main(["iterate", *self._FLAGS, "--cadence", "2",
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cadence" in err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_cadence_in_config_file_rejected(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("cadence = 2\n")
+        code = cli.main(["iterate", "--config", str(cfg_file), *self._FLAGS,
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cadence" in err
+
     def test_bad_config_file_exit_2(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n")
@@ -216,6 +240,24 @@ class TestUniqueCommand:
         assert rep.perturbation_size == 0.0
         assert np.all(rep.rho == 0.0)
 
+    def test_uncertified_horizon_exit_1(self, capsys, tmp_path):
+        code = cli.main(
+            ["unique", "--perturbation", "1e-4", *self._FLAGS, "--eta", "0.01",
+             "--output_dir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "horizon not certified" in err
+        assert (tmp_path / "uniqueness.json").exists()
+
+    def test_cadence_flag_rejected(self, capsys, tmp_path):
+        code = cli.main(["unique", "--perturbation", "0", *self._FLAGS,
+                         "--cadence", "2", "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cadence" in err
+        assert not (tmp_path / "uniqueness.json").exists()
+
     def test_negative_perturbation_exit_2(self, capsys, tmp_path):
         code = cli.main(["unique", "--perturbation", "-1", *self._FLAGS])
         err = capsys.readouterr().err
@@ -247,3 +289,44 @@ class TestNormsCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "dimension mismatch" in err
+
+
+# One non-default value per config key, as it is written on the command
+# line and in a config file, and the attribute value it must produce.
+_NON_DEFAULT = {
+    "d": ("3", 3),
+    "N": ("32", 32),
+    "L": ("3.5", 3.5),
+    "p": ("1.5", 1.5),
+    "dt": ("0.001", 1e-3),
+    "T_max": ("0.25", 0.25),
+    "cadence": ("2", 2),
+    "eta": ("0.05", 0.05),
+    "C0": ("8", 8.0),
+    "max_iterations": ("3", 3),
+    "tolerance": ("1e-6", 1e-6),
+    "seed": ("7", 7),
+    "output_dir": (None, None),
+}
+
+
+class TestConfigKeyTable:
+    def test_table_is_the_file_grammar(self):
+        assert set(CONFIG_KEYS) == set(_NON_DEFAULT)
+
+    @pytest.mark.parametrize("key", sorted(_NON_DEFAULT))
+    def test_flag_and_file_agree(self, key, tmp_path):
+        raw, expected = _NON_DEFAULT[key]
+        if key == "output_dir":
+            raw = expected = str(tmp_path / "out")
+        attr, _ = CONFIG_KEYS[key]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {raw}\n")
+        parser = cli.build_parser()
+        from_flag = cli._build_config(parser.parse_args(["verify", "bony", f"--{key}", raw]))
+        from_file = cli._build_config(
+            parser.parse_args(["verify", "bony", "--config", str(cfg_file)])
+        )
+        assert from_flag == from_file
+        assert getattr(from_flag, attr) == expected
+        assert from_flag != RunConfig()

@@ -101,6 +101,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="L must be positive"):
             load_config("L = -1\n")
 
+    def test_cadence_must_be_positive(self):
+        with pytest.raises(ConfigError, match="cadence"):
+            load_config("cadence = 0\n")
+
     def test_output_dir_must_not_be_a_file(self, tmp_path):
         target = tmp_path / "occupied"
         target.write_text("x")

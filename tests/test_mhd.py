@@ -56,7 +56,6 @@ class TestIterationConfig:
             (dict(c0=1.0), "C0"),
             (dict(dt=0.0), "dt"),
             (dict(t_max=1e-4), "T_max"),
-            (dict(cadence=0), "cadence"),
             (dict(max_iterations=-1), "max_iterations"),
             (dict(tolerance=-1.0), "tolerance"),
         ],
