@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .io_config import (
     CONFIG_KEYS,
     ConfigError,
     RunConfig,
-    load_config,
+    _config_values,
     read_field,
     write_diagnostics,
     write_estimate_reports,
@@ -77,7 +76,8 @@ def _build_config(args) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    return replace(load_config(text), **overrides)
+    # Validate once, after the flags win over the file.
+    return RunConfig(**{**_config_values(text), **overrides})
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:

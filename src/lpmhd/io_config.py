@@ -139,6 +139,11 @@ def load_config(text: str) -> RunConfig:
     number; value validation reuses the iteration invariants and names the
     violated bound.
     """
+    return RunConfig(**_config_values(text))
+
+
+def _config_values(text: str) -> dict:
+    """The typed values of a config document keyed by attribute, unvalidated."""
     values = {}
     seen_lines = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -161,7 +166,7 @@ def load_config(text: str) -> RunConfig:
         seen_lines[key] = lineno
         attr, caster = CONFIG_KEYS[key]
         values[attr] = _parse_value(raw_val, caster, key, lineno)
-    return RunConfig(**values)
+    return values
 
 
 # ---------------------------------------------------------------------------

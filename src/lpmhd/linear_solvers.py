@@ -24,6 +24,7 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _coeffs,
     besov_norm,
     chemin_lerner_norm,
     chemin_lerner_trace,
@@ -33,7 +34,6 @@ from .spectral import (
     Field,
     FrequencyGrid,
     SpectralField,
-    _derivative_multiplier,
     divergence,
     jacobian,
     lp_norm,
@@ -61,14 +61,6 @@ def _n_steps(T: float, dt: float) -> int:
     if abs(T - n * dt) > 1e-8 * dt:
         raise ValueError(f"T={T} is not a multiple of dt={dt}")
     return int(n)
-
-
-def _initial_coeffs(grid: FrequencyGrid, f0) -> np.ndarray:
-    if isinstance(f0, SpectralField):
-        return f0.coeffs.copy()
-    if isinstance(f0, Field):
-        return grid.fft(f0.samples)
-    raise TypeError(f"initial data must be Field or SpectralField, got {type(f0).__name__}")
 
 
 @dataclass
@@ -129,12 +121,7 @@ def _forcing_coeffs(grid: FrequencyGrid, forcing, t: float, c: int) -> np.ndarra
     if forcing is None:
         return np.zeros((c,) + grid.shape, dtype=np.complex128)
     snap = forcing(t) if callable(forcing) else forcing.sample_at(t)
-    if isinstance(snap, SpectralField):
-        out = snap.coeffs
-    elif isinstance(snap, Field):
-        out = grid.fft(snap.samples)
-    else:
-        raise TypeError(f"forcing returned {type(snap).__name__}")
+    out = _coeffs(snap)
     if out.shape[0] != c:
         raise ValueError(
             f"forcing has {out.shape[0]} components, initial data has {c}"
@@ -154,7 +141,7 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     and at the final time.
     """
     grid = problem.grid
-    uhat = _initial_coeffs(grid, problem.u0)
+    uhat = _coeffs(problem.u0)
     c = uhat.shape[0]
     dt = problem.dt
     z = -grid.k_sq * dt
@@ -164,7 +151,7 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     have_g = problem.forcing is not None
     g_n = _forcing_coeffs(grid, problem.forcing, 0.0, c) if have_g else None
     times = [0.0]
-    snaps = [Field(grid, grid.ifft(uhat).real)]
+    snaps = [Field(grid, grid.ifft(uhat))]
     for n in range(1, problem.n_steps + 1):
         t_next = n * dt
         if have_g:
@@ -175,7 +162,7 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
             uhat = decay * uhat
         if n % problem.cadence == 0 or n == problem.n_steps:
             times.append(t_next)
-            snaps.append(Field(grid, grid.ifft(uhat).real))
+            snaps.append(Field(grid, grid.ifft(uhat)))
     return TimeSeriesField(np.array(times), snaps)
 
 
@@ -189,7 +176,7 @@ def _materialize_forcing(problem: HeatProblem, times: np.ndarray) -> TimeSeriesF
     for t in times:
         snap = problem.forcing(float(t))
         if isinstance(snap, SpectralField):
-            snap = Field(grid, grid.ifft(snap.coeffs).real)
+            snap = Field(grid, grid.ifft(snap.coeffs))
         snaps.append(snap)
     return TimeSeriesField(times.copy(), snaps)
 
@@ -302,12 +289,10 @@ def _advection_rhs(
     v_samples: np.ndarray,
     g_hat: np.ndarray | None,
 ) -> np.ndarray:
-    """Spectral right side -mask*F[v.grad f] + g_hat for one RK stage."""
-    c = fhat.shape[0]
-    adv = np.zeros((c,) + grid.shape, dtype=np.float64)
-    for a in range(grid.d):
-        df = grid.ifft(fhat * _derivative_multiplier(grid, a)).real
-        adv += v_samples[a] * df
+    """Spectral right side -mask*F[v.grad f] + g_hat for one RK stage: one
+    batched inverse for the d derivatives, one forward for the product."""
+    grads = grid.ifft(grid.ik[:, None] * fhat)
+    adv = sum(v_samples[a] * grads[a] for a in range(grid.d))
     out = -grid.fft(adv) * grid.dealias_mask
     if g_hat is not None:
         out = out + g_hat
@@ -322,7 +307,7 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     the 2/3 mask.
     """
     grid = problem.grid
-    fhat = _initial_coeffs(grid, problem.f0) * grid.dealias_mask
+    fhat = _coeffs(problem.f0) * grid.dealias_mask
     c = fhat.shape[0]
     dt = problem.dt
 
@@ -332,10 +317,10 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     def g_at(t: float) -> np.ndarray | None:
         if problem.source is None:
             return None
-        return grid.fft(problem.source.sample_at(t).samples) * grid.dealias_mask
+        return _coeffs(problem.source.sample_at(t)) * grid.dealias_mask
 
     times = [0.0]
-    snaps = [Field(grid, grid.ifft(fhat).real)]
+    snaps = [Field(grid, grid.ifft(fhat))]
     for n in range(problem.n_steps):
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
@@ -348,7 +333,7 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
         step = n + 1
         if step % problem.cadence == 0 or step == problem.n_steps:
             times.append(step * dt)
-            snaps.append(Field(grid, grid.ifft(fhat).real))
+            snaps.append(Field(grid, grid.ifft(fhat)))
     return TimeSeriesField(np.array(times), snaps)
 
 

@@ -198,7 +198,7 @@ def _apply_multiplier(mult: np.ndarray, f):
     if isinstance(f, SpectralField):
         return SpectralField(f.grid, f.coeffs * mult)
     if isinstance(f, Field):
-        return Field(f.grid, f.grid.ifft(f.grid.fft(f.samples) * mult).real)
+        return Field(f.grid, f.grid.ifft(f.grid.fft(f.samples) * mult))
     raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
 
 
@@ -252,20 +252,24 @@ def _shell_lp_norms(hat: np.ndarray, p: float, bank: FilterBank) -> np.ndarray:
     else:
         # One shell at a time: on a 2-vCPU Xeon a batched (n_shells, 3, 32, 32, 32)
         # inverse was 40% slower than five (3, 32, 32, 32) ones.
-        vals = np.array([_samples_lp_norm(grid.ifft(hat * phi).real, p) for phi in bank.phi])
+        vals = np.array([_samples_lp_norm(grid.ifft(hat * phi), p) for phi in bank.phi])
     if not np.all(np.isfinite(vals)):
         raise ValueError("field samples must be finite")
     return vals
 
 
+def _coeffs(f) -> np.ndarray:
+    """Fourier coefficients of a Field (one forward transform) or a SpectralField (as is)."""
+    if isinstance(f, SpectralField):
+        return f.coeffs
+    if isinstance(f, Field):
+        return f.grid.fft(f.samples)
+    raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
+
+
 def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     """Homogeneous Besov norm; the mean mode belongs to no shell and drops out."""
-    if isinstance(f, Field):
-        hat = f.grid.fft(f.samples)
-    elif isinstance(f, SpectralField):
-        hat = f.coeffs
-    else:
-        raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
+    hat = _coeffs(f)
     if f.grid != bank.grid:
         raise ValueError("field and bank live on different grids")
     vals = _shell_lp_norms(hat, spec.p, bank)
@@ -274,7 +278,10 @@ def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
 
 @dataclass
 class TimeSeriesField:
-    """Snapshots of one field on a strictly increasing time axis from t = 0."""
+    """Snapshots of one field on a strictly increasing time axis from t = 0.
+
+    The snapshots are all ``Field``s or all ``SpectralField``s.
+    """
 
     times: np.ndarray
     snapshots: list
@@ -311,8 +318,9 @@ class TimeSeriesField:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def sample_at(self, t: float) -> Field:
-        """Linear interpolation in time; exact at stored snapshots."""
+    def sample_at(self, t: float):
+        """Linear interpolation in time, in the snapshots' own space (samples
+        or coefficients); exact at stored snapshots."""
         slack = 1e-12 * max(1.0, self.T)
         if t < -slack or t > self.T + slack:
             raise ValueError(f"t={t} outside [0, {self.T}]")
@@ -323,10 +331,10 @@ class TimeSeriesField:
             return self.snapshots[i]
         t0, t1 = self.times[i], self.times[i + 1]
         w = (t - t0) / (t1 - t0)
-        return Field(
-            self.grid,
-            (1.0 - w) * self.snapshots[i].samples + w * self.snapshots[i + 1].samples,
-        )
+        a, b = self.snapshots[i], self.snapshots[i + 1]
+        if isinstance(a, SpectralField):
+            return SpectralField(self.grid, (1.0 - w) * a.coeffs + w * b.coeffs)
+        return Field(self.grid, (1.0 - w) * a.samples + w * b.samples)
 
     def __sub__(self, other: "TimeSeriesField") -> "TimeSeriesField":
         if self.n_times != other.n_times or not np.allclose(
@@ -344,7 +352,7 @@ def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.n
     grid = bank.grid
     if series.grid != grid:
         raise ValueError("series and bank live on different grids")
-    return np.stack([_shell_lp_norms(grid.fft(s.samples), p, bank) for s in series.snapshots], 1)
+    return np.stack([_shell_lp_norms(_coeffs(s), p, bank) for s in series.snapshots], 1)
 
 
 def _time_aggregate_prefix(mat: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
@@ -384,10 +392,17 @@ def chemin_lerner_trace(
     series: TimeSeriesField, spec: BesovSpec, bank: FilterBank
 ) -> np.ndarray:
     """Running values of the mixed norm on [0, t_i], one entry per snapshot."""
+    mat = shell_lp_matrix(series, spec.p, bank)
+    return _chemin_lerner_trace_from_matrix(mat, series.times, spec, bank)
+
+
+def _chemin_lerner_trace_from_matrix(
+    mat: np.ndarray, times: np.ndarray, spec: BesovSpec, bank: FilterBank
+) -> np.ndarray:
+    """``chemin_lerner_trace`` of the series whose shell matrix at spec.p is mat."""
     if spec.q is None:
         raise ValueError("spec.q is required for a time-mixed norm")
-    mat = shell_lp_matrix(series, spec.p, bank)
-    pref = _time_aggregate_prefix(mat, series.times, spec.q)
+    pref = _time_aggregate_prefix(mat, times, spec.q)
     weighted = pref * _shell_weights(bank, spec.s)[:, None]
     return np.asarray(_aggregate(weighted, spec.r, axis=0))
 
@@ -473,7 +488,7 @@ def bernstein_ratios(
             mult = np.ones(grid.shape, dtype=np.complex128)
             for a in alpha:
                 mult = mult * (1j * grid.k_axes[a])
-            g = Field(grid, grid.ifft(hat * mult).real)
+            g = Field(grid, grid.ifft(hat * mult))
             best = max(best, lp_norm(g, norm_p))
         return best
 

@@ -43,15 +43,15 @@ from .littlewood_paley import (
     FilterBank,
     TimeSeriesField,
     _chemin_lerner_from_matrix,
+    _chemin_lerner_trace_from_matrix,
     _shell_lp_norms,
     besov_norm,
     build_filter_bank,
     chemin_lerner_norm,
-    chemin_lerner_trace,
     shell_lp_matrix,
 )
 from .linear_solvers import HeatProblem, TransportProblem, solve_heat, solve_transport
-from .paraproduct import log_interpolation_ratio
+from .paraproduct import _log_interpolation_from_matrix
 from .spectral import (
     Field,
     FrequencyGrid,
@@ -180,7 +180,7 @@ def prepare_initial_data(u0: Field, b0: Field) -> MhdInitialData:
     for f in (u0, b0):
         hat = leray_project(to_spectral(f)).coeffs
         hat[(slice(None),) + (0,) * f.grid.d] = 0.0
-        out.append(Field(f.grid, f.grid.ifft(hat).real))
+        out.append(Field(f.grid, f.grid.ifft(hat)))
     return MhdInitialData(out[0], out[1])
 
 
@@ -369,27 +369,31 @@ def init_iterate(
     )
 
 
-def _forcing_series(
+def _assemble_sources(
     u_series: TimeSeriesField, b_series: TimeSeriesField
-) -> TimeSeriesField:
-    """P div(B (x) B - u (x) u) snapshot by snapshot."""
+) -> tuple:
+    """Heat forcing P div(B (x) B - u (x) u) and transport source
+    div(u (x) B) = (B.grad)u, as series of SpectralField snapshots.
+
+    Per snapshot: one forward transform of the stacked (u, B), one inverse
+    of their dealiased spectra, and one forward transform of all the
+    products, which are then masked and contracted with i*k_j.
+    """
     grid = u_series.grid
-    snaps = []
+    d = grid.d
+    mask = grid.dealias_mask
+    forcing, source = [], []
     for u, b in zip(u_series.snapshots, b_series.snapshots):
-        raw = tensor_divergence(b, b) - tensor_divergence(u, u)
-        snaps.append(to_physical(leray_project(to_spectral(raw))))
-    return TimeSeriesField(u_series.times.copy(), snaps)
-
-
-def _stretching_series(
-    u_series: TimeSeriesField, b_series: TimeSeriesField
-) -> TimeSeriesField:
-    """div(u (x) B) = (B.grad)u snapshot by snapshot."""
-    snaps = [
-        tensor_divergence(u, b)
-        for u, b in zip(u_series.snapshots, b_series.snapshots)
-    ]
-    return TimeSeriesField(u_series.times.copy(), snaps)
+        um, bm = grid.ifft(grid.fft(np.stack([u.samples, b.samples])) * mask)
+        bb_uu = np.einsum("i...,j...->ij...", bm, bm) - np.einsum("i...,j...->ij...", um, um)
+        ub = np.einsum("i...,j...->ij...", um, bm)
+        prod_hat = grid.fft(np.stack([bb_uu, ub])) * mask
+        div_hat = sum(prod_hat[:, :, j] * grid.ik[j] for j in range(d))
+        # leray_project copies, so neither snapshot keeps the shared div_hat alive.
+        forcing.append(leray_project(SpectralField(grid, div_hat[0])))
+        source.append(SpectralField(grid, div_hat[1].copy()))
+    times = u_series.times
+    return TimeSeriesField(times.copy(), forcing), TimeSeriesField(times.copy(), source)
 
 
 def iterate_once(state: IterationState, config: IterationConfig) -> IterationState:
@@ -403,9 +407,8 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
     n_next = state.n + 1
     level = _clamped_level(state.bank, max(n_next, state.bank.j_min))
     u_hat, b_hat = _truncated_coeffs(state.data, level, state.bank)
-    forcing = _forcing_series(state.u_series, state.b_series)
+    forcing, source = _assemble_sources(state.u_series, state.b_series)
     u_next = solve_heat(HeatProblem(u_hat, forcing, state.T, config.dt))
-    source = _stretching_series(state.u_series, state.b_series)
     b_next = solve_transport(
         TransportProblem(b_hat, state.u_series, source, state.T, config.dt)
     )
@@ -620,7 +623,7 @@ def system_residual(u_series: TimeSeriesField, b_series: TimeSeriesField) -> dic
         db_dt = (b_series.snapshots[i + 1].samples - b_series.snapshots[i - 1].samples) / dt2
         u = u_series.snapshots[i]
         b = b_series.snapshots[i]
-        lap_u = grid.ifft(grid.fft(u.samples) * (-grid.k_sq)).real
+        lap_u = grid.ifft(grid.fft(u.samples) * (-grid.k_sq))
         forcing = to_physical(
             leray_project(
                 to_spectral(tensor_divergence(b, b) - tensor_divergence(u, u))
@@ -701,20 +704,26 @@ def _twin_report(
     du = base.final_state.u_series - twin.final_state.u_series
     db = base.final_state.b_series - twin.final_state.b_series
     times = du.times
-    rho = chemin_lerner_trace(du, BesovSpec(d / p, p, math.inf, 1.0), bank)
-    db_trace = chemin_lerner_trace(db, BesovSpec(d / p - 1.0, p, math.inf, math.inf), bank)
-    u1_mat = shell_lp_matrix(base.final_state.u_series, p, bank)
-    du_mat = shell_lp_matrix(du, p, bank)
+    # One shell matrix per series: du's serves rho, C_T and the bridge.
+    du_mat, db_mat, u1_mat, b1_mat, b2_mat = (
+        shell_lp_matrix(series, p, bank)
+        for series in (
+            du, db, base.final_state.u_series, base.final_state.b_series, twin.final_state.b_series
+        )
+    )
+    rho = _chemin_lerner_trace_from_matrix(du_mat, times, BesovSpec(d / p, p, math.inf, 1.0), bank)
+    db_trace = _chemin_lerner_trace_from_matrix(
+        db_mat, times, BesovSpec(d / p - 1.0, p, math.inf, math.inf), bank
+    )
 
     def norm(mat, s, r, q):
         return _chemin_lerner_from_matrix(mat, times, BesovSpec(s, p, r, q), bank)
 
     # L^1 in time and l^1 over shells commute, so this is int ||u1||_{B^{d/p+1}_{p,1}}.
     u1_l1 = norm(u1_mat, d / p + 1.0, 1.0, 1.0)
-    sup_spec = BesovSpec(d / p, p, 1.0, math.inf)
-    b1_sup = chemin_lerner_norm(base.final_state.b_series, sup_spec, bank)
-    b2_sup = chemin_lerner_norm(twin.final_state.b_series, sup_spec, bank)
-    bridge = log_interpolation_ratio(du, d / p, p, 1.0, 1.0, bank)
+    b1_sup = norm(b1_mat, d / p, 1.0, math.inf)
+    b2_sup = norm(b2_mat, d / p, 1.0, math.inf)
+    bridge = _log_interpolation_from_matrix(du_mat, times, d / p, p, 1.0, 1.0, bank)
     c_emp = 1.0 if bridge.degenerate else max(1.0, bridge.ratio)
     a_t = c_emp * math.exp(c_emp * u1_l1) * b2_sup * (b1_sup + b2_sup)
     c_t = float(

@@ -79,7 +79,7 @@ def _product_blocks(bank: FilterBank, f: Field) -> list:
     """Shell samples Delta_j f with the dealias mask folded in."""
     grid = bank.grid
     hat = grid.fft(f.samples)
-    return list(grid.ifft(hat * (bank.phi * grid.dealias_mask)[:, None]).real)
+    return list(grid.ifft(hat * (bank.phi * grid.dealias_mask)[:, None]))
 
 
 def _check_product_args(bank: FilterBank, u: Field, v: Field) -> None:
@@ -105,12 +105,12 @@ def paraproduct(bank: FilterBank, u: Field, v: Field) -> Field:
     acc = np.zeros((c,) + grid.shape, dtype=np.complex128)
     rho = grid.k_mag
     for j in range(bank.j_min + 1, bank.j_max + 1):
-        low = grid.ifft(u_hat * (bank.lowpass_multiplier(j - 1) * grid.dealias_mask)).real
-        high = grid.ifft(v_hat * (bank.block_multiplier(j) * grid.dealias_mask)).real
+        low = grid.ifft(u_hat * (bank.lowpass_multiplier(j - 1) * grid.dealias_mask))
+        high = grid.ifft(v_hat * (bank.block_multiplier(j) * grid.dealias_mask))
         prod_hat = grid.fft(low * high)
         support = (rho > 2.0**j / 12.0) & (rho < (10.0 / 3.0) * 2.0**j)
         acc += prod_hat * (grid.dealias_mask & support)
-    return Field(grid, grid.ifft(acc).real)
+    return Field(grid, grid.ifft(acc))
 
 
 def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
@@ -131,7 +131,7 @@ def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
         if idx + 1 < bank.n_shells:
             cross = bu[idx] * bv[idx + 1] + bu[idx + 1] * bv[idx]
             acc += grid.fft(cross) * grid.dealias_mask
-    return Field(grid, grid.ifft(acc).real)
+    return Field(grid, grid.ifft(acc))
 
 
 def bony_decompose(bank: FilterBank, u: Field, v: Field) -> BonyParts:
@@ -278,8 +278,22 @@ def log_interpolation_ratio(
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     mat = shell_lp_matrix(series, p, bank)
+    return _log_interpolation_from_matrix(mat, series.times, s, p, q, eps, bank, seed)
+
+
+def _log_interpolation_from_matrix(
+    mat: np.ndarray,
+    times: np.ndarray,
+    s: float,
+    p: float,
+    q: float,
+    eps: float,
+    bank: FilterBank,
+    seed: int | None = None,
+) -> EstimateReport:
+    """``log_interpolation_ratio`` of the series whose shell matrix at p is mat."""
     lhs, denom, lo, hi = (
-        _chemin_lerner_from_matrix(mat, series.times, BesovSpec(s_j, p, r, q), bank)
+        _chemin_lerner_from_matrix(mat, times, BesovSpec(s_j, p, r, q), bank)
         for s_j, r in ((s, 1.0), (s, math.inf), (s - eps, math.inf), (s + eps, math.inf))
     )
     indices = {"s": s, "p": p, "q": q, "eps": eps}

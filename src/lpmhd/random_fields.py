@@ -35,7 +35,7 @@ def _masked_noise(
 ) -> Field:
     white = rng.standard_normal((components,) + grid.shape)
     hat = grid.fft(white) * mask
-    out = Field(grid, grid.ifft(hat).real)
+    out = Field(grid, grid.ifft(hat))
     if normalize:
         scale = lp_norm(out, 2.0)
         if scale == 0.0:
@@ -105,7 +105,7 @@ def decaying_series(
     f0 = interior_field(grid, bank, rng, components=components)
     hat0 = grid.fft(f0.samples)
     snaps = [
-        Field(grid, grid.ifft(hat0 * np.exp(-grid.k_sq * float(t))).real)
+        Field(grid, grid.ifft(hat0 * np.exp(-grid.k_sq * float(t))))
         for t in times
     ]
     return TimeSeriesField(np.asarray(times, dtype=np.float64), snaps)

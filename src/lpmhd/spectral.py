@@ -4,9 +4,13 @@ constant-coefficient operators everything else is built from.
 Conventions fixed here, once, for the whole package:
 
 * the box is [0, L)^d sampled on a uniform N^d lattice, N a power of two;
-* the forward transform is numpy's unnormalized ``fftn`` over the trailing d
-  axes and the inverse divides by N**d, so samples and coefficients
-  round-trip exactly up to floating roundoff;
+* transforms run through ``scipy.fft`` over the trailing d axes, and only
+  through ``FrequencyGrid.fft/ifft``: the forward transform is the
+  unnormalized ``fftn`` and the inverse ``ifftn`` divides by N**d, so
+  samples and coefficients round-trip exactly up to floating roundoff;
+* the inverse returns the real part of ``ifftn`` as a fresh float64 array.
+  Callers never hold the complex buffer: a ``.real`` view would keep it
+  alive, at twice the memory of the samples;
 * wavenumbers are k = (2*pi/L) * m with integer m in [-N/2, N/2), stored
   in FFT order;
 * L^p norms use the normalized measure (1/L^d) dx, so the constant field
@@ -20,8 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "FrequencyGrid",
@@ -101,12 +107,24 @@ class FrequencyGrid:
         x1d = np.arange(self.N) * (self.L / self.N)
         return tuple(np.meshgrid(*([x1d] * self.d), indexing="ij"))
 
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Stacked derivative multipliers i*k_a, shape (d, N, ..., N).
+
+        The m = -N/2 column has no +N/2 partner, so an odd derivative there
+        breaks conjugate symmetry; it is zeroed, as is standard for FFT
+        derivatives.
+        """
+        ik1d = 1j * np.where(self.m1d == -self.N // 2, 0.0, self.k1d)
+        return np.stack(np.meshgrid(*([ik1d] * self.d), indexing="ij"))
+
     def fft(self, samples: np.ndarray) -> np.ndarray:
         """Forward transform over the trailing d axes; leading axes (components, shells) batch."""
-        return np.fft.fftn(samples, axes=self._spatial_axes)
+        return scipy.fft.fftn(samples, axes=self._spatial_axes)
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(coeffs, axes=self._spatial_axes)
+        """Inverse transform over the trailing d axes, as fresh real float64 samples."""
+        return scipy.fft.ifftn(coeffs, axes=self._spatial_axes).real.copy()
 
     def __eq__(self, other) -> bool:
         return (
@@ -262,24 +280,14 @@ def to_spectral(f: Field) -> SpectralField:
 
 def to_physical(F: SpectralField) -> Field:
     """Inverse FFT, keeping the real part."""
-    return Field(F.grid, F.grid.ifft(F.coeffs).real)
-
-
-def _derivative_multiplier(grid: FrequencyGrid, axis: int) -> np.ndarray:
-    # The m = -N/2 column has no +N/2 partner, so an odd derivative there
-    # breaks conjugate symmetry; zero it, as is standard for FFT derivatives.
-    shape = [1] * grid.d
-    shape[axis] = grid.N
-    k = grid.k1d.copy()
-    k[grid.m1d == -grid.N // 2] = 0.0
-    return 1j * k.reshape(shape)
+    return Field(F.grid, F.grid.ifft(F.coeffs))
 
 
 def spectral_derivative(F: SpectralField, axis: int) -> SpectralField:
     """d/dx_axis as the multiplier i*k_axis (Nyquist column zeroed)."""
     if not 0 <= axis < F.grid.d:
         raise ValueError(f"axis must be in [0,{F.grid.d}), got {axis}")
-    return SpectralField(F.grid, F.coeffs * _derivative_multiplier(F.grid, axis))
+    return SpectralField(F.grid, F.coeffs * F.grid.ik[axis])
 
 
 def gradient(f: Field) -> Field:
@@ -287,8 +295,7 @@ def gradient(f: Field) -> Field:
     if f.components != 1:
         raise ValueError("gradient expects a scalar field; see jacobian for vectors")
     F = to_spectral(f)
-    parts = [F.coeffs[0] * _derivative_multiplier(f.grid, a) for a in range(f.grid.d)]
-    return Field(f.grid, f.grid.ifft(np.stack(parts)).real)
+    return Field(f.grid, f.grid.ifft(F.coeffs[0] * f.grid.ik))
 
 
 def jacobian(f: Field) -> TensorField:
@@ -296,9 +303,8 @@ def jacobian(f: Field) -> TensorField:
     d = f.grid.d
     if f.components != d:
         raise ValueError(f"jacobian expects a {d}-component field, got {f.components}")
-    mults = np.broadcast_arrays(*(_derivative_multiplier(f.grid, j) for j in range(d)))
     F = f.grid.fft(f.samples)
-    return TensorField(f.grid, f.grid.ifft(F[:, None] * np.stack(mults)).real)
+    return TensorField(f.grid, f.grid.ifft(F[:, None] * f.grid.ik))
 
 
 def divergence(f: Field) -> Field:
@@ -309,14 +315,14 @@ def divergence(f: Field) -> Field:
     F = f.grid.fft(f.samples)
     acc = np.zeros((1,) + f.grid.shape, dtype=np.complex128)
     for a in range(d):
-        acc[0] += F[a] * _derivative_multiplier(f.grid, a)
-    return Field(f.grid, f.grid.ifft(acc).real)
+        acc[0] += F[a] * f.grid.ik[a]
+    return Field(f.grid, f.grid.ifft(acc))
 
 
 def laplacian(f: Field) -> Field:
     """Componentwise Laplacian via the -|k|^2 multiplier."""
     F = f.grid.fft(f.samples)
-    return Field(f.grid, f.grid.ifft(F * (-f.grid.k_sq)).real)
+    return Field(f.grid, f.grid.ifft(F * (-f.grid.k_sq)))
 
 
 def leray_project(F: SpectralField) -> SpectralField:
@@ -378,7 +384,7 @@ def dealias(F: SpectralField) -> SpectralField:
 
 
 def _dealiased_samples(grid: FrequencyGrid, samples: np.ndarray) -> np.ndarray:
-    return grid.ifft(grid.fft(samples) * grid.dealias_mask).real
+    return grid.ifft(grid.fft(samples) * grid.dealias_mask)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
@@ -424,5 +430,5 @@ def tensor_divergence(a: Field, b: Field) -> Field:
     out = np.zeros((d,) + grid.shape, dtype=np.complex128)
     for j in range(d):
         prod_hat = grid.fft(am * bm[j]) * grid.dealias_mask
-        out += prod_hat * _derivative_multiplier(grid, j)
-    return Field(grid, grid.ifft(out).real)
+        out += prod_hat * grid.ik[j]
+    return Field(grid, grid.ifft(out))

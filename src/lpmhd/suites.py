@@ -414,7 +414,7 @@ def run_transport_suite(
         shape = [1] * grid.d
         shape[a] = grid.N
         phase = phase + grid.k1d.reshape(shape) * vec[a]
-    shifted = Field(grid, grid.ifft(hat * np.exp(-1j * phase * T)).real)
+    shifted = Field(grid, grid.ifft(hat * np.exp(-1j * phase * T)))
     err = float(np.max(np.abs(sol.snapshots[-1].samples - shifted.samples)))
     stats["translation_error"] = err
     if err > 1e-11:

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lpmhd import (
+    FrequencyGrid,
     IterationConfig,
     build_filter_bank,
     make_grid,
@@ -35,3 +37,22 @@ def acceptance_run():
     config = IterationConfig(max_iterations=12, tolerance=0.0)
     data = taylor_green_data(config.grid())
     return data, config, run_iteration(data, config)
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """Call to start counting FrequencyGrid.fft/ifft calls; returns the live Counter."""
+
+    def start() -> Counter:
+        counts = Counter()
+        for name in ("fft", "ifft"):
+            original = getattr(FrequencyGrid, name)
+
+            def counted(self, arr, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, arr)
+
+            monkeypatch.setattr(FrequencyGrid, name, counted)
+        return counts
+
+    return start

@@ -330,3 +330,19 @@ class TestConfigKeyTable:
         assert from_flag == from_file
         assert getattr(from_flag, attr) == expected
         assert from_flag != RunConfig()
+
+    def test_flag_repairs_bad_config_file_value(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("eta = 1.5\n")
+        args = cli.build_parser().parse_args(
+            ["verify", "bony", "--config", str(cfg_file), "--eta", "0.2"]
+        )
+        assert cli._build_config(args).eta == 0.2
+
+    def test_bad_config_file_value_alone_exit_2(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("eta = 1.5\n")
+        code = cli.main(["verify", "bony", "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "eta must lie in (0, 1), got 1.5" in err

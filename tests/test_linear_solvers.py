@@ -1,6 +1,7 @@
 """Tests for the heat and transport sub-solvers and their estimate monitors."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ class TestHeatSolver:
         with pytest.raises(TypeError, match="Field"):
             solve_heat(HeatProblem(np.ones(grid.shape), None, 0.1, 1e-2))
 
+    def test_spectral_forcing_series_needs_no_forward_transform(self, grid, count_transforms):
+        x1, x2 = grid.coords()
+        shape = np.cos(3.0 * x2)[None]
+        T, dt = 0.02, 2e-3
+        times = np.arange(11) * dt
+        g_phys = TimeSeriesField(times, [Field(grid, (1.0 + 2.0 * t) * shape) for t in times])
+        g_spec = TimeSeriesField(times, [to_spectral(g) for g in g_phys.snapshots])
+        u0 = to_spectral(Field(grid, 0.2 * shape))
+        want = solve_heat(HeatProblem(u0, g_phys, T, dt))
+        counts = count_transforms()
+        got = solve_heat(HeatProblem(u0, g_spec, T, dt))
+        assert counts == Counter(ifft=11)
+        for a, b in zip(got.snapshots, want.snapshots):
+            np.testing.assert_allclose(a.samples, b.samples, rtol=0.0, atol=1e-14)
+
 
 class TestHeatEstimate:
     def test_report_on_decaying_run(self, grid, bank):
@@ -205,6 +221,37 @@ class TestTransportSolver:
         sol = solve_transport(TransportProblem(f0, vel, src, T, 2e-3))
         expected = f0.samples + T * g.samples
         np.testing.assert_allclose(sol.snapshots[-1].samples, expected, atol=1e-12)
+
+    def test_rk4_stage_makes_one_inverse_and_one_forward(self, grid, count_transforms):
+        x1, x2 = grid.coords()
+        f0 = Field(grid, np.sin(x1)[None])
+        g = to_spectral(Field(grid, np.cos(x1)[None]))
+        T, dt = 0.01, 2e-3
+        vel = _steady_velocity(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]), T)
+        src = TimeSeriesField(np.array([0.0, T]), [g, g])
+        problem = TransportProblem(f0, vel, src, T, dt)
+        counts = count_transforms()
+        sol = solve_transport(problem)
+        n = problem.n_steps
+        # f0 in, 4 RK stages per step, one snapshot per step plus the first.
+        assert counts == Counter(fft=1 + 4 * n, ifft=4 * n + n + 1)
+        assert sol.n_times == n + 1
+
+    def test_spectral_source_matches_physical_source(self, grid):
+        x1, _ = grid.coords()
+        f0 = Field(grid, np.sin(x1)[None])
+        g = Field(grid, np.cos(x1)[None])
+        T = 0.1
+        vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), T)
+        sols = [
+            solve_transport(
+                TransportProblem(f0, vel, TimeSeriesField(np.array([0.0, T]), [s, s]), T, 2e-3)
+            )
+            for s in (g, to_spectral(g))
+        ]
+        np.testing.assert_allclose(
+            sols[1].snapshots[-1].samples, sols[0].snapshots[-1].samples, rtol=0.0, atol=1e-14
+        )
 
     def test_cfl_violation_rejected(self, grid):
         f0 = Field(grid, np.ones((1,) + grid.shape))

@@ -21,7 +21,7 @@ from lpmhd.littlewood_paley import (
     shell_lp_matrix,
 )
 from lpmhd.random_fields import ball_field, decaying_series, interior_field, ring_field
-from lpmhd.spectral import Field, FrequencyGrid, SpectralField, lp_norm, make_grid, to_spectral
+from lpmhd.spectral import Field, SpectralField, lp_norm, make_grid, to_spectral
 
 
 class TestFilterBank:
@@ -135,19 +135,6 @@ class TestBesovNorm:
         )
 
 
-def _count_transforms(monkeypatch) -> Counter:
-    counts = Counter()
-    for name in ("fft", "ifft"):
-        original = getattr(FrequencyGrid, name)
-
-        def counted(self, arr, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(self, arr)
-
-        monkeypatch.setattr(FrequencyGrid, name, counted)
-    return counts
-
-
 class TestShellNormKernel:
     """The one shell-norm kernel against the per-shell inverse-FFT oracle."""
 
@@ -190,15 +177,15 @@ class TestShellNormKernel:
             with pytest.raises(ValueError, match="must be finite"):
                 besov_norm(huge, BesovSpec(1.0, p, 1.0), bank)
 
-    def test_parseval_path_runs_no_inverse_transform(self, monkeypatch):
+    def test_parseval_path_runs_no_inverse_transform(self, count_transforms):
         _, bank, series = self._setup(2, 2, n_times=5)
-        counts = _count_transforms(monkeypatch)
+        counts = count_transforms()
         shell_lp_matrix(series, 2.0, bank)
         assert counts == Counter(fft=5)
 
-    def test_other_p_inverts_each_shell_once(self, monkeypatch):
+    def test_other_p_inverts_each_shell_once(self, count_transforms):
         _, bank, series = self._setup(2, 2, n_times=5)
-        counts = _count_transforms(monkeypatch)
+        counts = count_transforms()
         shell_lp_matrix(series, 3.0, bank)
         assert counts == Counter(fft=5, ifft=5 * bank.n_shells)
 
@@ -254,6 +241,25 @@ class TestTimeSeries:
         b = self._series(grid, n=4)
         with pytest.raises(ValueError):
             a - b
+
+    def test_spectral_snapshots_stay_in_coefficient_space(self, grid, bank, count_transforms):
+        series = self._series(grid)
+        spectral = TimeSeriesField(series.times, [to_spectral(s) for s in series.snapshots])
+        t = 0.3 * series.times[1] + 0.7 * series.times[2]
+        counts = count_transforms()
+        mid = spectral.sample_at(t)
+        assert isinstance(mid, SpectralField)
+        assert spectral.sample_at(series.times[3]) is spectral.snapshots[3]
+        assert counts == Counter()
+        scale = np.max(np.abs(mid.coeffs))
+        expected = grid.fft(series.sample_at(t).samples)
+        assert np.max(np.abs(mid.coeffs - expected)) <= 1e-13 * scale
+        diff = spectral - spectral
+        assert all(isinstance(s, SpectralField) for s in diff.snapshots)
+        for p in (2.0, 3.0):
+            want = shell_lp_matrix(series, p, bank)
+            got = shell_lp_matrix(spectral, p, bank)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 class TestCheminLerner:

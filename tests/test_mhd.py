@@ -1,20 +1,30 @@
 """Tests for the coupled iteration, its monitors, and the uniqueness gauge."""
 
+import importlib
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import assembly_oracle
 from lpmhd import (
+    BesovSpec,
     Field,
+    SpectralField,
     IterationConfig,
     MhdInitialData,
     TimeSeriesField,
     check_uniform_bounds,
+    chemin_lerner_norm,
+    chemin_lerner_trace,
     divergence,
     init_iterate,
     iterate_once,
+    log_interpolation_ratio,
     lp_norm,
+    make_grid,
     mean_mode,
     osgood_check,
     perturb_initial_data,
@@ -27,7 +37,7 @@ from lpmhd import (
     truncate_initial_data,
     twin_run_uniqueness,
 )
-from lpmhd import mhd
+from lpmhd import littlewood_paley, mhd
 from lpmhd.mhd import compute_e0
 
 
@@ -319,7 +329,110 @@ class TestOsgoodCheck:
             osgood_check(times, np.array([0.0, -1.0, 0.0]), 1.0, 1.0, 0.0)
 
 
+class TestSourceAssembly:
+    """The one-pass spectral forcing and stretching against the
+    tensor_divergence oracle."""
+
+    @staticmethod
+    def _series(d, n_times=3, seed=11):
+        grid = make_grid(d, 32 if d == 2 else 16)
+        rng = np.random.default_rng(seed + d)
+        times = np.linspace(0.0, 0.01, n_times)
+
+        def series():
+            snaps = [Field(grid, 0.3 * rng.standard_normal((d,) + grid.shape)) for _ in times]
+            return TimeSeriesField(times, snaps)
+
+        return grid, series(), series()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_tensor_divergence_oracle(self, d):
+        grid, u, b = self._series(d)
+        forcing, source = mhd._assemble_sources(u, b)
+        oracle = (
+            assembly_oracle.forcing_series(u, b),
+            assembly_oracle.stretching_series(u, b),
+        )
+        for got, want in zip((forcing, source), oracle):
+            np.testing.assert_array_equal(got.times, want.times)
+            for g, w in zip(got.snapshots, want.snapshots):
+                assert isinstance(g, SpectralField)
+                scale = np.max(np.abs(w.samples))
+                assert np.max(np.abs(grid.ifft(g.coeffs) - w.samples)) <= 1e-13 * scale
+
+    def test_snapshots_own_their_buffers(self):
+        _, u, b = self._series(2)
+        forcing, source = mhd._assemble_sources(u, b)
+        arrays = [s.coeffs for s in forcing.snapshots + source.snapshots]
+        assert all(a.flags.owndata for a in arrays)
+        assert len({id(a) for a in arrays}) == len(arrays)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_two_forward_one_inverse_per_snapshot(self, d, count_transforms):
+        _, u, b = self._series(d, n_times=4)
+        counts = count_transforms()
+        mhd._assemble_sources(u, b)
+        assert counts == Counter(fft=8, ifft=4)
+
+    def test_overflowing_products_fail_the_finite_check(self, grid):
+        cfg = _small_config()
+        state = init_iterate(taylor_green_data(grid), cfg, 0.01)
+        huge = TimeSeriesField(
+            state.u_series.times, [Field(grid, 1e200 * s.samples) for s in state.u_series.snapshots]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="field samples must be finite"):
+                iterate_once(replace(state, u_series=huge), cfg)
+
+
 class TestUniquenessGauge:
+    def test_twin_report_builds_five_shell_matrices(self, grid, monkeypatch):
+        cfg = _small_config(max_iterations=1)
+        data = taylor_green_data(grid)
+        base = run_iteration(data, cfg)
+        bank = base.final_state.bank
+        pert = perturb_initial_data(data, 1e-3, cfg.seed + 7919, bank)
+        twin = run_iteration(pert, cfg, T_override=base.T)
+        monkeypatch.setattr(mhd, "run_iteration", lambda *args, **kw: twin)
+        calls = []
+        original = littlewood_paley.shell_lp_matrix
+
+        def counted(series, p, bank):
+            calls.append(series)
+            return original(series, p, bank)
+
+        # lpmhd.paraproduct names the function, so the module comes from importlib.
+        for module in (littlewood_paley, mhd, importlib.import_module("lpmhd.paraproduct")):
+            monkeypatch.setattr(module, "shell_lp_matrix", counted)
+        rep = mhd._twin_report(base, data, cfg, 1e-3)
+        assert len(calls) == 5
+        monkeypatch.undo()
+
+        # The same quantities composed from the public one-matrix-per-call functions.
+        d, p = grid.d, cfg.p
+        u1, b1, b2 = base.final_state.u_series, base.final_state.b_series, twin.final_state.b_series
+        du = u1 - twin.final_state.u_series
+        db = b1 - b2
+
+        def cl(series, s, r, q):
+            return chemin_lerner_norm(series, BesovSpec(s, p, r, q), bank)
+
+        np.testing.assert_array_equal(
+            rep.rho, chemin_lerner_trace(du, BesovSpec(d / p, p, math.inf, 1.0), bank)
+        )
+        np.testing.assert_array_equal(
+            rep.delta_b_trace,
+            chemin_lerner_trace(db, BesovSpec(d / p - 1.0, p, math.inf, math.inf), bank),
+        )
+        bridge = log_interpolation_ratio(du, d / p, p, 1.0, 1.0, bank)
+        c_emp = 1.0 if bridge.degenerate else max(1.0, bridge.ratio)
+        b1_sup, b2_sup = (cl(b, d / p, 1.0, math.inf) for b in (b1, b2))
+        a_t = c_emp * math.exp(c_emp * cl(u1, d / p + 1.0, 1.0, 1.0)) * b2_sup * (b1_sup + b2_sup)
+        assert rep.c_emp == c_emp
+        assert rep.a_t == a_t
+        assert rep.c_t == cl(du, d / p - 1.0, math.inf, 1.0) + cl(du, d / p + 1.0, math.inf, 1.0)
+        assert rep.solution_scale == cl(u1, d / p - 1.0, 1.0, math.inf) + b1_sup
+
     def test_zero_perturbation_twin_is_identical(self, grid):
         cfg = _small_config()
         rep = twin_run_uniqueness(taylor_green_data(grid), cfg, 0.0)

@@ -36,6 +36,28 @@ class TestFrequencyGrid:
         back = grid.ifft(grid.fft(f.samples))
         np.testing.assert_allclose(back.real, f.samples, atol=1e-13)
 
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    def test_inverse_returns_owned_real_samples(self, d, n):
+        grid = make_grid(d, n)
+        hat = grid.fft(_random_field(grid, 1, components=d).samples)
+        out = grid.ifft(hat)
+        assert out.dtype == np.float64
+        assert out.flags.owndata
+        expected = np.fft.ifftn(hat, axes=tuple(range(1, d + 1))).real
+        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    def test_derivative_multipliers_cached_with_nyquist_zeroed(self, d, n):
+        grid = make_grid(d, n)
+        assert grid.ik is grid.ik
+        assert grid.ik.shape == (d,) + grid.shape
+        for a in range(d):
+            nyquist = np.broadcast_to(grid.k_axes[a] == -grid.k_nyquist, grid.shape)
+            assert np.all(grid.ik[a][nyquist] == 0.0)
+            np.testing.assert_array_equal(
+                grid.ik[a][~nyquist], np.broadcast_to(1j * grid.k_axes[a], grid.shape)[~nyquist]
+            )
+
     @pytest.mark.parametrize("bad_n", [0, 6, 12, 63])
     def test_rejects_non_power_of_two(self, bad_n):
         with pytest.raises(ValueError):
