@@ -11,8 +11,9 @@ Subcommands:
     unique   twin-run uniqueness gauge; writes the report JSON
     norms    print shell-localized norms of stored fields
 
-Exit codes: 0 all checks passed, 1 an assertion or monitor failed, 2 usage
-or configuration error.  Each ``--key`` flag comes from the run-config
+Exit codes: 0 all checks passed, 1 an assertion or monitor failed or a run
+on valid input failed numerically (say a CFL violation), 2 usage or
+configuration error.  Each ``--key`` flag comes from the run-config
 key table ``io_config.CONFIG_KEYS`` and overrides the config file.
 Identical config and seed reproduce byte-identical data files; wallclock
 timing goes to a sidecar log only.
@@ -166,10 +167,21 @@ def _horizon_certified(horizon) -> bool:
     return horizon.condition_met
 
 
+def _run_failed(exc: ValueError) -> int:
+    """A ValueError from a run on validated config and fields is a numerical
+    failure, not a usage error: say why and exit 1."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_iterate(args) -> int:
     cfg = _build_config(args)
     icfg = cfg.iteration()
-    diag = run_iteration(_load_initial_data(args, cfg), icfg)
+    data = _load_initial_data(args, cfg)
+    try:
+        diag = run_iteration(data, icfg)
+    except ValueError as exc:
+        return _run_failed(exc)
     write_diagnostics(diag, _out_path(cfg, "diagnostics.csv"))
     write_filter_bank(diag.final_state.bank, _out_path(cfg, "filter_bank.json"))
     write_field(_out_path(cfg, "final_u.field"), diag.final_state.u_series.snapshots[-1])
@@ -193,7 +205,10 @@ def _cmd_unique(args) -> int:
     if args.perturbation < 0.0:
         raise ConfigError(f"perturbation must be >= 0, got {args.perturbation}")
     data = _load_initial_data(args, cfg)
-    report = twin_run_uniqueness(data, icfg, args.perturbation)
+    try:
+        report = twin_run_uniqueness(data, icfg, args.perturbation)
+    except ValueError as exc:
+        return _run_failed(exc)
     write_uniqueness_report(report, _out_path(cfg, "uniqueness.json"))
     print(
         f"perturbation={report.perturbation_size:g} rho(T)={report.rho[-1]:.6g} "
@@ -287,7 +302,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    # ConfigError and FormatError are ValueErrors: all three are usage errors.
+    # ConfigError and FormatError are ValueErrors: all three are usage errors
+    # here; iterate and unique map a failure of the run itself to exit 1.
     try:
         return args.func(args)
     except ValueError as exc:

@@ -355,26 +355,23 @@ def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.n
     return np.stack([_shell_lp_norms(_coeffs(s), p, bank) for s in series.snapshots], 1)
 
 
-def _time_aggregate_prefix(mat: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
-    if math.isinf(q):
-        return np.maximum.accumulate(mat, axis=1)
-    acc = cumulative_trapezoid(mat**q, times, axis=1, initial=0.0)
-    return acc ** (1.0 / q)
-
-
-def _chemin_lerner_from_matrix(
+def _running_norm(
     mat: np.ndarray, times: np.ndarray, spec: BesovSpec, bank: FilterBank
-) -> float:
-    """``chemin_lerner_norm`` of the series whose shell matrix at spec.p is mat."""
+) -> np.ndarray:
+    """Mixed norm on [0, t_i] for every snapshot i, from the series' shell
+    matrix at spec.p: per shell a running max (q = inf) or the cumulative
+    trapezoid integral of mat**q, then the weighted l^r shell sum."""
     if spec.q is None:
         raise ValueError("spec.q is required for a time-mixed norm")
     if math.isinf(spec.q):
-        per_shell = np.max(mat, axis=1)
+        per_shell = np.maximum.accumulate(mat, axis=1)
     elif times.size < 2:
         raise ValueError("finite q needs at least two snapshots")
     else:
-        per_shell = np.trapezoid(mat**spec.q, times, axis=1) ** (1.0 / spec.q)
-    return float(_aggregate(per_shell * _shell_weights(bank, spec.s), spec.r))
+        acc = cumulative_trapezoid(mat**spec.q, times, axis=1, initial=0.0)
+        per_shell = acc ** (1.0 / spec.q)
+    weighted = per_shell * _shell_weights(bank, spec.s)[:, None]
+    return np.asarray(_aggregate(weighted, spec.r, axis=0))
 
 
 def chemin_lerner_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) -> float:
@@ -385,26 +382,15 @@ def chemin_lerner_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBan
     (``lq_besov_norm``) exactly as Minkowski's inequality dictates.
     """
     mat = shell_lp_matrix(series, spec.p, bank)
-    return _chemin_lerner_from_matrix(mat, series.times, spec, bank)
+    return float(_running_norm(mat, series.times, spec, bank)[-1])
 
 
 def chemin_lerner_trace(
     series: TimeSeriesField, spec: BesovSpec, bank: FilterBank
 ) -> np.ndarray:
-    """Running values of the mixed norm on [0, t_i], one entry per snapshot."""
-    mat = shell_lp_matrix(series, spec.p, bank)
-    return _chemin_lerner_trace_from_matrix(mat, series.times, spec, bank)
-
-
-def _chemin_lerner_trace_from_matrix(
-    mat: np.ndarray, times: np.ndarray, spec: BesovSpec, bank: FilterBank
-) -> np.ndarray:
-    """``chemin_lerner_trace`` of the series whose shell matrix at spec.p is mat."""
-    if spec.q is None:
-        raise ValueError("spec.q is required for a time-mixed norm")
-    pref = _time_aggregate_prefix(mat, times, spec.q)
-    weighted = pref * _shell_weights(bank, spec.s)[:, None]
-    return np.asarray(_aggregate(weighted, spec.r, axis=0))
+    """Running values of the mixed norm on [0, t_i], one entry per snapshot;
+    the last entry is ``chemin_lerner_norm``."""
+    return _running_norm(shell_lp_matrix(series, spec.p, bank), series.times, spec, bank)
 
 
 def lq_besov_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) -> float:

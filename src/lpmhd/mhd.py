@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -42,8 +42,7 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
-    _chemin_lerner_from_matrix,
-    _chemin_lerner_trace_from_matrix,
+    _running_norm,
     _shell_lp_norms,
     besov_norm,
     build_filter_bank,
@@ -277,13 +276,9 @@ def _free_evolution_traces(
     times = np.arange(n_steps + 1) * dt
     hat0 = grid.fft(u0.samples)
     mat = np.stack([_shell_lp_norms(hat0 * np.exp(-grid.k_sq * t), p, bank) for t in times], 1)
-    shells = np.asarray(bank.shells, dtype=np.float64)
-    l1 = cumulative_trapezoid(mat, times, axis=1, initial=0.0)
-    l2 = cumulative_trapezoid(mat**2, times, axis=1, initial=0.0) ** 0.5
-    w_hi = 2.0 ** ((d / p + 1.0) * shells)[:, None]
-    w_mid = 2.0 ** ((d / p) * shells)[:, None]
-    combined = np.sum(l1 * w_hi, axis=0) + np.sum(l2 * w_mid, axis=0)
-    return times, combined
+    l1 = _running_norm(mat, times, BesovSpec(d / p + 1.0, p, 1.0, 1.0), bank)
+    l2 = _running_norm(mat, times, BesovSpec(d / p, p, 1.0, 2.0), bank)
+    return times, l1 + l2
 
 
 def select_time_horizon(
@@ -317,14 +312,12 @@ def select_time_horizon(
 
 @dataclass
 class IterationState:
-    """One iterate of the scheme: series for (u^n, B^n) on [0, T], the
-    previous iterate for differencing, and the fixed data/geometry."""
+    """One iterate of the scheme: series for (u^n, B^n) on [0, T] and the
+    fixed data/geometry."""
 
     n: int
     u_series: TimeSeriesField
     b_series: TimeSeriesField
-    prev_u: TimeSeriesField | None
-    prev_b: TimeSeriesField | None
     data: MhdInitialData
     T: float
     e0: float
@@ -358,8 +351,6 @@ def init_iterate(
         n=0,
         u_series=u_series,
         b_series=b_series,
-        prev_u=None,
-        prev_b=None,
         data=data,
         T=T,
         e0=compute_e0(data, config.p, bank),
@@ -412,19 +403,7 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
     b_next = solve_transport(
         TransportProblem(b_hat, state.u_series, source, state.T, config.dt)
     )
-    return IterationState(
-        n=n_next,
-        u_series=u_next,
-        b_series=b_next,
-        prev_u=state.u_series,
-        prev_b=state.b_series,
-        data=state.data,
-        T=state.T,
-        e0=state.e0,
-        grid=state.grid,
-        bank=state.bank,
-        p=state.p,
-    )
+    return replace(state, n=n_next, u_series=u_next, b_series=b_next)
 
 
 @dataclass
@@ -455,7 +434,7 @@ def check_uniform_bounds(state: IterationState, config: IterationConfig) -> Boun
     b_mat = shell_lp_matrix(state.b_series, p, bank)
 
     def norm(mat, times, s, q):
-        return _chemin_lerner_from_matrix(mat, times, BesovSpec(s, p, 1.0, q), bank)
+        return _running_norm(mat, times, BesovSpec(s, p, 1.0, q), bank)[-1]
 
     h1 = norm(u_mat, u_times, d / p - 1.0, math.inf) + norm(b_mat, b_times, d / p, math.inf)
     h2 = norm(u_mat, u_times, d / p + 1.0, 1.0) + norm(u_mat, u_times, d / p, 2.0)
@@ -467,17 +446,15 @@ def check_uniform_bounds(state: IterationState, config: IterationConfig) -> Boun
     )
 
 
-def _difference_norm(state: IterationState) -> float:
+def _difference_norm(state: IterationState, prev: IterationState) -> float:
     """Successive-difference norm one derivative below the solution spaces:
     ||u^{n}-u^{n-1}|| in L~inf(B^{d/p-3/2}_{p,1}) plus
     ||B^{n}-B^{n-1}|| in L~inf(B^{d/p-1}_{p,1})."""
-    if state.prev_u is None:
-        return math.nan
     d = state.grid.d
     p = state.p
     bank = state.bank
-    du = state.u_series - state.prev_u
-    db = state.b_series - state.prev_b
+    du = state.u_series - prev.u_series
+    db = state.b_series - prev.b_series
     return float(
         chemin_lerner_norm(du, BesovSpec(d / p - 1.5, p, 1.0, math.inf), bank)
         + chemin_lerner_norm(db, BesovSpec(d / p - 1.0, p, 1.0, math.inf), bank)
@@ -551,47 +528,27 @@ def run_iteration(
             data.u0, config.eta, config.dt, config.t_max, config.p, bank
         )
     else:
-        times, combined = _free_evolution_traces(
-            data.u0, config.dt, T_override, config.p, bank
+        lhs = float(_free_evolution_traces(data.u0, config.dt, T_override, config.p, bank)[1][-1])
+        horizon = Horizon(float(T_override), lhs <= config.eta**2, lhs, config.eta**2)
+
+    def record(state: IterationState, t0: float) -> IterationRecord:
+        b = check_uniform_bounds(state, config)
+        return IterationRecord(
+            state.n, b.h1_lhs, b.h1_rhs, b.h2_lhs, b.h2_rhs, math.nan, time.perf_counter() - t0
         )
-        horizon = Horizon(
-            T=float(T_override),
-            condition_met=bool(combined[-1] <= config.eta**2),
-            lhs=float(combined[-1]),
-            threshold=config.eta**2,
-        )
-    t_start = time.perf_counter()
+
+    t0 = time.perf_counter()
     state = init_iterate(data, config, horizon.T, grid, bank)
-    bounds = check_uniform_bounds(state, config)
-    records = [
-        IterationRecord(
-            n=0,
-            h1_lhs=bounds.h1_lhs,
-            h1_rhs=bounds.h1_rhs,
-            h2_lhs=bounds.h2_lhs,
-            h2_rhs=bounds.h2_rhs,
-            d_n=math.nan,
-            wallclock_s=time.perf_counter() - t_start,
-        )
-    ]
+    records = [record(state, t0)]
     converged = False
     for _ in range(config.max_iterations):
         t0 = time.perf_counter()
-        state = iterate_once(state, config)
-        d_n = _difference_norm(state)
+        prev, state = state, iterate_once(state, config)
+        d_n = _difference_norm(state, prev)
+        # Drop the older iterate before the next one is built: at most two stay alive.
+        del prev
         records[-1].d_n = d_n
-        bounds = check_uniform_bounds(state, config)
-        records.append(
-            IterationRecord(
-                n=state.n,
-                h1_lhs=bounds.h1_lhs,
-                h1_rhs=bounds.h1_rhs,
-                h2_lhs=bounds.h2_lhs,
-                h2_rhs=bounds.h2_rhs,
-                d_n=math.nan,
-                wallclock_s=time.perf_counter() - t0,
-            )
-        )
+        records.append(record(state, t0))
         if config.tolerance > 0.0 and d_n < config.tolerance:
             converged = True
             break
@@ -711,13 +668,11 @@ def _twin_report(
             du, db, base.final_state.u_series, base.final_state.b_series, twin.final_state.b_series
         )
     )
-    rho = _chemin_lerner_trace_from_matrix(du_mat, times, BesovSpec(d / p, p, math.inf, 1.0), bank)
-    db_trace = _chemin_lerner_trace_from_matrix(
-        db_mat, times, BesovSpec(d / p - 1.0, p, math.inf, math.inf), bank
-    )
+    rho = _running_norm(du_mat, times, BesovSpec(d / p, p, math.inf, 1.0), bank)
+    db_trace = _running_norm(db_mat, times, BesovSpec(d / p - 1.0, p, math.inf, math.inf), bank)
 
     def norm(mat, s, r, q):
-        return _chemin_lerner_from_matrix(mat, times, BesovSpec(s, p, r, q), bank)
+        return float(_running_norm(mat, times, BesovSpec(s, p, r, q), bank)[-1])
 
     # L^1 in time and l^1 over shells commute, so this is int ||u1||_{B^{d/p+1}_{p,1}}.
     u1_l1 = norm(u1_mat, d / p + 1.0, 1.0, 1.0)
@@ -729,8 +684,9 @@ def _twin_report(
     c_t = float(
         norm(du_mat, d / p - 1.0, math.inf, 1.0) + norm(du_mat, d / p + 1.0, math.inf, 1.0)
     )
-    du0_norm = besov_norm(du.snapshots[0], BesovSpec(d / p, p, math.inf), bank)
-    db0_norm = besov_norm(db.snapshots[0], BesovSpec(d / p - 1.0, p, math.inf), bank)
+    # Column 0 is the t = 0 snapshot, so q = inf over it alone is its Besov norm.
+    du0_norm = norm(du_mat[:, :1], d / p, math.inf, math.inf)
+    db0_norm = norm(db_mat[:, :1], d / p - 1.0, math.inf, math.inf)
     scale = norm(u1_mat, d / p - 1.0, 1.0, math.inf) + b1_sup
     offset = (
         config.gauge_slack * base.T * (du0_norm + a_t * db0_norm)

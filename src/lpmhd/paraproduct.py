@@ -28,7 +28,7 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
-    _chemin_lerner_from_matrix,
+    _running_norm,
     besov_norm,
     shell_lp_matrix,
 )
@@ -293,7 +293,7 @@ def _log_interpolation_from_matrix(
 ) -> EstimateReport:
     """``log_interpolation_ratio`` of the series whose shell matrix at p is mat."""
     lhs, denom, lo, hi = (
-        _chemin_lerner_from_matrix(mat, times, BesovSpec(s_j, p, r, q), bank)
+        float(_running_norm(mat, times, BesovSpec(s_j, p, r, q), bank)[-1])
         for s_j, r in ((s, 1.0), (s, math.inf), (s - eps, math.inf), (s + eps, math.inf))
     )
     indices = {"s": s, "p": p, "q": q, "eps": eps}

@@ -15,9 +15,11 @@ from lpmhd import (
     read_field,
     read_uniqueness_report,
     sample_rng,
+    taylor_green_data,
     to_physical,
     to_spectral,
     heat_semigroup,
+    write_field,
 )
 from lpmhd import cli
 from lpmhd.io_config import CONFIG_KEYS, RunConfig
@@ -32,6 +34,15 @@ def _write_initial(tmp_path, n=32, name="f0.field", components=1):
 
     write_field(path, f)
     return grid, f, str(path)
+
+
+def _write_cellular(tmp_path, amplitude, n=32):
+    """Taylor-Green u0 and B0 files at the given amplitude; returns the --u0/--B0 flags."""
+    data = taylor_green_data(make_grid(2, n, 2.0 * np.pi), amplitude=amplitude)
+    paths = [tmp_path / "u0.field", tmp_path / "B0.field"]
+    for path, f in zip(paths, (data.u0, data.b0)):
+        write_field(path, f)
+    return ["--u0", str(paths[0]), "--B0", str(paths[1])]
 
 
 class TestVerifyCommand:
@@ -216,6 +227,22 @@ class TestIterateCommand:
         assert code == 2
         assert "eta must lie in (0, 1), got 1.5" in err
 
+    def test_cfl_failure_of_the_run_exit_1(self, capsys, tmp_path):
+        # Iterate 1 is advected by level-0 data, which holds no cellular mode.
+        flags = _write_cellular(tmp_path, 200.0)
+        code = cli.main(["iterate", *self._FLAGS, "--max_iterations", "2", *flags,
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: CFL violation: dt*max|v|*N/L = 2.037 > 0.5" in err
+
+    def test_field_file_on_another_grid_exit_2(self, capsys, tmp_path):
+        flags = _write_cellular(tmp_path, 0.05, n=16)
+        code = cli.main(["iterate", *self._FLAGS, *flags, "--output_dir", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     def test_custom_data_needs_both_files(self, capsys, tmp_path):
         _, _, path = _write_initial(tmp_path, components=2)
         code = cli.main(["iterate", *self._FLAGS, "--u0", path])
@@ -256,6 +283,15 @@ class TestUniqueCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "cadence" in err
+        assert not (tmp_path / "uniqueness.json").exists()
+
+    def test_cfl_failure_of_the_run_exit_1(self, capsys, tmp_path):
+        flags = _write_cellular(tmp_path, 200.0)
+        code = cli.main(["unique", "--perturbation", "1e-3", *self._FLAGS, *flags,
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: CFL violation: dt*max|v|*N/L = 2.037 > 0.5" in err
         assert not (tmp_path / "uniqueness.json").exists()
 
     def test_negative_perturbation_exit_2(self, capsys, tmp_path):

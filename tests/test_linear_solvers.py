@@ -261,6 +261,16 @@ class TestTransportSolver:
         with pytest.raises(ValueError, match="CFL violation"):
             TransportProblem(f0, big, None, 0.1, 2e-3)
 
+    def test_construction_checks_divergence_with_forward_transforms_only(
+        self, grid, bank, count_transforms
+    ):
+        f0 = Field(grid, np.ones((1,) + grid.shape))
+        times = np.linspace(0.0, 0.1, 6)
+        snaps = [divergence_free_field(grid, bank, sample_rng(5, i)) for i in range(times.size)]
+        counts = count_transforms()
+        TransportProblem(f0, TimeSeriesField(times, snaps), None, 0.1, 2e-3)
+        assert counts == Counter(fft=times.size)
+
     def test_compressible_velocity_rejected(self, grid):
         x1, _ = grid.coords()
         f0 = Field(grid, np.ones((1,) + grid.shape))

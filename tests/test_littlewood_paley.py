@@ -296,6 +296,26 @@ class TestCheminLerner:
         with pytest.raises(ValueError):
             chemin_lerner_norm(single, BesovSpec(1.0, 2.0, 1.0, 1.0), bank)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_norm_is_last_trace_entry(self, grid, bank, q):
+        series = decaying_series(grid, bank, np.random.default_rng(10),
+                                 np.linspace(0.0, 0.2, 12))
+        spec = BesovSpec(0.5, 2.0, 1.0, q)
+        norm = chemin_lerner_norm(series, spec, bank)
+        assert norm > 0.0
+        assert norm == chemin_lerner_trace(series, spec, bank)[-1]
+
+    @pytest.mark.parametrize("fn", [chemin_lerner_norm, chemin_lerner_trace])
+    def test_norm_and_trace_share_their_errors(self, grid, bank, fn):
+        f = Field(grid, np.zeros((1,) + grid.shape))
+        pair = TimeSeriesField(np.array([0.0, 0.1]), [f, f.copy()])
+        with pytest.raises(ValueError, match="spec.q is required"):
+            fn(pair, BesovSpec(1.0, 2.0, 1.0), bank)
+        single = TimeSeriesField(np.array([0.0]), [f])
+        with pytest.raises(ValueError, match="at least two snapshots"):
+            fn(single, BesovSpec(1.0, 2.0, 1.0, 2.0), bank)
+        assert np.all(np.asarray(fn(single, BesovSpec(1.0, 2.0, 1.0, math.inf), bank)) == 0.0)
+
 
 class TestBernstein:
     def test_ring_ratios_two_sided(self, grid):

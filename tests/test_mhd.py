@@ -1,7 +1,9 @@
 """Tests for the coupled iteration, its monitors, and the uniqueness gauge."""
 
+import gc
 import importlib
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import assembly_oracle
+import horizon_oracle
 from lpmhd import (
     BesovSpec,
     Field,
@@ -39,6 +42,7 @@ from lpmhd import (
 )
 from lpmhd import littlewood_paley, mhd
 from lpmhd.mhd import compute_e0
+from lpmhd.random_fields import divergence_free_field
 
 
 def _small_config(**kw):
@@ -209,6 +213,19 @@ class TestHorizon:
         with pytest.raises(ValueError, match="eta"):
             select_time_horizon(data.u0, 1.5, 2e-3, 0.5, 2.0, bank)
 
+    @pytest.mark.parametrize("d, N, p", [(2, 32, 2.0), (3, 16, 3.0)])
+    def test_traces_match_oracle(self, d, N, p):
+        grid = make_grid(d, N)
+        bank = littlewood_paley.build_filter_bank(grid)
+        u0 = divergence_free_field(grid, bank, np.random.default_rng(11))
+        times, got = mhd._free_evolution_traces(u0, 2e-3, 0.05, p, bank)
+        want_times, want = horizon_oracle.free_evolution_traces(
+            u0.samples, bank.phi, bank.shells, grid.k_sq, 2e-3, 0.05, p
+        )
+        np.testing.assert_array_equal(times, want_times)
+        assert times.size == 26 and want[-1] > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
     def test_threshold_monotone_in_eta(self, grid, bank):
         data = taylor_green_data(grid)
         t_small = select_time_horizon(data.u0, 0.05, 2e-3, 0.5, 2.0, bank).T
@@ -229,7 +246,6 @@ class TestIterationScheme:
         data = taylor_green_data(grid)
         state = init_iterate(data, cfg, 0.02)
         assert state.n == 0
-        assert state.prev_u is None
         trunc = truncate_initial_data(data, max(0, state.bank.j_min), state.bank)
         hat = grid.fft(trunc.u0.samples)
         expected = grid.ifft(hat * np.exp(-grid.k_sq * 0.02)).real
@@ -243,7 +259,7 @@ class TestIterationScheme:
         s0 = init_iterate(data, cfg, 0.02)
         s1 = iterate_once(s0, cfg)
         assert s1.n == 1
-        assert s1.prev_u is s0.u_series
+        assert s1.data is s0.data and s1.bank is s0.bank
         assert s1.T == s0.T
 
     def test_run_records_and_difference_decay(self, grid):
@@ -293,6 +309,33 @@ class TestIterationScheme:
         assert check_uniform_bounds(state, cfg) == expected
         assert len(calls) == 2
         assert calls[0] is state.u_series and calls[1] is state.b_series
+
+    def test_run_keeps_at_most_two_iterates_alive(self, grid, monkeypatch):
+        series_refs = []
+        original = mhd.iterate_once
+
+        def watched(state, config):
+            # About to build iterate k+1 from iterate k: iterate k-1 must be gone.
+            gc.collect()
+            if len(series_refs) >= 2:
+                assert series_refs[-2]() is None
+            assert series_refs[-1]() is state.u_series
+            out = original(state, config)
+            series_refs.append(weakref.ref(out.u_series))
+            return out
+
+        original_init = mhd.init_iterate
+
+        def watched_init(*args):
+            out = original_init(*args)
+            series_refs.append(weakref.ref(out.u_series))
+            return out
+
+        monkeypatch.setattr(mhd, "iterate_once", watched)
+        monkeypatch.setattr(mhd, "init_iterate", watched_init)
+        diag = run_iteration(taylor_green_data(grid), _small_config(max_iterations=4))
+        assert len(series_refs) == 5
+        assert series_refs[-1]() is diag.final_state.u_series
 
     def test_residual_probe(self, grid):
         diag = run_iteration(taylor_green_data(grid), _small_config())
@@ -432,6 +475,15 @@ class TestUniquenessGauge:
         assert rep.a_t == a_t
         assert rep.c_t == cl(du, d / p - 1.0, math.inf, 1.0) + cl(du, d / p + 1.0, math.inf, 1.0)
         assert rep.solution_scale == cl(u1, d / p - 1.0, 1.0, math.inf) + b1_sup
+        # The t = 0 offsets read off column 0 equal the snapshot Besov norms exactly.
+        du0, db0 = (
+            littlewood_paley.besov_norm(f.snapshots[0], BesovSpec(s, p, math.inf), bank)
+            for f, s in ((du, d / p), (db, d / p - 1.0))
+        )
+        scale = rep.solution_scale
+        assert rep.offset == (
+            cfg.gauge_slack * base.T * (du0 + a_t * db0) + 1e-14 * base.T * (1.0 + scale)
+        )
 
     def test_zero_perturbation_twin_is_identical(self, grid):
         cfg = _small_config()
