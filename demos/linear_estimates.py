@@ -38,7 +38,7 @@ x1, x2 = grid.coords()
 mode = Field(grid, np.cos(2.0 * x1 + x2)[None])
 sol = solve_heat(HeatProblem(mode, None, 0.1, 1e-3))
 exact = math.exp(-5.0 * 0.1)
-got = sol.snapshots[-1].samples[0, 0, 0] / mode.samples[0, 0, 0]
+got = sol.field(-1).samples[0, 0, 0] / mode.samples[0, 0, 0]
 print("heat flow on a single mode (|k|^2 = 5, T = 0.1):")
 print(f"  decay factor {got:.12f}, exact {exact:.12f}")
 
@@ -56,11 +56,11 @@ print(f"  lhs {rep.lhs:.6f} = {rep.ratio:.4f} * rhs {rhs:.6f} "
 # created or destroyed, so its L2 norm is conserved to solver accuracy.
 T, dt = 0.25, 2e-3
 shear = Field(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]))
-vel = TimeSeriesField(np.array([0.0, T]), [shear, shear])
+vel = TimeSeriesField.from_snapshots(np.array([0.0, T]), [shear, shear])
 f0 = Field(grid, np.cos(x1 + x2)[None])
 tproblem = TransportProblem(f0, vel, None, T, dt)
 tsol = solve_transport(tproblem)
-norms = [lp_norm(s, 2.0) for s in tsol.snapshots]
+norms = [lp_norm(tsol.field(i), 2.0) for i in range(tsol.n_times)]
 print("\ntransport by the shear v = (sin x2, 0):")
 print(f"  |f(0)|_L2 = {norms[0]:.6f}, |f(T)|_L2 = {norms[-1]:.6f}, "
       f"drift {abs(norms[-1] - norms[0]):.3e}")

@@ -37,7 +37,7 @@ for lam in (1, 2, 4, 8):
 # 2. Summation index: the l^1 aggregation dominates l^2 dominates l^inf.
 rng = sample_rng(0, 0)
 series = decaying_series(grid, bank, rng, np.linspace(0.0, 0.1, 11))
-f = series.snapshots[0]
+f = series.sample_at(0.0)
 norms = {r: besov_norm(f, BesovSpec(1.0, 2.0, r), bank) for r in (1.0, 2.0, np.inf)}
 print(f"\nsummation ordering: r=1 {norms[1.0]:.6f} >= r=2 {norms[2.0]:.6f} "
       f">= r=inf {norms[np.inf]:.6f}")

@@ -52,7 +52,6 @@ from .littlewood_paley import BesovSpec, TimeSeriesField, besov_norm, chemin_ler
 from .mhd import (
     prepare_initial_data,
     run_iteration,
-    select_time_horizon,
     taylor_green_data,
     twin_run_uniqueness,
 )
@@ -130,14 +129,14 @@ def _cmd_solve(args) -> int:
         if args.velocity is None:
             raise ConfigError("transport solves need --velocity FILE")
         v = _read_field_checked(args.velocity, grid)
-        velocity = TimeSeriesField(np.array([0.0, T]), [v, v.copy()])
+        velocity = TimeSeriesField.from_snapshots(np.array([0.0, T]), [v, v])
         problem = TransportProblem(f0, velocity, None, T, dt, cadence=cfg.cadence)
         solution = solve_transport(problem)
         report = transport_estimate_report(solution, problem, d / p, p, 1.0, bank).report()
     paths = []
-    for i, snap in enumerate(solution.snapshots):
+    for i in range(solution.n_times):
         path = _out_path(cfg, f"{args.problem}_snapshot_{i:06d}.field")
-        write_field(path, snap)
+        write_field(path, solution.field(i))
         paths.append(os.path.basename(path))
     write_run_manifest(
         _out_path(cfg, f"{args.problem}_manifest.json"),
@@ -184,8 +183,8 @@ def _cmd_iterate(args) -> int:
         return _run_failed(exc)
     write_diagnostics(diag, _out_path(cfg, "diagnostics.csv"))
     write_filter_bank(diag.final_state.bank, _out_path(cfg, "filter_bank.json"))
-    write_field(_out_path(cfg, "final_u.field"), diag.final_state.u_series.snapshots[-1])
-    write_field(_out_path(cfg, "final_B.field"), diag.final_state.b_series.snapshots[-1])
+    write_field(_out_path(cfg, "final_u.field"), diag.final_state.u_series.field(-1))
+    write_field(_out_path(cfg, "final_B.field"), diag.final_state.b_series.field(-1))
     ok = _horizon_certified(diag.horizon)
     for rec in diag.records:
         if rec.h1_lhs > rec.h1_rhs or rec.h2_lhs > rec.h2_rhs:
@@ -215,10 +214,7 @@ def _cmd_unique(args) -> int:
         f"A_T={report.a_t:.6g} C_T={report.c_t:.6g} "
         f"osgood={'pass' if report.osgood_passed else 'FAIL'}"
     )
-    horizon = select_time_horizon(
-        data.u0, icfg.eta, icfg.dt, icfg.t_max, icfg.p, icfg.bank(data.grid)
-    )
-    return 0 if _horizon_certified(horizon) and report.osgood_passed else 1
+    return 0 if _horizon_certified(report.horizon) and report.osgood_passed else 1
 
 
 def _cmd_norms(args) -> int:
@@ -235,7 +231,7 @@ def _cmd_norms(args) -> int:
         if len(fields) < 2:
             raise ConfigError("a mixed space-time norm needs at least two snapshot files")
         times = np.arange(len(fields)) * cfg.dt
-        series = TimeSeriesField(times, fields)
+        series = TimeSeriesField.from_snapshots(times, fields)
         mixed = chemin_lerner_norm(series, BesovSpec(s, cfg.p, args.r, args.q), bank)
         print(f"series: mixed(q={args.q:g}) over dt={cfg.dt:g} spacing = {mixed!r}")
     return 0

@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .littlewood_paley import FilterBank
-from .mhd import IterationConfig, IterationDiagnostics, UniquenessReport
+from .mhd import Horizon, IterationConfig, IterationDiagnostics, UniquenessReport
 from .spectral import Field, FrequencyGrid, make_grid
 
 __all__ = [
@@ -291,6 +291,7 @@ def write_uniqueness_report(report: UniquenessReport, path):
         "solution_scale": report.solution_scale,
         "osgood_passed": report.osgood_passed,
         "worst_margin": report.worst_margin,
+        "horizon": asdict(report.horizon),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -314,6 +315,7 @@ def read_uniqueness_report(path) -> UniquenessReport:
             solution_scale=doc["solution_scale"],
             osgood_passed=doc["osgood_passed"],
             worst_margin=doc["worst_margin"],
+            horizon=Horizon(**doc["horizon"]),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from None

@@ -25,6 +25,7 @@ from .littlewood_paley import (
     FilterBank,
     TimeSeriesField,
     _coeffs,
+    _interpolate,
     besov_norm,
     chemin_lerner_norm,
     chemin_lerner_trace,
@@ -34,6 +35,7 @@ from .spectral import (
     Field,
     FrequencyGrid,
     SpectralField,
+    _l2_norms,
     jacobian,
     lp_norm,
 )
@@ -116,16 +118,22 @@ def etd_phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.expm1(safe) - safe) / safe**2)
 
 
-def _forcing_coeffs(grid: FrequencyGrid, forcing, t: float, c: int) -> np.ndarray:
-    if forcing is None:
-        return np.zeros((c,) + grid.shape, dtype=np.complex128)
-    snap = forcing(t) if callable(forcing) else forcing.sample_at(t)
-    out = _coeffs(snap)
+def _forcing_coeffs(forcing, t: float, c: int) -> np.ndarray:
+    out = _coeffs(forcing(t)) if callable(forcing) else forcing.sample_at(t).coeffs
     if out.shape[0] != c:
         raise ValueError(
             f"forcing has {out.shape[0]} components, initial data has {c}"
         )
     return out
+
+
+def _snapshot_stack(problem, c: int) -> tuple:
+    """Stored step indices (0, every ``cadence``-th step, the last step), their
+    times, and an unfilled (n_stored, c, *spectral_shape) coefficient stack."""
+    steps = [n for n in range(problem.n_steps + 1)
+             if n % problem.cadence == 0 or n == problem.n_steps]
+    stack = np.empty((len(steps), c) + problem.grid.spectral_shape, dtype=np.complex128)
+    return {n: i for i, n in enumerate(steps)}, np.array(steps) * problem.dt, stack
 
 
 def solve_heat(problem: HeatProblem) -> TimeSeriesField:
@@ -137,7 +145,7 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
 
     which integrates the linear part exactly and the Duhamel term exactly
     for forcing linear in t.  Snapshots are stored every ``cadence`` steps
-    and at the final time.
+    and at the final time, straight into the series' coefficient stack.
     """
     grid = problem.grid
     uhat = _coeffs(problem.u0)
@@ -148,36 +156,25 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     phi1 = etd_phi1(z)
     phi2 = etd_phi2(z)
     have_g = problem.forcing is not None
-    g_n = _forcing_coeffs(grid, problem.forcing, 0.0, c) if have_g else None
-    times = [0.0]
-    snaps = [Field(grid, grid.ifft(uhat))]
+    g_n = _forcing_coeffs(problem.forcing, 0.0, c) if have_g else None
+    slots, times, stack = _snapshot_stack(problem, c)
+    stack[0] = uhat
     for n in range(1, problem.n_steps + 1):
-        t_next = n * dt
         if have_g:
-            g_next = _forcing_coeffs(grid, problem.forcing, t_next, c)
+            g_next = _forcing_coeffs(problem.forcing, n * dt, c)
             uhat = decay * uhat + dt * (phi1 * g_n + phi2 * (g_next - g_n))
             g_n = g_next
         else:
             uhat = decay * uhat
-        if n % problem.cadence == 0 or n == problem.n_steps:
-            times.append(t_next)
-            snaps.append(Field(grid, grid.ifft(uhat)))
-    return TimeSeriesField(np.array(times), snaps)
+        if n in slots:
+            stack[slots[n]] = uhat
+    return TimeSeriesField(grid, times, stack)
 
 
 def _materialize_forcing(problem: HeatProblem, times: np.ndarray) -> TimeSeriesField | None:
-    if problem.forcing is None:
-        return None
-    if isinstance(problem.forcing, TimeSeriesField):
+    if problem.forcing is None or isinstance(problem.forcing, TimeSeriesField):
         return problem.forcing
-    grid = problem.grid
-    snaps = []
-    for t in times:
-        snap = problem.forcing(float(t))
-        if isinstance(snap, SpectralField):
-            snap = Field(grid, grid.ifft(snap.coeffs))
-        snaps.append(snap)
-    return TimeSeriesField(times.copy(), snaps)
+    return TimeSeriesField.from_snapshots(times.copy(), [problem.forcing(float(t)) for t in times])
 
 
 def heat_estimate_report(
@@ -235,8 +232,9 @@ class TransportProblem:
     d_t f + v.grad f = g.
 
     The velocity is a divergence-free TimeSeriesField covering [0, T];
-    construction checks the divergence defect (<= 1e-8 relative) and the
-    advective CFL number dt*max|v|*N/L <= 0.5.
+    construction checks the divergence defect (<= 1e-8 relative, by
+    Parseval) and the advective CFL number dt*max|v|*N/L <= 0.5 on
+    ``velocity_samples``, the velocity's samples from one batched inverse.
     """
 
     f0: object
@@ -261,18 +259,17 @@ class TransportProblem:
             raise ValueError(
                 f"source series covers [0, {self.source.T}], run needs [0, {self.T}]"
             )
-        vmax = 0.0
-        for snap in self.velocity.snapshots:
-            # ||div v||_L2 by Parseval from one forward transform.
-            div_hat = np.sum(grid.ik * grid.fft(snap.samples), axis=0)
-            power = float(np.sum(div_hat.real**2 + div_hat.imag**2))
-            div_norm = math.sqrt(power) / float(grid.N) ** grid.d
-            scale = max(1.0, lp_norm(snap, 2.0))
-            if div_norm > 1e-8 * scale:
-                raise ValueError(
-                    f"velocity is not divergence-free: |div v|_L2 = {div_norm:.3e}"
-                )
-            vmax = max(vmax, lp_norm(snap, math.inf))
+        # ||div v||_L2 and ||v||_L2 of every snapshot by Parseval, with no transform.
+        vel = self.velocity.coeffs
+        div_norms = _l2_norms(grid, np.sum(grid.ik * vel, axis=1, keepdims=True))
+        bad = div_norms > 1e-8 * np.maximum(1.0, _l2_norms(grid, vel))
+        if bad.any():
+            raise ValueError(
+                f"velocity is not divergence-free: |div v|_L2 = {div_norms[bad][0]:.3e}"
+            )
+        # One batched inverse serves the CFL number and every RK4 stage.
+        self.velocity_samples = grid.ifft(vel)
+        vmax = float(np.sqrt(np.max(np.sum(self.velocity_samples**2, axis=1))))
         cfl = self.dt * vmax * grid.N / grid.L
         if cfl > 0.5 + 1e-12:
             raise ValueError(
@@ -310,19 +307,19 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     """
     grid = problem.grid
     fhat = _coeffs(problem.f0) * grid.dealias_mask
-    c = fhat.shape[0]
     dt = problem.dt
+    velocity, source = problem.velocity, problem.source
 
     def v_at(t: float) -> np.ndarray:
-        return problem.velocity.sample_at(t).samples
+        return _interpolate(velocity.times, problem.velocity_samples, t)
 
     def g_at(t: float) -> np.ndarray | None:
-        if problem.source is None:
+        if source is None:
             return None
-        return _coeffs(problem.source.sample_at(t)) * grid.dealias_mask
+        return _interpolate(source.times, source.coeffs, t) * grid.dealias_mask
 
-    times = [0.0]
-    snaps = [Field(grid, grid.ifft(fhat))]
+    slots, times, stack = _snapshot_stack(problem, fhat.shape[0])
+    stack[0] = fhat
     for n in range(problem.n_steps):
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
@@ -332,11 +329,9 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
         k3 = _advection_rhs(grid, fhat + 0.5 * dt * k2, vh, gh)
         k4 = _advection_rhs(grid, fhat + dt * k3, v1, g1)
         fhat = fhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        step = n + 1
-        if step % problem.cadence == 0 or step == problem.n_steps:
-            times.append(step * dt)
-            snaps.append(Field(grid, grid.ifft(fhat)))
-    return TimeSeriesField(np.array(times), snaps)
+        if n + 1 in slots:
+            stack[slots[n + 1]] = fhat
+    return TimeSeriesField(grid, times, stack)
 
 
 @dataclass
@@ -408,11 +403,14 @@ def transport_estimate_report(
         gv = jacobian(v).as_field()
         return max(besov_norm(gv, BesovSpec(d / p, p, r), bank), lp_norm(gv, math.inf))
 
-    snaps = problem.velocity.snapshots
-    if all(np.array_equal(v.samples, snaps[0].samples) for v in snaps[1:]):
-        grad_strength = np.full(times.size, strength(snaps[0]))  # steady velocity
+    v_samples = problem.velocity_samples
+    if np.all(v_samples == v_samples[0]):
+        grad_strength = np.full(times.size, strength(Field(grid, v_samples[0])))  # steady
     else:
-        grad_strength = np.array([strength(problem.velocity.sample_at(float(t))) for t in times])
+        grad_strength = np.array([
+            strength(Field(grid, _interpolate(problem.velocity.times, v_samples, float(t))))
+            for t in times
+        ])
     V = cumulative_trapezoid(grad_strength, times, initial=0.0)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
     f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)

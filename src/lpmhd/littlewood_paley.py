@@ -20,8 +20,12 @@ Besov norm:           || 2^(js) ||Delta_j f||_Lp ||_{l^r over j}
 Chemin-Lerner norm:   time L^q per shell first, then the l^r shell sum.
 
 Every shell norm comes from one kernel, ``_shell_lp_norms``.  At p = 2 it
-runs no transform: by Parseval ||Delta_j f||_L2 = sqrt(phi_j^2 . |f^|^2) / N^d.
-Other p invert each shell once and take the norm of the raw samples.
+runs no transform: by Parseval ||Delta_j f||_L2 = sqrt(phi_j^2 w . |f^|^2) / N^d
+on the half spectrum, w the column weight ``grid.parseval_weight``.  Other p
+invert each shell once and take the norm of the raw samples.
+
+A ``TimeSeriesField`` is one stacked half-spectrum coefficient array, so
+the shell matrices of the time-mixed norms read it with no transform at p = 2.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .spectral import Field, FrequencyGrid, SpectralField, _samples_lp_norm, lp_norm
 
@@ -123,7 +127,7 @@ class FilterBank:
         for j in self.shells:
             shells.append(np.where(rho > 0.0, _bump(rho * 2.0 ** (-j)) / den_safe, 0.0))
         self.phi = np.stack(shells)
-        self.phi_sq = (self.phi**2).reshape(self.n_shells, -1)
+        self.phi_sq = (self.phi**2 * grid.parseval_weight).reshape(self.n_shells, -1)
         self.mean_indicator = (rho == 0.0).astype(np.float64)
         self._lowpass_cache: dict = {}
 
@@ -168,8 +172,10 @@ class FilterBank:
         return float(np.max(np.abs(total[mask] - 1.0)))
 
     def fingerprint(self) -> dict:
-        """Deterministic summary of the bank, with a hash of the lattice values."""
-        digest = hashlib.sha256(np.ascontiguousarray(self.phi).tobytes()).hexdigest()
+        """Deterministic summary of the bank, with a hash of the values on the
+        full N^d lattice (phi is radial, so column m mirrors column |m|)."""
+        full = np.take(self.phi, np.abs(self.grid.m1d), axis=-1)
+        digest = hashlib.sha256(np.ascontiguousarray(full).tobytes()).hexdigest()
         return {
             "j_min": self.j_min,
             "j_max": self.j_max,
@@ -195,11 +201,10 @@ def build_filter_bank(
 
 
 def _apply_multiplier(mult: np.ndarray, f):
+    hat = _coeffs(f) * mult
     if isinstance(f, SpectralField):
-        return SpectralField(f.grid, f.coeffs * mult)
-    if isinstance(f, Field):
-        return Field(f.grid, f.grid.ifft(f.grid.fft(f.samples) * mult))
-    raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
+        return SpectralField(f.grid, hat)
+    return Field(f.grid, f.grid.ifft(hat))
 
 
 def dyadic_block(bank: FilterBank, j: int, f):
@@ -244,7 +249,7 @@ def _shell_weights(bank: FilterBank, s: float) -> np.ndarray:
 
 def _shell_lp_norms(hat: np.ndarray, p: float, bank: FilterBank) -> np.ndarray:
     """||Delta_j f||_Lp for every shell j (|f(x)|_2 pointwise, as in ``lp_norm``)
-    from the (c, N, ..., N) coefficients of real samples; raises if not finite."""
+    from the (c, *spectral_shape) coefficients of one field; raises if not finite."""
     grid = bank.grid
     if p == 2.0:
         power = np.sum(hat.real**2 + hat.imag**2, axis=0).reshape(-1)
@@ -276,39 +281,59 @@ def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     return float(_aggregate(vals * _shell_weights(bank, spec.s), spec.r))
 
 
+def _interpolate(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
+    """stack (leading axis over ``times``) linearly interpolated at t; the
+    stored entry itself at a stored time."""
+    T = float(times[-1])
+    slack = 1e-12 * max(1.0, T)
+    if t < -slack or t > T + slack:
+        raise ValueError(f"t={t} outside [0, {T}]")
+    t = min(max(t, 0.0), T)
+    i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 1)
+    if i == times.size - 1 or abs(times[i] - t) <= slack:
+        return stack[i]
+    w = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - w) * stack[i] + w * stack[i + 1]
+
+
 @dataclass
 class TimeSeriesField:
-    """Snapshots of one field on a strictly increasing time axis from t = 0.
+    """One field on a strictly increasing time axis from t = 0, held as the
+    stacked half-spectrum coefficients of its snapshots, shape
+    (n_times, c, *grid.spectral_shape).  Finiteness is checked once, here."""
 
-    The snapshots are all ``Field``s or all ``SpectralField``s.
-    """
-
+    grid: FrequencyGrid
     times: np.ndarray
-    snapshots: list
+    coeffs: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
+        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if self.times.ndim != 1 or self.times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        if len(self.snapshots) != self.times.size:
+        if self.coeffs.ndim != self.grid.d + 2 or self.coeffs.shape[2:] != self.grid.spectral_shape:
+            raise ValueError(f"coeffs must have shape (n_times, c, *spectral_shape), got "
+                             f"{self.coeffs.shape}")
+        if self.coeffs.shape[0] != self.times.size:
             raise ValueError("times and snapshots disagree in length")
         if self.times[0] != 0.0:
             raise ValueError(f"time axis must start at 0, got {self.times[0]}")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        g = self.snapshots[0].grid
-        c = self.snapshots[0].components
-        for snap in self.snapshots[1:]:
-            if snap.grid != g or snap.components != c:
-                raise ValueError("snapshots must share one grid and component count")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("field samples must be finite")
 
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.snapshots[0].grid
+    @classmethod
+    def from_snapshots(cls, times, snapshots) -> "TimeSeriesField":
+        """The series of a list of ``Field``s and/or ``SpectralField``s on one grid."""
+        grid = snapshots[0].grid
+        if any(snap.grid != grid for snap in snapshots):
+            raise ValueError("snapshots must share one grid")
+        return cls(grid, times, np.stack([_coeffs(snap) for snap in snapshots]))
 
     @property
     def components(self) -> int:
-        return self.snapshots[0].components
+        return self.coeffs.shape[1]
 
     @property
     def n_times(self) -> int:
@@ -318,41 +343,29 @@ class TimeSeriesField:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def sample_at(self, t: float):
-        """Linear interpolation in time, in the snapshots' own space (samples
-        or coefficients); exact at stored snapshots."""
-        slack = 1e-12 * max(1.0, self.T)
-        if t < -slack or t > self.T + slack:
-            raise ValueError(f"t={t} outside [0, {self.T}]")
-        t = min(max(t, 0.0), self.T)
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), self.n_times - 1)
-        if i == self.n_times - 1 or abs(self.times[i] - t) <= slack:
-            return self.snapshots[i]
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        a, b = self.snapshots[i], self.snapshots[i + 1]
-        if isinstance(a, SpectralField):
-            return SpectralField(self.grid, (1.0 - w) * a.coeffs + w * b.coeffs)
-        return Field(self.grid, (1.0 - w) * a.samples + w * b.samples)
+    def field(self, i: int) -> Field:
+        """Physical samples of snapshot i, for I/O and inspection."""
+        return Field(self.grid, self.grid.ifft(self.coeffs[i]))
+
+    def sample_at(self, t: float) -> SpectralField:
+        """Linear interpolation in time of the coefficients; exact at stored snapshots."""
+        return SpectralField(self.grid, _interpolate(self.times, self.coeffs, t))
 
     def __sub__(self, other: "TimeSeriesField") -> "TimeSeriesField":
+        if self.grid != other.grid:
+            raise ValueError("series live on different grids")
         if self.n_times != other.n_times or not np.allclose(
             self.times, other.times, rtol=0.0, atol=1e-12
         ):
             raise ValueError("series have different time axes")
-        return TimeSeriesField(
-            self.times.copy(),
-            [a - b for a, b in zip(self.snapshots, other.snapshots)],
-        )
+        return TimeSeriesField(self.grid, self.times.copy(), self.coeffs - other.coeffs)
 
 
 def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.ndarray:
     """||Delta_j f(t_i)||_Lp as an (n_shells, n_times) matrix."""
-    grid = bank.grid
-    if series.grid != grid:
+    if series.grid != bank.grid:
         raise ValueError("series and bank live on different grids")
-    return np.stack([_shell_lp_norms(_coeffs(s), p, bank) for s in series.snapshots], 1)
+    return np.stack([_shell_lp_norms(hat, p, bank) for hat in series.coeffs], 1)
 
 
 def _running_norm(
@@ -403,7 +416,7 @@ def lq_besov_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) ->
         return float(np.max(vals))
     if series.n_times < 2:
         raise ValueError("finite q needs at least two snapshots")
-    return float(np.trapezoid(vals**spec.q, series.times) ** (1.0 / spec.q))
+    return float(trapezoid(vals**spec.q, series.times) ** (1.0 / spec.q))
 
 
 @dataclass
@@ -471,7 +484,7 @@ def bernstein_ratios(
     def deriv_sup(norm_p: float) -> float:
         best = 0.0
         for alpha in combinations_with_replacement(range(grid.d), k_order):
-            mult = np.ones(grid.shape, dtype=np.complex128)
+            mult = np.ones(grid.spectral_shape, dtype=np.complex128)
             for a in alpha:
                 mult = mult * (1j * grid.k_axes[a])
             g = Field(grid, grid.ifft(hat * mult))

@@ -174,12 +174,16 @@ class MhdInitialData:
 
 
 def prepare_initial_data(u0: Field, b0: Field) -> MhdInitialData:
-    """Leray-project and de-mean raw fields into valid initial data."""
+    """Leray-project and de-mean raw fields into valid initial data, with
+    every m = +-N/2 plane zeroed (the Nyquist convention of ``grid.ik``)."""
     out = []
+    grid = u0.grid
     for f in (u0, b0):
         hat = leray_project(to_spectral(f)).coeffs
-        hat[(slice(None),) + (0,) * f.grid.d] = 0.0
-        out.append(Field(f.grid, f.grid.ifft(hat)))
+        hat[(slice(None),) + (0,) * grid.d] = 0.0
+        for m in grid.m_axes:
+            hat = np.where(np.abs(m) == grid.N // 2, 0.0, hat)
+        out.append(Field(grid, grid.ifft(hat)))
     return MhdInitialData(out[0], out[1])
 
 
@@ -213,7 +217,10 @@ def perturb_initial_data(
         raise ValueError(f"perturbation size must be >= 0, got {size}")
     grid = data.grid
     rng = np.random.default_rng(seed)
-    sel = (grid.k_mag >= 2.0 ** (bank.j_min + 1)) & (grid.k_mag <= 2.0 ** (bank.j_max - 1))
+    # The draw fills the full N^d lattice in C order, non-Hermitian on purpose.
+    k_mag = np.sqrt(sum(k**2 for k in np.meshgrid(*([grid.k1d] * grid.d), indexing="ij")))
+    sel = (k_mag >= 2.0 ** (bank.j_min + 1)) & (k_mag <= 2.0 ** (bank.j_max - 1))
+    spatial = tuple(range(1, grid.d + 1))
     fields = []
     for base in (data.u0, data.b0):
         hat = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
@@ -221,7 +228,10 @@ def perturb_initial_data(
             size=(grid.d, int(sel.sum()))
         )
         hat[:, sel] = vals
-        noise = to_physical(leray_project(SpectralField(grid, hat)))
+        # The real part of the inverse, taken once: the Hermitian part's half spectrum.
+        mirrored = np.roll(np.flip(hat, axis=spatial), 1, axis=spatial)
+        half = 0.5 * (hat + np.conj(mirrored))[..., : grid.N // 2 + 1]
+        noise = to_physical(leray_project(SpectralField(grid, half)))
         noise = Field(grid, noise.samples - mean_mode(noise)[(...,) + (None,) * grid.d])
         scale = lp_norm(noise, 2.0)
         shaped = noise.samples / scale if scale > 0 else noise.samples
@@ -364,27 +374,27 @@ def _assemble_sources(
     u_series: TimeSeriesField, b_series: TimeSeriesField
 ) -> tuple:
     """Heat forcing P div(B (x) B - u (x) u) and transport source
-    div(u (x) B) = (B.grad)u, as series of SpectralField snapshots.
+    div(u (x) B) = (B.grad)u, as series on the time axis of u_series.
 
-    Per snapshot: one forward transform of the stacked (u, B), one inverse
-    of their dealiased spectra, and one forward transform of all the
-    products, which are then masked and contracted with i*k_j.
+    Per snapshot: one inverse of the dealiased stacked (u, B) coefficients
+    and one forward transform of all the products, which are then masked
+    and contracted with i*k_j into the two preallocated stacks.
     """
     grid = u_series.grid
     d = grid.d
     mask = grid.dealias_mask
-    forcing, source = [], []
-    for u, b in zip(u_series.snapshots, b_series.snapshots):
-        um, bm = grid.ifft(grid.fft(np.stack([u.samples, b.samples])) * mask)
+    forcing = np.empty_like(u_series.coeffs)
+    source = np.empty_like(u_series.coeffs)
+    for i in range(u_series.n_times):
+        um, bm = grid.ifft(np.stack([u_series.coeffs[i], b_series.coeffs[i]]) * mask)
         bb_uu = np.einsum("i...,j...->ij...", bm, bm) - np.einsum("i...,j...->ij...", um, um)
         ub = np.einsum("i...,j...->ij...", um, bm)
         prod_hat = grid.fft(np.stack([bb_uu, ub])) * mask
         div_hat = sum(prod_hat[:, :, j] * grid.ik[j] for j in range(d))
-        # leray_project copies, so neither snapshot keeps the shared div_hat alive.
-        forcing.append(leray_project(SpectralField(grid, div_hat[0])))
-        source.append(SpectralField(grid, div_hat[1].copy()))
+        forcing[i] = leray_project(SpectralField(grid, div_hat[0])).coeffs
+        source[i] = div_hat[1]
     times = u_series.times
-    return TimeSeriesField(times.copy(), forcing), TimeSeriesField(times.copy(), source)
+    return TimeSeriesField(grid, times.copy(), forcing), TimeSeriesField(grid, times.copy(), source)
 
 
 def iterate_once(state: IterationState, config: IterationConfig) -> IterationState:
@@ -576,10 +586,10 @@ def system_residual(u_series: TimeSeriesField, b_series: TimeSeriesField) -> dic
     res_u, res_b = [], []
     for i in range(1, times.size - 1):
         dt2 = times[i + 1] - times[i - 1]
-        du_dt = (u_series.snapshots[i + 1].samples - u_series.snapshots[i - 1].samples) / dt2
-        db_dt = (b_series.snapshots[i + 1].samples - b_series.snapshots[i - 1].samples) / dt2
-        u = u_series.snapshots[i]
-        b = b_series.snapshots[i]
+        du_dt = grid.ifft(u_series.coeffs[i + 1] - u_series.coeffs[i - 1]) / dt2
+        db_dt = grid.ifft(b_series.coeffs[i + 1] - b_series.coeffs[i - 1]) / dt2
+        u = u_series.field(i)
+        b = b_series.field(i)
         lap_u = grid.ifft(grid.fft(u.samples) * (-grid.k_sq))
         forcing = to_physical(
             leray_project(
@@ -630,7 +640,8 @@ def osgood_check(
 @dataclass
 class UniquenessReport:
     """Twin-run gauge output: the difference growth rho, the measured
-    inequality data (A_T, C_T, empirical constant), and the verdict."""
+    inequality data (A_T, C_T, empirical constant), the verdict, and the
+    base run's horizon, which both runs share."""
 
     perturbation_size: float
     T: float
@@ -644,6 +655,7 @@ class UniquenessReport:
     solution_scale: float
     osgood_passed: bool
     worst_margin: float
+    horizon: Horizon
 
 
 def _twin_report(
@@ -706,6 +718,7 @@ def _twin_report(
         solution_scale=float(scale),
         osgood_passed=verdict.passed,
         worst_margin=verdict.worst_margin,
+        horizon=base.horizon,
     )
 
 

@@ -102,7 +102,7 @@ def paraproduct(bank: FilterBank, u: Field, v: Field) -> Field:
     u_hat = grid.fft(u.samples)
     v_hat = grid.fft(v.samples)
     c = max(u.components, v.components)
-    acc = np.zeros((c,) + grid.shape, dtype=np.complex128)
+    acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
     rho = grid.k_mag
     for j in range(bank.j_min + 1, bank.j_max + 1):
         low = grid.ifft(u_hat * (bank.lowpass_multiplier(j - 1) * grid.dealias_mask))
@@ -125,7 +125,7 @@ def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
     bu = _product_blocks(bank, u)
     bv = _product_blocks(bank, v)
     c = max(u.components, v.components)
-    acc = np.zeros((c,) + grid.shape, dtype=np.complex128)
+    acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
     for idx in range(bank.n_shells):
         acc += grid.fft(bu[idx] * bv[idx]) * grid.dealias_mask
         if idx + 1 < bank.n_shells:

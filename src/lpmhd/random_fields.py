@@ -1,9 +1,8 @@
 """Seeded random field generators for test corpora and verification suites.
 
-Every generator draws white noise in physical space, moves to Fourier
-space, applies an exact radial support mask, and returns to physical
-space.  Radial masks preserve conjugate symmetry, so the results are real
-by construction, and the spectra carry exact zeros outside the declared
+Every generator draws white noise in physical space, moves to the
+half spectrum, applies an exact radial support mask, and returns to
+physical space, so the spectra carry exact zeros outside the declared
 support instead of roundoff-level leakage from filtering real data.
 """
 
@@ -99,13 +98,10 @@ def decaying_series(
 ) -> TimeSeriesField:
     """Heat evolution of a random interior-band field, sampled at ``times``.
 
-    The multiplier e^{-|k|^2 t} is applied directly per snapshot, which is
-    the exact solution rather than a marched one.
+    The multiplier e^{-|k|^2 t} is applied directly to the coefficient
+    stack, which is the exact solution rather than a marched one.
     """
     f0 = interior_field(grid, bank, rng, components=components)
-    hat0 = grid.fft(f0.samples)
-    snaps = [
-        Field(grid, grid.ifft(hat0 * np.exp(-grid.k_sq * float(t))))
-        for t in times
-    ]
-    return TimeSeriesField(np.asarray(times, dtype=np.float64), snaps)
+    times = np.asarray(times, dtype=np.float64)
+    decay = np.exp(-np.multiply.outer(times, grid.k_sq))[:, None]
+    return TimeSeriesField(grid, times, decay * grid.fft(f0.samples))

@@ -6,13 +6,22 @@ Conventions fixed here, once, for the whole package:
 * the box is [0, L)^d sampled on a uniform N^d lattice, N a power of two;
 * transforms run through ``scipy.fft`` over the trailing d axes, and only
   through ``FrequencyGrid.fft/ifft``: the forward transform is the
-  unnormalized ``fftn`` and the inverse ``ifftn`` divides by N**d, so
-  samples and coefficients round-trip exactly up to floating roundoff;
-* the inverse returns the real part of ``ifftn`` as a fresh float64 array.
-  Callers never hold the complex buffer: a ``.real`` view would keep it
-  alive, at twice the memory of the samples;
-* wavenumbers are k = (2*pi/L) * m with integer m in [-N/2, N/2), stored
-  in FFT order;
+  unnormalized real-input ``rfftn`` and the inverse ``irfftn`` divides by
+  N**d, so samples and coefficients round-trip exactly up to floating
+  roundoff, and the inverse returns fresh real float64 samples;
+* the one Fourier layout is the real-FFT half spectrum, of shape
+  ``grid.spectral_shape = (N,)*(d-1) + (N//2+1,)``: wavenumbers are
+  k = (2*pi/L) * m with integer m in [-N/2, N/2) in FFT order on the first
+  d-1 axes and m = 0..N/2 on the last.  The unstored modes m_last < 0 are
+  the conjugates of stored ones, and every cached multiplier lives on
+  ``spectral_shape``;
+* Parseval on the half spectrum weights last-axis columns 0 and N/2 by 1
+  and every other column by 2 (``grid.parseval_weight``): each of those
+  stands for itself and its unstored conjugate;
+* Nyquist convention: the m = +-N/2 planes carry no odd derivative.
+  ``grid.ik`` zeroes every plane m_a = +-N/2 of axis a, as is standard
+  for FFT derivatives, and ``mhd.prepare_initial_data`` zeroes those
+  planes outright;
 * L^p norms use the normalized measure (1/L^d) dx, so the constant field
   1 has unit norm for every p;
 * pointwise products of band-limited data are dealiased with the 2/3
@@ -76,26 +85,30 @@ class FrequencyGrid:
         self.d = int(d)
         self.N = int(N)
         self.L = float(L)
-        # fftfreq(N) is m/N with N a power of two, so m1d is exact.
+        # fftfreq(N) is m/N with N a power of two, so m1d is exact.  m1d and
+        # k1d are the full FFT-order axis; the last axis of the half spectrum
+        # keeps only m = 0..N/2.
         self.m1d = np.rint(np.fft.fftfreq(self.N) * self.N).astype(np.int64)
         self.k1d = (2.0 * math.pi / self.L) * self.m1d.astype(np.float64)
-        axes = []
+        self.spectral_shape = (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
+        m_axes = []
         for a in range(self.d):
             shape = [1] * self.d
-            shape[a] = self.N
-            axes.append(self.k1d.reshape(shape))
-        self.k_axes = tuple(axes)
-        self.k_sq = sum(ka.astype(np.float64) ** 2 for ka in self.k_axes)
+            shape[a] = self.spectral_shape[a]
+            m = self.m1d if a < self.d - 1 else np.arange(self.N // 2 + 1)
+            m_axes.append(m.reshape(shape))
+        self.m_axes = tuple(m_axes)
+        self.k_axes = tuple((2.0 * math.pi / self.L) * m.astype(np.float64) for m in m_axes)
+        self.k_sq = sum(ka**2 for ka in self.k_axes)
         self.k_mag = np.sqrt(self.k_sq)
         self.k_min = 2.0 * math.pi / self.L
         self.k_nyquist = math.pi * self.N / self.L
-        m_cut = self.N // 3
-        mask = np.ones((self.N,) * self.d, dtype=bool)
-        for a in range(self.d):
-            shape = [1] * self.d
-            shape[a] = self.N
-            mask &= np.abs(self.m1d).reshape(shape) <= m_cut
+        mask = np.ones(self.spectral_shape, dtype=bool)
+        for m in self.m_axes:
+            mask &= np.abs(m) <= self.N // 3
         self.dealias_mask = mask
+        self.parseval_weight = np.full(self.N // 2 + 1, 2.0)
+        self.parseval_weight[[0, -1]] = 1.0
         self._spatial_axes = tuple(range(-self.d, 0))
 
     @property
@@ -109,22 +122,20 @@ class FrequencyGrid:
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """Stacked derivative multipliers i*k_a, shape (d, N, ..., N).
-
-        The m = -N/2 column has no +N/2 partner, so an odd derivative there
-        breaks conjugate symmetry; it is zeroed, as is standard for FFT
-        derivatives.
-        """
-        ik1d = 1j * np.where(self.m1d == -self.N // 2, 0.0, self.k1d)
-        return np.stack(np.meshgrid(*([ik1d] * self.d), indexing="ij"))
+        """Stacked derivative multipliers i*k_a, shape (d, *spectral_shape),
+        zero on every plane m_a = +-N/2 (see the module's Nyquist convention)."""
+        return np.stack(np.broadcast_arrays(*(
+            1j * np.where(np.abs(m) == self.N // 2, 0.0, k)
+            for m, k in zip(self.m_axes, self.k_axes)
+        )))
 
     def fft(self, samples: np.ndarray) -> np.ndarray:
-        """Forward transform over the trailing d axes; leading axes (components, shells) batch."""
-        return scipy.fft.fftn(samples, axes=self._spatial_axes)
+        """Forward real transform over the trailing d axes; leading axes batch."""
+        return scipy.fft.rfftn(samples, axes=self._spatial_axes)
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform over the trailing d axes, as fresh real float64 samples."""
-        return scipy.fft.ifftn(coeffs, axes=self._spatial_axes).real.copy()
+        """Inverse of ``fft`` over the trailing d axes, as fresh real float64 samples."""
+        return scipy.fft.irfftn(coeffs, s=self.shape, axes=self._spatial_axes)
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,19 +207,14 @@ class Field:
 
 @dataclass
 class SpectralField:
-    """Complex Fourier coefficients of a real field, FFT layout, shape (c, N, ..., N).
-
-    Coefficients of real data satisfy conjugate symmetry F(-k) = conj(F(k));
-    transforms of real input keep the defect at roundoff level, and
-    ``conjugate_symmetry_defect`` measures it.
-    """
+    """Half-spectrum Fourier coefficients of a real field, shape (c, *grid.spectral_shape)."""
 
     grid: FrequencyGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        expect = self.grid.shape
+        expect = self.grid.spectral_shape
         if self.coeffs.ndim != self.grid.d + 1 or self.coeffs.shape[1:] != expect:
             raise ValueError(
                 f"coeffs must have shape (c,{','.join(str(n) for n in expect)}), "
@@ -220,31 +226,6 @@ class SpectralField:
     @property
     def components(self) -> int:
         return self.coeffs.shape[0]
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def conjugate_symmetry_defect(self) -> float:
-        """max |F(-k) - conj(F(k))| relative to max |F|; ~1e-16 for real data."""
-        flipped = self.coeffs
-        for a in range(1, self.grid.d + 1):
-            flipped = np.roll(np.flip(flipped, axis=a), 1, axis=a)
-        top = np.max(np.abs(flipped - np.conj(self.coeffs)))
-        scale = np.max(np.abs(self.coeffs))
-        return float(top / scale) if scale > 0 else 0.0
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
 
 
 @dataclass
@@ -284,7 +265,7 @@ def to_physical(F: SpectralField) -> Field:
 
 
 def spectral_derivative(F: SpectralField, axis: int) -> SpectralField:
-    """d/dx_axis as the multiplier i*k_axis (Nyquist column zeroed)."""
+    """d/dx_axis as the multiplier i*k_axis (Nyquist planes zeroed)."""
     if not 0 <= axis < F.grid.d:
         raise ValueError(f"axis must be in [0,{F.grid.d}), got {axis}")
     return SpectralField(F.grid, F.coeffs * F.grid.ik[axis])
@@ -313,10 +294,7 @@ def divergence(f: Field) -> Field:
     if f.components != d:
         raise ValueError(f"divergence expects a {d}-component field, got {f.components}")
     F = f.grid.fft(f.samples)
-    acc = np.zeros((1,) + f.grid.shape, dtype=np.complex128)
-    for a in range(d):
-        acc[0] += F[a] * f.grid.ik[a]
-    return Field(f.grid, f.grid.ifft(acc))
+    return Field(f.grid, f.grid.ifft(np.sum(F * f.grid.ik, axis=0, keepdims=True)))
 
 
 def laplacian(f: Field) -> Field:
@@ -337,7 +315,7 @@ def leray_project(F: SpectralField) -> SpectralField:
     k_sq_safe = F.grid.k_sq.copy()
     zero = F.grid.k_sq == 0.0
     k_sq_safe[zero] = 1.0
-    dot = np.zeros(F.grid.shape, dtype=np.complex128)
+    dot = np.zeros(F.grid.spectral_shape, dtype=np.complex128)
     for a in range(d):
         dot += F.grid.k_axes[a] * F.coeffs[a]
     dot /= k_sq_safe
@@ -360,6 +338,14 @@ def lp_norm(f: Field, p: float) -> float:
     p may be any float >= 1 or inf; the constant field 1 has norm 1.
     """
     return _samples_lp_norm(f.samples, p)
+
+
+def _l2_norms(grid: FrequencyGrid, hats: np.ndarray) -> np.ndarray:
+    """L^2 norms by Parseval from (..., c, *spectral_shape) coefficients,
+    one per leading index; |f(x)|_2 pointwise, as in ``lp_norm``."""
+    power = (hats.real**2 + hats.imag**2) * grid.parseval_weight
+    total = power.reshape(hats.shape[: -grid.d - 1] + (-1,)).sum(axis=-1)
+    return np.sqrt(total) / float(grid.N) ** grid.d
 
 
 def _samples_lp_norm(samples: np.ndarray, p: float) -> float:
@@ -427,7 +413,7 @@ def tensor_divergence(a: Field, b: Field) -> Field:
     grid = a.grid
     am = _dealiased_samples(grid, a.samples)
     bm = _dealiased_samples(grid, b.samples)
-    out = np.zeros((d,) + grid.shape, dtype=np.complex128)
+    out = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
     for j in range(d):
         prod_hat = grid.fft(am * bm[j]) * grid.dealias_mask
         out += prod_hat * grid.ik[j]

@@ -298,7 +298,7 @@ def run_heat_suite(
     sol = solve_heat(HeatProblem(u0, None, T, dt))
     ksq = 5.0 * (2.0 * math.pi / grid.L) ** 2
     exact = math.exp(-ksq * T)
-    err = float(np.max(np.abs(sol.snapshots[-1].samples - exact * u0.samples)))
+    err = float(np.max(np.abs(sol.field(-1).samples - exact * u0.samples)))
     stats["single_mode_error"] = err
     if err > 1e-13:
         failures.append(f"single-mode decay error {err:.3e} > 1e-13")
@@ -315,7 +315,7 @@ def run_heat_suite(
     finals = []
     for divider in (1, 2, 4):
         sol_k = solve_heat(HeatProblem(u0_rand, forcing, 0.1, 0.02 / divider))
-        finals.append(sol_k.snapshots[-1].samples)
+        finals.append(sol_k.field(-1).samples)
     e1 = float(np.max(np.abs(finals[0] - finals[2])))
     e2 = float(np.max(np.abs(finals[1] - finals[2])))
     order = math.log2(e1 / e2) if e2 > 0 else math.inf
@@ -334,10 +334,7 @@ def run_heat_suite(
         scaled_forcing = (
             None
             if forcing_used is None
-            else TimeSeriesField(
-                forcing_used.times.copy(),
-                [Field(grid, 10.0 * s.samples) for s in forcing_used.snapshots],
-            )
+            else TimeSeriesField(grid, forcing_used.times.copy(), 10.0 * forcing_used.coeffs)
         )
         prob10 = HeatProblem(
             Field(grid, 10.0 * u0_rand.samples), scaled_forcing, 0.1, 2e-3
@@ -378,7 +375,7 @@ def _constant_velocity_series(grid: FrequencyGrid, vec, T: float) -> TimeSeriesF
 
 
 def _steady_series(v: Field, T: float) -> TimeSeriesField:
-    return TimeSeriesField(np.array([0.0, T]), [v, v.copy()])
+    return TimeSeriesField.from_snapshots(np.array([0.0, T]), [v, v])
 
 
 def run_transport_suite(
@@ -409,13 +406,9 @@ def run_transport_suite(
         TransportProblem(f0, _constant_velocity_series(grid, vec, T), None, T, dt)
     )
     hat = grid.fft(f0.samples)
-    phase = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.d):
-        shape = [1] * grid.d
-        shape[a] = grid.N
-        phase = phase + grid.k1d.reshape(shape) * vec[a]
+    phase = sum(grid.k_axes[a] * vec[a] for a in range(grid.d))
     shifted = Field(grid, grid.ifft(hat * np.exp(-1j * phase * T)))
-    err = float(np.max(np.abs(sol.snapshots[-1].samples - shifted.samples)))
+    err = float(np.max(np.abs(sol.field(-1).samples - shifted.samples)))
     stats["translation_error"] = err
     if err > 1e-11:
         failures.append(f"translation error {err:.3e} > 1e-11 at T={T}")
@@ -428,7 +421,7 @@ def run_transport_suite(
     sol_shear = solve_transport(
         TransportProblem(f_shear, _steady_series(shear, 1.0), None, 1.0, 2e-3)
     )
-    drift = abs(lp_norm(sol_shear.snapshots[-1], 2.0) - lp_norm(f_shear, 2.0))
+    drift = abs(lp_norm(sol_shear.field(-1), 2.0) - lp_norm(f_shear, 2.0))
     stats["l2_drift"] = drift
     if drift > 1e-6:
         failures.append(f"L2 drift {drift:.3e} > 1e-6 over T=1")

@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -15,6 +16,18 @@ from lpmhd import (
     run_iteration,
     taylor_green_data,
 )
+
+
+@pytest.fixture(scope="session")
+def full_lattice():
+    """Expands a radial array on the half spectrum (phi, k_sq, a low-pass
+    multiplier) to the full N^d lattice in FFT order, as the oracles expect:
+    column m of the last axis carries the value of column |m|."""
+
+    def expand(grid, arr):
+        return np.take(arr, np.abs(grid.m1d), axis=-1)
+
+    return expand
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from lpmhd import (
     SuiteResult,
     build_filter_bank,
     interior_field,
+    lp_norm,
     make_grid,
     read_diagnostics,
     read_field,
@@ -21,7 +22,7 @@ from lpmhd import (
     heat_semigroup,
     write_field,
 )
-from lpmhd import cli
+from lpmhd import cli, mhd
 from lpmhd.io_config import CONFIG_KEYS, RunConfig
 
 
@@ -236,6 +237,32 @@ class TestIterateCommand:
         assert code == 1
         assert "error: CFL violation: dt*max|v|*N/L = 2.037 > 0.5" in err
 
+    def test_generic_field_files_accepted(self, capsys, tmp_path):
+        # White noise fills the Nyquist planes, which preparation zeroes.
+        grid = make_grid(2, 32, 2.0 * np.pi)
+        rng = np.random.default_rng(3)
+        flags = []
+        for name in ("u0", "B0"):
+            raw = Field(grid, rng.standard_normal((2,) + grid.shape))
+            path = tmp_path / f"{name}.field"
+            write_field(path, Field(grid, raw.samples * (1e-3 / lp_norm(raw, 2.0))))
+            flags += [f"--{name}", str(path)]
+        code = cli.main(["iterate", *self._FLAGS, "--max_iterations", "2", *flags,
+                         "--output_dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert [r["n"] for r in read_diagnostics(tmp_path / "diagnostics.csv")] == [0, 1, 2]
+
+    def test_non_finite_run_exit_1(self, capsys, tmp_path):
+        data = taylor_green_data(make_grid(2, 32, 2.0 * np.pi))
+        paths = [tmp_path / "u0.field", tmp_path / "B0.field"]
+        write_field(paths[0], data.u0)
+        write_field(paths[1], Field(data.grid, 1e160 * data.b0.samples))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["iterate", *self._FLAGS, "--u0", str(paths[0]),
+                             "--B0", str(paths[1]), "--output_dir", str(tmp_path)])
+        assert code == 1
+        assert "error: field samples must be finite" in capsys.readouterr().err
+
     def test_field_file_on_another_grid_exit_2(self, capsys, tmp_path):
         flags = _write_cellular(tmp_path, 0.05, n=16)
         code = cli.main(["iterate", *self._FLAGS, *flags, "--output_dir", str(tmp_path)])
@@ -293,6 +320,26 @@ class TestUniqueCommand:
         assert code == 1
         assert "error: CFL violation: dt*max|v|*N/L = 2.037 > 0.5" in err
         assert not (tmp_path / "uniqueness.json").exists()
+
+    @pytest.mark.parametrize("eta, code", [("0.1", 0), ("0.01", 1)])
+    def test_builds_two_free_evolution_traces(self, capsys, tmp_path, monkeypatch, eta, code):
+        # The base run and the twin each build one; the verdict reuses the base horizon.
+        calls = []
+        original = mhd._free_evolution_traces
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mhd, "_free_evolution_traces", counted)
+        got = cli.main(["unique", "--perturbation", "1e-3", *self._FLAGS, "--max_iterations",
+                        "1", "--eta", eta, "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert got == code
+        assert len(calls) == 2
+        assert ("horizon not certified" in err) == (code == 1)
+        rep = read_uniqueness_report(tmp_path / "uniqueness.json")
+        assert rep.horizon.condition_met == (code == 0)
 
     def test_negative_perturbation_exit_2(self, capsys, tmp_path):
         code = cli.main(["unique", "--perturbation", "-1", *self._FLAGS])

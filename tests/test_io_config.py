@@ -30,7 +30,7 @@ from lpmhd import (
     write_uniqueness_report,
 )
 from lpmhd.io_config import FIELD_MAGIC
-from lpmhd.mhd import UniquenessReport
+from lpmhd.mhd import Horizon, UniquenessReport
 
 
 class TestConfigParsing:
@@ -248,6 +248,7 @@ class TestUniquenessJson:
             solution_scale=0.14,
             osgood_passed=True,
             worst_margin=3.2e-5,
+            horizon=Horizon(T=0.02, condition_met=True, lhs=4e-3, threshold=0.01),
         )
 
     def test_round_trip(self, tmp_path):
@@ -265,12 +266,13 @@ class TestUniquenessJson:
         np.testing.assert_array_equal(back.times, rep.times)
         np.testing.assert_array_equal(back.rho, rep.rho)
         np.testing.assert_array_equal(back.delta_b_trace, rep.delta_b_trace)
+        assert back.horizon == rep.horizon
 
     def test_keys_spelled_out(self, tmp_path):
         path = tmp_path / "unique.json"
         write_uniqueness_report(self._report(), path)
         doc = json.loads(path.read_text())
-        for key in ("A_T", "C_T", "C_emp", "osgood_passed", "solution_scale"):
+        for key in ("A_T", "C_T", "C_emp", "osgood_passed", "solution_scale", "horizon"):
             assert key in doc
 
     def test_missing_field_rejected(self, tmp_path):

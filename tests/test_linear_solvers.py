@@ -28,7 +28,7 @@ from lpmhd import (
 
 def _steady_velocity(grid, samples, T):
     v = Field(grid, samples)
-    return TimeSeriesField(np.array([0.0, T]), [v, v])
+    return TimeSeriesField.from_snapshots(np.array([0.0, T]), [v, v])
 
 
 class TestEtdPhi:
@@ -58,7 +58,7 @@ class TestHeatSolver:
         u0 = Field(grid, np.cos(2.0 * x1 + x2)[None])
         sol = solve_heat(HeatProblem(u0, None, 0.1, 1e-3))
         expected = math.exp(-5.0 * 0.1) * u0.samples
-        np.testing.assert_allclose(sol.snapshots[-1].samples, expected, atol=1e-13)
+        np.testing.assert_allclose(sol.field(-1).samples, expected, atol=1e-13)
 
     def test_linear_in_time_forcing_is_exact(self, grid):
         # The exponential-trapezoid Duhamel term integrates forcing that is
@@ -80,7 +80,7 @@ class TestHeatSolver:
             - 2.0 / lam**2
             - decay * (1.0 / lam - 2.0 / lam**2)
         )
-        np.testing.assert_allclose(sol.snapshots[-1].samples, coeff * shape, atol=1e-12)
+        np.testing.assert_allclose(sol.field(-1).samples, coeff * shape, atol=1e-12)
 
     def test_self_convergence_order_two(self, grid):
         rng = sample_rng(20, 0)
@@ -98,10 +98,18 @@ class TestHeatSolver:
         errs = []
         for n in (10, 20):
             sol = solve_heat(HeatProblem(u0, forcing, T, T / n))
-            diff = sol.snapshots[-1] - ref.snapshots[-1]
+            diff = sol.field(-1) - ref.field(-1)
             errs.append(lp_norm(diff, 2.0))
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
+
+    def test_snapshots_stored_as_coefficients(self, grid, count_transforms):
+        x1, x2 = grid.coords()
+        u0 = Field(grid, np.cos(2.0 * x1 + x2)[None])
+        counts = count_transforms()
+        sol = solve_heat(HeatProblem(u0, None, 0.02, 2e-3))
+        assert counts == Counter(fft=1)
+        assert sol.coeffs.shape == (11, 1) + grid.spectral_shape
 
     def test_cadence_thins_snapshots(self, grid):
         u0 = Field(grid, np.ones((1,) + grid.shape))
@@ -116,7 +124,7 @@ class TestHeatSolver:
         a = solve_heat(HeatProblem(u0, None, 0.05, 1e-2))
         b = solve_heat(HeatProblem(to_spectral(u0), None, 0.05, 1e-2))
         np.testing.assert_allclose(
-            a.snapshots[-1].samples, b.snapshots[-1].samples, atol=1e-14
+            a.field(-1).samples, b.field(-1).samples, atol=1e-14
         )
 
     def test_step_validation(self, grid):
@@ -132,7 +140,7 @@ class TestHeatSolver:
 
     def test_short_forcing_series_rejected(self, grid):
         u0 = Field(grid, np.ones((1,) + grid.shape))
-        g = TimeSeriesField(np.array([0.0, 0.05]), [u0, u0])
+        g = TimeSeriesField.from_snapshots(np.array([0.0, 0.05]), [u0, u0])
         with pytest.raises(ValueError, match="covers"):
             HeatProblem(u0, g, 0.1, 1e-2)
 
@@ -154,15 +162,18 @@ class TestHeatSolver:
         shape = np.cos(3.0 * x2)[None]
         T, dt = 0.02, 2e-3
         times = np.arange(11) * dt
-        g_phys = TimeSeriesField(times, [Field(grid, (1.0 + 2.0 * t) * shape) for t in times])
-        g_spec = TimeSeriesField(times, [to_spectral(g) for g in g_phys.snapshots])
+        snaps = [Field(grid, (1.0 + 2.0 * t) * shape) for t in times]
+        g_phys = TimeSeriesField.from_snapshots(times, snaps)
+        g_spec = TimeSeriesField.from_snapshots(times, [to_spectral(g) for g in snaps])
         u0 = to_spectral(Field(grid, 0.2 * shape))
         want = solve_heat(HeatProblem(u0, g_phys, T, dt))
         counts = count_transforms()
         got = solve_heat(HeatProblem(u0, g_spec, T, dt))
-        assert counts == Counter(ifft=11)
-        for a, b in zip(got.snapshots, want.snapshots):
-            np.testing.assert_allclose(a.samples, b.samples, rtol=0.0, atol=1e-14)
+        assert counts == Counter()
+        for i in range(got.n_times):
+            np.testing.assert_allclose(
+                got.field(i).samples, want.field(i).samples, rtol=0.0, atol=1e-14
+            )
 
 
 class TestHeatEstimate:
@@ -201,14 +212,14 @@ class TestTransportSolver:
         vel = _steady_velocity(grid, np.stack([np.ones(grid.shape), -0.5 * np.ones(grid.shape)]), T)
         sol = solve_transport(TransportProblem(f0, vel, None, T, dt))
         shifted = np.sin(x1 - T) * np.cos(2.0 * (x2 + 0.5 * T))
-        np.testing.assert_allclose(sol.snapshots[-1].samples[0], shifted, atol=1e-12)
+        np.testing.assert_allclose(sol.field(-1).samples[0], shifted, atol=1e-12)
 
     def test_l2_conserved_by_divergence_free_advection(self, grid):
         x1, x2 = grid.coords()
         vel = _steady_velocity(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]), 0.5)
         f0 = Field(grid, np.cos(x1 + x2)[None])
         sol = solve_transport(TransportProblem(f0, vel, None, 0.5, 2e-3))
-        norms = [lp_norm(s, 2.0) for s in sol.snapshots]
+        norms = [lp_norm(sol.field(i), 2.0) for i in range(sol.n_times)]
         assert abs(norms[-1] - norms[0]) <= 1e-10 * norms[0]
 
     def test_constant_source_with_zero_velocity(self, grid):
@@ -217,10 +228,10 @@ class TestTransportSolver:
         g = Field(grid, np.cos(x1)[None])
         T = 0.1
         vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), T)
-        src = TimeSeriesField(np.array([0.0, T]), [g, g])
+        src = TimeSeriesField.from_snapshots(np.array([0.0, T]), [g, g])
         sol = solve_transport(TransportProblem(f0, vel, src, T, 2e-3))
         expected = f0.samples + T * g.samples
-        np.testing.assert_allclose(sol.snapshots[-1].samples, expected, atol=1e-12)
+        np.testing.assert_allclose(sol.field(-1).samples, expected, atol=1e-12)
 
     def test_rk4_stage_makes_one_inverse_and_one_forward(self, grid, count_transforms):
         x1, x2 = grid.coords()
@@ -228,13 +239,13 @@ class TestTransportSolver:
         g = to_spectral(Field(grid, np.cos(x1)[None]))
         T, dt = 0.01, 2e-3
         vel = _steady_velocity(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]), T)
-        src = TimeSeriesField(np.array([0.0, T]), [g, g])
+        src = TimeSeriesField.from_snapshots(np.array([0.0, T]), [g, g])
         problem = TransportProblem(f0, vel, src, T, dt)
         counts = count_transforms()
         sol = solve_transport(problem)
         n = problem.n_steps
-        # f0 in, 4 RK stages per step, one snapshot per step plus the first.
-        assert counts == Counter(fft=1 + 4 * n, ifft=4 * n + n + 1)
+        # f0 in, then 4 RK stages per step; snapshots are stored as coefficients.
+        assert counts == Counter(fft=1 + 4 * n, ifft=4 * n)
         assert sol.n_times == n + 1
 
     def test_spectral_source_matches_physical_source(self, grid):
@@ -245,12 +256,14 @@ class TestTransportSolver:
         vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), T)
         sols = [
             solve_transport(
-                TransportProblem(f0, vel, TimeSeriesField(np.array([0.0, T]), [s, s]), T, 2e-3)
+                TransportProblem(
+                    f0, vel, TimeSeriesField.from_snapshots(np.array([0.0, T]), [s, s]), T, 2e-3
+                )
             )
             for s in (g, to_spectral(g))
         ]
         np.testing.assert_allclose(
-            sols[1].snapshots[-1].samples, sols[0].snapshots[-1].samples, rtol=0.0, atol=1e-14
+            sols[1].field(-1).samples, sols[0].field(-1).samples, rtol=0.0, atol=1e-14
         )
 
     def test_cfl_violation_rejected(self, grid):
@@ -261,15 +274,15 @@ class TestTransportSolver:
         with pytest.raises(ValueError, match="CFL violation"):
             TransportProblem(f0, big, None, 0.1, 2e-3)
 
-    def test_construction_checks_divergence_with_forward_transforms_only(
-        self, grid, bank, count_transforms
-    ):
+    def test_construction_checks_divergence_by_parseval(self, grid, bank, count_transforms):
         f0 = Field(grid, np.ones((1,) + grid.shape))
         times = np.linspace(0.0, 0.1, 6)
         snaps = [divergence_free_field(grid, bank, sample_rng(5, i)) for i in range(times.size)]
+        velocity = TimeSeriesField.from_snapshots(times, snaps)
         counts = count_transforms()
-        TransportProblem(f0, TimeSeriesField(times, snaps), None, 0.1, 2e-3)
-        assert counts == Counter(fft=times.size)
+        TransportProblem(f0, velocity, None, 0.1, 2e-3)
+        # Parseval on the coefficients, then one batched inverse for the samples.
+        assert counts == Counter(ifft=1)
 
     def test_compressible_velocity_rejected(self, grid):
         x1, _ = grid.coords()
@@ -327,7 +340,7 @@ class TestTransportEstimate:
         calls.clear()
         x1, x2 = grid.coords()
         v = Field(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]))
-        vel = TimeSeriesField(np.array([0.0, 0.02]), [v, 2.0 * v])
+        vel = TimeSeriesField.from_snapshots(np.array([0.0, 0.02]), [v, 2.0 * v])
         problem = TransportProblem(Field(grid, np.cos(x1 + x2)[None]), vel, None, 0.02, 2e-3)
         mon = transport_estimate_report(solve_transport(problem), problem, 1.0, 2.0, 1.0, bank)
         assert len(calls) == mon.times.size

@@ -6,6 +6,7 @@ import math
 import weakref
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import horizon_oracle
 from lpmhd import (
     BesovSpec,
     Field,
-    SpectralField,
     IterationConfig,
     MhdInitialData,
     TimeSeriesField,
@@ -214,13 +214,14 @@ class TestHorizon:
             select_time_horizon(data.u0, 1.5, 2e-3, 0.5, 2.0, bank)
 
     @pytest.mark.parametrize("d, N, p", [(2, 32, 2.0), (3, 16, 3.0)])
-    def test_traces_match_oracle(self, d, N, p):
+    def test_traces_match_oracle(self, d, N, p, full_lattice):
         grid = make_grid(d, N)
         bank = littlewood_paley.build_filter_bank(grid)
         u0 = divergence_free_field(grid, bank, np.random.default_rng(11))
         times, got = mhd._free_evolution_traces(u0, 2e-3, 0.05, p, bank)
         want_times, want = horizon_oracle.free_evolution_traces(
-            u0.samples, bank.phi, bank.shells, grid.k_sq, 2e-3, 0.05, p
+            u0.samples, full_lattice(grid, bank.phi), bank.shells,
+            full_lattice(grid, grid.k_sq), 2e-3, 0.05, p
         )
         np.testing.assert_array_equal(times, want_times)
         assert times.size == 26 and want[-1] > 0.0
@@ -250,7 +251,7 @@ class TestIterationScheme:
         hat = grid.fft(trunc.u0.samples)
         expected = grid.ifft(hat * np.exp(-grid.k_sq * 0.02)).real
         np.testing.assert_allclose(
-            state.u_series.snapshots[-1].samples, expected, atol=1e-13
+            state.u_series.field(-1).samples, expected, atol=1e-13
         )
 
     def test_iterate_advances_and_links(self, grid):
@@ -310,6 +311,13 @@ class TestIterationScheme:
         assert len(calls) == 2
         assert calls[0] is state.u_series and calls[1] is state.b_series
 
+    def test_bounds_at_p2_make_no_transform(self, grid, count_transforms):
+        cfg = _small_config()
+        state = iterate_once(init_iterate(taylor_green_data(grid), cfg, 0.01), cfg)
+        counts = count_transforms()
+        check_uniform_bounds(state, cfg)
+        assert counts == Counter()
+
     def test_run_keeps_at_most_two_iterates_alive(self, grid, monkeypatch):
         series_refs = []
         original = mhd.iterate_once
@@ -343,10 +351,11 @@ class TestIterationScheme:
         assert res["u"].max() <= 1e-5
         assert res["b"].max() <= 1e-5
         times = diag.final_state.u_series.times
-        snaps = list(diag.final_state.u_series.snapshots)
+        u_series = diag.final_state.u_series
+        snaps = [u_series.field(i) for i in range(u_series.n_times)]
         mid = len(snaps) // 2
         snaps[mid] = Field(grid, 1.5 * snaps[mid].samples)
-        broken = TimeSeriesField(times, snaps)
+        broken = TimeSeriesField.from_snapshots(times, snaps)
         res_bad = system_residual(broken, diag.final_state.b_series)
         assert res_bad["u"].max() > 10.0 * res["u"].max()
 
@@ -384,45 +393,48 @@ class TestSourceAssembly:
 
         def series():
             snaps = [Field(grid, 0.3 * rng.standard_normal((d,) + grid.shape)) for _ in times]
-            return TimeSeriesField(times, snaps)
+            return TimeSeriesField.from_snapshots(times, snaps)
 
         return grid, series(), series()
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_tensor_divergence_oracle(self, d):
+    def test_matches_tensor_divergence_oracle(self, d, monkeypatch):
         grid, u, b = self._series(d)
         forcing, source = mhd._assemble_sources(u, b)
+        # The oracle walks physical snapshot lists and builds its series from them.
+        monkeypatch.setattr(assembly_oracle, "TimeSeriesField", TimeSeriesField.from_snapshots)
+        u_snaps, b_snaps = (
+            SimpleNamespace(times=s.times, snapshots=[s.field(i) for i in range(s.n_times)])
+            for s in (u, b)
+        )
         oracle = (
-            assembly_oracle.forcing_series(u, b),
-            assembly_oracle.stretching_series(u, b),
+            assembly_oracle.forcing_series(u_snaps, b_snaps),
+            assembly_oracle.stretching_series(u_snaps, b_snaps),
         )
         for got, want in zip((forcing, source), oracle):
             np.testing.assert_array_equal(got.times, want.times)
-            for g, w in zip(got.snapshots, want.snapshots):
-                assert isinstance(g, SpectralField)
+            for i in range(got.n_times):
+                w = want.field(i)
                 scale = np.max(np.abs(w.samples))
-                assert np.max(np.abs(grid.ifft(g.coeffs) - w.samples)) <= 1e-13 * scale
+                assert np.max(np.abs(got.field(i).samples - w.samples)) <= 1e-13 * scale
 
     def test_snapshots_own_their_buffers(self):
         _, u, b = self._series(2)
         forcing, source = mhd._assemble_sources(u, b)
-        arrays = [s.coeffs for s in forcing.snapshots + source.snapshots]
-        assert all(a.flags.owndata for a in arrays)
-        assert len({id(a) for a in arrays}) == len(arrays)
+        assert forcing.coeffs.flags.owndata and source.coeffs.flags.owndata
+        assert not np.shares_memory(forcing.coeffs, source.coeffs)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_two_forward_one_inverse_per_snapshot(self, d, count_transforms):
+    def test_one_forward_one_inverse_per_snapshot(self, d, count_transforms):
         _, u, b = self._series(d, n_times=4)
         counts = count_transforms()
         mhd._assemble_sources(u, b)
-        assert counts == Counter(fft=8, ifft=4)
+        assert counts == Counter(fft=4, ifft=4)
 
     def test_overflowing_products_fail_the_finite_check(self, grid):
         cfg = _small_config()
         state = init_iterate(taylor_green_data(grid), cfg, 0.01)
-        huge = TimeSeriesField(
-            state.u_series.times, [Field(grid, 1e200 * s.samples) for s in state.u_series.snapshots]
-        )
+        huge = TimeSeriesField(grid, state.u_series.times, 1e200 * state.u_series.coeffs)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="field samples must be finite"):
                 iterate_once(replace(state, u_series=huge), cfg)
@@ -477,7 +489,7 @@ class TestUniquenessGauge:
         assert rep.solution_scale == cl(u1, d / p - 1.0, 1.0, math.inf) + b1_sup
         # The t = 0 offsets read off column 0 equal the snapshot Besov norms exactly.
         du0, db0 = (
-            littlewood_paley.besov_norm(f.snapshots[0], BesovSpec(s, p, math.inf), bank)
+            littlewood_paley.besov_norm(f.sample_at(0.0), BesovSpec(s, p, math.inf), bank)
             for f, s in ((du, d / p), (db, d / p - 1.0))
         )
         scale = rep.solution_scale

@@ -176,7 +176,7 @@ class TestLogInterpolationRatio:
     def test_zero_series_degenerate(self, grid, bank):
         times = np.linspace(0.0, 0.1, 4)
         zero = Field(grid, np.zeros((1,) + grid.shape))
-        series = TimeSeriesField(times, [zero] * 4)
+        series = TimeSeriesField.from_snapshots(times, [zero] * 4)
         rep = log_interpolation_ratio(series, 1.0, 2.0, 1.0, 0.5, bank)
         assert rep.degenerate
         assert rep.ratio == 0.0
