@@ -120,7 +120,7 @@ def _cmd_solve(args) -> int:
     f0 = _read_field_checked(args.initial, grid)
     T, dt = cfg.t_max, cfg.dt
     if args.problem == "heat":
-        problem = HeatProblem(f0, None, T, dt, cadence=cfg.cadence)
+        problem = HeatProblem(f0, None, T, dt)
         solution = solve_heat(problem)
         report = heat_estimate_report(
             solution, problem, 1.0, 1.0, d / p - 1.0, p, 1.0, bank
@@ -130,17 +130,19 @@ def _cmd_solve(args) -> int:
             raise ConfigError("transport solves need --velocity FILE")
         v = _read_field_checked(args.velocity, grid)
         velocity = TimeSeriesField.from_snapshots(np.array([0.0, T]), [v, v])
-        problem = TransportProblem(f0, velocity, None, T, dt, cadence=cfg.cadence)
+        problem = TransportProblem(f0, velocity, None, T, dt)
         solution = solve_transport(problem)
         report = transport_estimate_report(solution, problem, d / p, p, 1.0, bank).report()
+    # The estimate above saw every step; cadence thins only the files written.
+    steps = sorted({*range(0, solution.n_times, cfg.cadence), solution.n_times - 1})
     paths = []
-    for i in range(solution.n_times):
+    for i, n in enumerate(steps):
         path = _out_path(cfg, f"{args.problem}_snapshot_{i:06d}.field")
-        write_field(path, solution.field(i))
+        write_field(path, solution.field(n))
         paths.append(os.path.basename(path))
     write_run_manifest(
         _out_path(cfg, f"{args.problem}_manifest.json"),
-        args.problem, grid, dt, T, cfg.cadence, cfg.seed, paths,
+        args.problem, grid, dt, T, cfg.cadence, cfg.seed, paths, solution.times[steps],
     )
     write_estimate_reports([report], _out_path(cfg, f"{args.problem}_estimate.csv"))
     print(f"{args.problem}: {len(paths)} snapshots, estimate ratio {report.ratio:.6g}")

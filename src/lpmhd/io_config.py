@@ -74,8 +74,9 @@ CONFIG_KEYS = {
 class RunConfig(IterationConfig):
     """Iteration parameters plus the two keys only the CLI reads.
 
-    ``cadence`` thins the snapshots of ``solve``; the coupled iteration
-    keeps every step, so ``iteration()`` requires it to be 1.  Construction
+    ``cadence`` thins the snapshot files that ``solve`` writes (its
+    estimate still sees every step); the coupled iteration keeps every
+    step, so ``iteration()`` requires it to be 1.  Construction
     (and ``dataclasses.replace``) validates the iteration invariants, the
     grid and the writability of ``output_dir``, raising ``ConfigError``.
     """
@@ -357,8 +358,9 @@ def write_filter_bank(bank: FilterBank, path):
 
 
 def write_run_manifest(path, problem: str, grid: FrequencyGrid, dt: float, T: float,
-                       cadence: int, seed: int, snapshot_files: list):
-    """Solver-run manifest JSON listing the snapshot files in time order."""
+                       cadence: int, seed: int, snapshot_files: list, times):
+    """Solver-run manifest JSON listing the snapshot files in time order,
+    with the time of each."""
     doc = {
         "problem": problem,
         "grid": {"d": grid.d, "N": grid.N, "L": grid.L},
@@ -367,6 +369,7 @@ def write_run_manifest(path, problem: str, grid: FrequencyGrid, dt: float, T: fl
         "cadence": cadence,
         "seed": seed,
         "snapshots": list(snapshot_files),
+        "times": [float(t) for t in times],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -35,7 +35,7 @@ from .spectral import (
     Field,
     FrequencyGrid,
     SpectralField,
-    _l2_norms,
+    _check_divergence_free,
     jacobian,
     lp_norm,
 )
@@ -64,19 +64,35 @@ def _n_steps(T: float, dt: float) -> int:
     return int(n)
 
 
+def _check_series(name: str, series: TimeSeriesField, grid: FrequencyGrid, T: float,
+                  components: int) -> None:
+    """Raise naming ``series`` unless it is a TimeSeriesField (TypeError), lives
+    on ``grid``, covers [0, T] and has ``components`` components (ValueError)."""
+    if not isinstance(series, TimeSeriesField):
+        raise TypeError(f"{name} must be a TimeSeriesField or None, got {type(series).__name__}")
+    if series.grid != grid:
+        raise ValueError(f"{name} series lives on {series.grid!r}, the run on {grid!r}")
+    if series.T < T - 1e-12:
+        raise ValueError(f"{name} series covers [0, {series.T}], run needs [0, {T}]")
+    if series.components != components:
+        raise ValueError(
+            f"{name} has {series.components} components, initial data has {components}"
+        )
+
+
 @dataclass
 class HeatProblem:
     """Initial data, forcing, horizon and step for d_t u - Lap u = G.
 
-    ``forcing`` may be None (G = 0), a TimeSeriesField covering [0, T], or a
-    callable t -> Field giving closed-form forcing.
+    ``forcing`` is None (G = 0) or a TimeSeriesField on the grid of ``u0``,
+    with its component count, covering [0, T]; the marcher samples it at the
+    step times, linearly interpolated between its snapshots.
     """
 
     u0: object
-    forcing: object
+    forcing: TimeSeriesField | None
     T: float
     dt: float
-    cadence: int = 1
 
     def __post_init__(self):
         if not isinstance(self.u0, (Field, SpectralField)):
@@ -84,13 +100,8 @@ class HeatProblem:
                 f"initial data must be Field or SpectralField, got {type(self.u0).__name__}"
             )
         self.n_steps = _n_steps(self.T, self.dt)
-        if self.cadence < 1:
-            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
-        if isinstance(self.forcing, TimeSeriesField):
-            if self.forcing.T < self.T - 1e-12:
-                raise ValueError(
-                    f"forcing series covers [0, {self.forcing.T}], run needs [0, {self.T}]"
-                )
+        if self.forcing is not None:
+            _check_series("forcing", self.forcing, self.grid, self.T, self.u0.components)
 
     @property
     def grid(self) -> FrequencyGrid:
@@ -118,22 +129,13 @@ def etd_phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.expm1(safe) - safe) / safe**2)
 
 
-def _forcing_coeffs(forcing, t: float, c: int) -> np.ndarray:
-    out = _coeffs(forcing(t)) if callable(forcing) else forcing.sample_at(t).coeffs
-    if out.shape[0] != c:
-        raise ValueError(
-            f"forcing has {out.shape[0]} components, initial data has {c}"
-        )
-    return out
-
-
-def _snapshot_stack(problem, c: int) -> tuple:
-    """Stored step indices (0, every ``cadence``-th step, the last step), their
-    times, and an unfilled (n_stored, c, *spectral_shape) coefficient stack."""
-    steps = [n for n in range(problem.n_steps + 1)
-             if n % problem.cadence == 0 or n == problem.n_steps]
-    stack = np.empty((len(steps), c) + problem.grid.spectral_shape, dtype=np.complex128)
-    return {n: i for i, n in enumerate(steps)}, np.array(steps) * problem.dt, stack
+def _snapshot_stack(problem, first: np.ndarray) -> tuple:
+    """The times n*dt of all n_steps + 1 steps and their coefficient stack,
+    filled with ``first`` at step 0 and unfilled after it."""
+    times = np.arange(problem.n_steps + 1) * problem.dt
+    stack = np.empty((times.size,) + first.shape, dtype=np.complex128)
+    stack[0] = first
+    return times, stack
 
 
 def solve_heat(problem: HeatProblem) -> TimeSeriesField:
@@ -144,37 +146,27 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
         u_next = e^z u + dt*(phi1(z) G_n + phi2(z) (G_{n+1} - G_n)),
 
     which integrates the linear part exactly and the Duhamel term exactly
-    for forcing linear in t.  Snapshots are stored every ``cadence`` steps
-    and at the final time, straight into the series' coefficient stack.
+    for forcing linear in t.  Every step is stored, straight into the
+    series' coefficient stack.
     """
     grid = problem.grid
     uhat = _coeffs(problem.u0)
-    c = uhat.shape[0]
     dt = problem.dt
     z = -grid.k_sq * dt
     decay = np.exp(z)
     phi1 = etd_phi1(z)
     phi2 = etd_phi2(z)
-    have_g = problem.forcing is not None
-    g_n = _forcing_coeffs(problem.forcing, 0.0, c) if have_g else None
-    slots, times, stack = _snapshot_stack(problem, c)
-    stack[0] = uhat
+    forcing = problem.forcing
+    g_n = None if forcing is None else forcing.sample_at(0.0).coeffs
+    times, stack = _snapshot_stack(problem, uhat)
     for n in range(1, problem.n_steps + 1):
-        if have_g:
-            g_next = _forcing_coeffs(problem.forcing, n * dt, c)
-            uhat = decay * uhat + dt * (phi1 * g_n + phi2 * (g_next - g_n))
+        uhat = decay * uhat
+        if forcing is not None:
+            g_next = forcing.sample_at(n * dt).coeffs
+            uhat = uhat + dt * (phi1 * g_n + phi2 * (g_next - g_n))
             g_n = g_next
-        else:
-            uhat = decay * uhat
-        if n in slots:
-            stack[slots[n]] = uhat
+        stack[n] = uhat
     return TimeSeriesField(grid, times, stack)
-
-
-def _materialize_forcing(problem: HeatProblem, times: np.ndarray) -> TimeSeriesField | None:
-    if problem.forcing is None or isinstance(problem.forcing, TimeSeriesField):
-        return problem.forcing
-    return TimeSeriesField.from_snapshots(times.copy(), [problem.forcing(float(t)) for t in times])
 
 
 def heat_estimate_report(
@@ -199,12 +191,11 @@ def heat_estimate_report(
     lhs_exp = s + (0.0 if math.isinf(q) else 2.0 / q)
     lhs = chemin_lerner_norm(solution, BesovSpec(lhs_exp, p, r, q), bank)
     u0_norm = besov_norm(problem.u0, BesovSpec(s, p, r), bank)
-    g_series = _materialize_forcing(problem, solution.times)
-    if g_series is None:
+    if problem.forcing is None:
         g_norm = 0.0
     else:
         g_exp = s - 2.0 + (0.0 if math.isinf(q1) else 2.0 / q1)
-        g_norm = chemin_lerner_norm(g_series, BesovSpec(g_exp, p, r, q1), bank)
+        g_norm = chemin_lerner_norm(problem.forcing, BesovSpec(g_exp, p, r, q1), bank)
     indices = {"s": s, "p": p, "r": r, "q": q, "q1": q1}
     rhs = u0_norm + g_norm
     if rhs == 0.0:
@@ -231,10 +222,11 @@ class TransportProblem:
     """Initial data, advecting velocity, source, horizon and step for
     d_t f + v.grad f = g.
 
-    The velocity is a divergence-free TimeSeriesField covering [0, T];
-    construction checks the divergence defect (<= 1e-8 relative, by
-    Parseval) and the advective CFL number dt*max|v|*N/L <= 0.5 on
-    ``velocity_samples``, the velocity's samples from one batched inverse.
+    The velocity is a divergence-free TimeSeriesField covering [0, T], and
+    f0 and the source live on its grid; construction checks the divergence
+    defect (<= 1e-8 relative, by Parseval) and the advective CFL number
+    dt*max|v|*N/L <= 0.5 on ``velocity_samples``, the velocity's samples
+    from one batched inverse.
     """
 
     f0: object
@@ -242,31 +234,21 @@ class TransportProblem:
     source: TimeSeriesField | None
     T: float
     dt: float
-    cadence: int = 1
 
     def __post_init__(self):
         self.n_steps = _n_steps(self.T, self.dt)
-        if self.cadence < 1:
-            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
         grid = self.velocity.grid
         if self.velocity.components != grid.d:
             raise ValueError("velocity must be a vector field")
-        if self.velocity.T < self.T - 1e-12:
-            raise ValueError(
-                f"velocity series covers [0, {self.velocity.T}], run needs [0, {self.T}]"
-            )
-        if self.source is not None and self.source.T < self.T - 1e-12:
-            raise ValueError(
-                f"source series covers [0, {self.source.T}], run needs [0, {self.T}]"
-            )
-        # ||div v||_L2 and ||v||_L2 of every snapshot by Parseval, with no transform.
+        _check_series("velocity", self.velocity, grid, self.T, grid.d)
+        if not isinstance(self.f0, (Field, SpectralField)):
+            raise TypeError(f"f0 must be Field or SpectralField, got {type(self.f0).__name__}")
+        if self.f0.grid != grid:
+            raise ValueError(f"f0 lives on {self.f0.grid!r}, the velocity on {grid!r}")
+        if self.source is not None:
+            _check_series("source", self.source, grid, self.T, self.f0.components)
         vel = self.velocity.coeffs
-        div_norms = _l2_norms(grid, np.sum(grid.ik * vel, axis=1, keepdims=True))
-        bad = div_norms > 1e-8 * np.maximum(1.0, _l2_norms(grid, vel))
-        if bad.any():
-            raise ValueError(
-                f"velocity is not divergence-free: |div v|_L2 = {div_norms[bad][0]:.3e}"
-            )
+        _check_divergence_free(grid, vel, 1e-8, "velocity is not divergence-free: |div v|_L2")
         # One batched inverse serves the CFL number and every RK4 stage.
         self.velocity_samples = grid.ifft(vel)
         vmax = float(np.sqrt(np.max(np.sum(self.velocity_samples**2, axis=1))))
@@ -318,8 +300,7 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
             return None
         return _interpolate(source.times, source.coeffs, t) * grid.dealias_mask
 
-    slots, times, stack = _snapshot_stack(problem, fhat.shape[0])
-    stack[0] = fhat
+    times, stack = _snapshot_stack(problem, fhat)
     for n in range(problem.n_steps):
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
@@ -329,8 +310,7 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
         k3 = _advection_rhs(grid, fhat + 0.5 * dt * k2, vh, gh)
         k4 = _advection_rhs(grid, fhat + dt * k3, v1, g1)
         fhat = fhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if n + 1 in slots:
-            stack[slots[n + 1]] = fhat
+        stack[n + 1] = fhat
     return TimeSeriesField(grid, times, stack)
 
 

@@ -55,7 +55,7 @@ from .spectral import (
     Field,
     FrequencyGrid,
     SpectralField,
-    divergence,
+    _check_divergence_free,
     leray_project,
     lp_norm,
     make_grid,
@@ -145,8 +145,10 @@ class IterationConfig:
 class MhdInitialData:
     """Divergence-free, mean-free velocity and magnetic initial fields.
 
-    Construction validates the invariants; use ``prepare_initial_data`` to
-    project raw fields into compliance.
+    Construction keeps ``u0_hat`` and ``b0_hat``, the half-spectrum
+    coefficients of one forward transform per field, and validates the
+    invariants on them by Parseval; use ``prepare_initial_data`` to project
+    raw fields into compliance.
     """
 
     u0: Field
@@ -159,12 +161,13 @@ class MhdInitialData:
         d = grid.d
         if self.u0.components != d or self.b0.components != d:
             raise ValueError(f"initial fields must have {d} components")
-        for name, f in (("u0", self.u0), ("B0", self.b0)):
-            scale = max(1.0, lp_norm(f, 2.0))
-            div_norm = lp_norm(divergence(f), 2.0)
-            if div_norm > 1e-10 * scale:
-                raise ValueError(f"{name} is not divergence-free: |div|_L2 = {div_norm:.3e}")
-            mean = np.max(np.abs(mean_mode(f)))
+        self.u0_hat = grid.fft(self.u0.samples)
+        self.b0_hat = grid.fft(self.b0.samples)
+        for name, hat in (("u0", self.u0_hat), ("B0", self.b0_hat)):
+            msg = f"{name} is not divergence-free: |div|_L2"
+            scale = max(1.0, float(_check_divergence_free(grid, hat, 1e-10, msg)))
+            # The k = 0 coefficient over N^d is the spatial mean.
+            mean = np.max(np.abs(hat[(slice(None),) + (0,) * d])) / float(grid.N) ** d
             if mean > 1e-12 * scale:
                 raise ValueError(f"{name} has a nonzero mean mode: {mean:.3e}")
 
@@ -247,11 +250,7 @@ def _clamped_level(bank: FilterBank, n: int) -> int:
 
 def _truncated_coeffs(data: MhdInitialData, level: int, bank: FilterBank):
     mult = bank.lowpass_multiplier(level)
-    grid = data.grid
-    return (
-        SpectralField(grid, grid.fft(data.u0.samples) * mult),
-        SpectralField(grid, grid.fft(data.b0.samples) * mult),
-    )
+    return tuple(SpectralField(data.grid, hat * mult) for hat in (data.u0_hat, data.b0_hat))
 
 
 def truncate_initial_data(data: MhdInitialData, n: int, bank: FilterBank) -> MhdInitialData:
@@ -337,10 +336,11 @@ class IterationState:
 
 
 def compute_e0(data: MhdInitialData, p: float, bank: FilterBank) -> float:
-    d = data.grid.d
-    return besov_norm(data.u0, BesovSpec(d / p - 1.0, p, 1.0), bank) + besov_norm(
-        data.b0, BesovSpec(d / p, p, 1.0), bank
-    )
+    grid = data.grid
+    d = grid.d
+    return besov_norm(
+        SpectralField(grid, data.u0_hat), BesovSpec(d / p - 1.0, p, 1.0), bank
+    ) + besov_norm(SpectralField(grid, data.b0_hat), BesovSpec(d / p, p, 1.0), bank)
 
 
 def init_iterate(

@@ -348,6 +348,19 @@ def _l2_norms(grid: FrequencyGrid, hats: np.ndarray) -> np.ndarray:
     return np.sqrt(total) / float(grid.N) ** grid.d
 
 
+def _check_divergence_free(grid: FrequencyGrid, hats: np.ndarray, rtol: float,
+                           message: str) -> np.ndarray:
+    """Raise ValueError(f"{message} = <defect>") unless ||div f||_L2 <= rtol *
+    max(1, ||f||_L2) for every (d, *spectral_shape) field f of ``hats``, both
+    sides by Parseval with no transform; returns the ||f||_L2 values."""
+    norms = _l2_norms(grid, hats)
+    div_norms = _l2_norms(grid, np.sum(grid.ik * hats, axis=-grid.d - 1, keepdims=True))
+    bad = div_norms > rtol * np.maximum(1.0, norms)
+    if bad.any():
+        raise ValueError(f"{message} = {div_norms[bad][0]:.3e}")
+    return norms
+
+
 def _samples_lp_norm(samples: np.ndarray, p: float) -> float:
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")

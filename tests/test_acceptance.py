@@ -1,4 +1,4 @@
-"""Ten pinned end-to-end checks, one printed verdict line each.
+"""Eleven pinned end-to-end checks, one printed verdict line each.
 
 Each test prints ``criterion NN [pass|FAIL] ...`` with capture suspended,
 so the verdicts appear in the live pytest output, then asserts.  Tolerances
@@ -15,6 +15,7 @@ from lpmhd import (
     Field,
     IterationConfig,
     MhdInitialData,
+    low_pass,
     lp_norm,
     perturbation_sweep,
     run_iteration,
@@ -26,6 +27,7 @@ from lpmhd import (
     run_transport_suite,
     system_residual,
     taylor_green_data,
+    to_spectral,
     write_diagnostics,
 )
 from ns_oracle import oracle_iteration
@@ -255,4 +257,34 @@ def test_10_byte_deterministic_diagnostics(acceptance_run, tmp_path):
     _verdict(
         10, identical, "byte-identical diagnostics on rerun",
         f"{len(path_a.read_bytes())} bytes compared equal: {identical}",
+    )
+
+
+def test_11_magnetic_shear_exact_oracle():
+    # u0 = 0, B0 = (sin x2, 0[, 0]): B.grad B, the Lorentz force and the
+    # stretching all vanish, so every iterate n >= 1 has u = 0 and B equal to
+    # its truncated data S_level B0 at every time, and D_n = 0 up to roundoff.
+    worst_u = worst_b = worst_d = 0.0
+    for d, n_grid, t_max, iterates in ((2, 32, 0.05, 4), (3, 16, 0.02, 3)):
+        config = IterationConfig(d=d, N=n_grid, t_max=t_max, max_iterations=iterates,
+                                 tolerance=0.0)
+        grid = config.grid()
+        bank = config.bank(grid)
+        shear = np.zeros((d,) + grid.shape)
+        shear[0] = np.sin(grid.coords()[1])
+        data = MhdInitialData(Field(grid, np.zeros_like(shear)), Field(grid, shear))
+        diag = run_iteration(data, config)
+        final = diag.final_state
+        want = low_pass(bank, min(iterates, bank.j_max + 1), to_spectral(data.b0)).coeffs
+        scale = float(np.max(np.abs(want)))
+        worst_u = max(worst_u, float(np.max(np.abs(final.u_series.coeffs))))
+        worst_b = max(worst_b, float(np.max(np.abs(final.b_series.coeffs - want))) / scale)
+        later = [r.d_n for r in diag.records[1:-1]]
+        worst_d = max(worst_d, max(later) / diag.e0)
+        assert final.n == iterates and diag.T == t_max and len(later) == iterates - 1
+    ok = worst_u == 0.0 and worst_b <= 1e-14 and worst_d <= 1e-14
+    _verdict(
+        11, ok, "magnetic shear u0 = 0, B0 = (sin x2, 0) exact in 2-D N=32 and 3-D N=16",
+        f"max |u^n coefficient| {worst_u:.3e} == 0, B^n against low-passed B0 {worst_b:.3e} "
+        f"<= 1e-14 relative, D_n for n >= 1 {worst_d:.3e} <= 1e-14 x E0",
     )

@@ -122,6 +122,39 @@ class TestSolveCommand:
         np.testing.assert_allclose(final.samples, expected.samples, atol=1e-12)
         assert (out_dir / "heat_estimate.csv").exists()
 
+    def _solve_heat(self, tmp_path, path, cadence):
+        out_dir = tmp_path / f"cadence_{cadence}"
+        code = cli.main(
+            [
+                "solve", "heat", "--initial", path, "--N", "32", "--T_max", "0.1",
+                "--dt", "0.01", "--cadence", str(cadence), "--output_dir", str(out_dir),
+            ]
+        )
+        assert code == 0
+        return out_dir
+
+    def test_cadence_thins_snapshots(self, capsys, tmp_path):
+        grid, _, path = _write_initial(tmp_path)
+        full = self._solve_heat(tmp_path, path, 1)
+        thin = self._solve_heat(tmp_path, path, 3)
+        manifest = json.loads((thin / "heat_manifest.json").read_text())
+        # Steps 0, 3, 6, 9 and the last one, 10: not 4 * 3 * dt = 0.12.
+        np.testing.assert_allclose(manifest["times"], [0.0, 0.03, 0.06, 0.09, 0.1],
+                                   rtol=0.0, atol=1e-15)
+        assert manifest["snapshots"] == [f"heat_snapshot_{i:06d}.field" for i in range(5)]
+        for name, step in zip(manifest["snapshots"], (0, 3, 6, 9, 10)):
+            kept = (thin / name).read_bytes()
+            assert kept == (full / f"heat_snapshot_{step:06d}.field").read_bytes()
+        full_manifest = json.loads((full / "heat_manifest.json").read_text())
+        assert full_manifest["times"] == [n * 0.01 for n in range(11)]
+
+    def test_cadence_leaves_the_estimate_unchanged(self, capsys, tmp_path):
+        _, _, path = _write_initial(tmp_path)
+        full = self._solve_heat(tmp_path, path, 1)
+        thin = self._solve_heat(tmp_path, path, 3)
+        want = (full / "heat_estimate.csv").read_bytes()
+        assert (thin / "heat_estimate.csv").read_bytes() == want
+
     def test_transport_needs_velocity(self, capsys, tmp_path):
         _, _, path = _write_initial(tmp_path)
         code = cli.main(

@@ -328,11 +328,13 @@ class TestManifestAndBankFiles:
 
     def test_run_manifest(self, grid, tmp_path):
         path = tmp_path / "manifest.json"
-        write_run_manifest(path, "heat", grid, 1e-3, 0.1, 2, 7, ["a.field", "b.field"])
+        write_run_manifest(path, "heat", grid, 1e-3, 0.1, 2, 7, ["a.field", "b.field"],
+                           np.array([0.0, 0.1]))
         doc = json.loads(path.read_text())
         assert doc["problem"] == "heat"
         assert doc["grid"] == {"d": 2, "N": 64, "L": grid.L}
         assert doc["snapshots"] == ["a.field", "b.field"]
+        assert doc["times"] == [0.0, 0.1]
         assert doc["cadence"] == 2
         assert doc["seed"] == 7
 

@@ -18,6 +18,7 @@ from lpmhd import (
     heat_estimate_report,
     interior_field,
     lp_norm,
+    make_grid,
     sample_rng,
     solve_heat,
     solve_transport,
@@ -29,6 +30,12 @@ from lpmhd import (
 def _steady_velocity(grid, samples, T):
     v = Field(grid, samples)
     return TimeSeriesField.from_snapshots(np.array([0.0, T]), [v, v])
+
+
+def _step_series(grid, g, T, dt):
+    """The forcing t -> g(t) (samples) as a series on the step grid n*dt of [0, T]."""
+    times = np.arange(round(T / dt) + 1) * dt
+    return TimeSeriesField.from_snapshots(times, [Field(grid, g(t)) for t in times])
 
 
 class TestEtdPhi:
@@ -68,10 +75,7 @@ class TestHeatSolver:
         u0 = Field(grid, 0.2 * shape)
         lam = 9.0
         T, dt = 0.2, 2e-3
-
-        def forcing(t):
-            return Field(grid, (1.0 + 2.0 * t) * shape)
-
+        forcing = _step_series(grid, lambda t: (1.0 + 2.0 * t) * shape, T, dt)
         sol = solve_heat(HeatProblem(u0, forcing, T, dt))
         decay = math.exp(-lam * T)
         coeff = (
@@ -89,15 +93,15 @@ class TestHeatSolver:
         bank = build_filter_bank(grid)
         u0 = interior_field(grid, bank, rng)
         g_shape = interior_field(grid, bank, rng)
-
-        def forcing(t):
-            return Field(grid, math.sin(3.0 * t) * g_shape.samples)
-
         T = 0.1
-        ref = solve_heat(HeatProblem(u0, forcing, T, T / 160.0))
+
+        def forcing(dt):
+            return _step_series(grid, lambda t: math.sin(3.0 * t) * g_shape.samples, T, dt)
+
+        ref = solve_heat(HeatProblem(u0, forcing(T / 160.0), T, T / 160.0))
         errs = []
         for n in (10, 20):
-            sol = solve_heat(HeatProblem(u0, forcing, T, T / n))
+            sol = solve_heat(HeatProblem(u0, forcing(T / n), T, T / n))
             diff = sol.field(-1) - ref.field(-1)
             errs.append(lp_norm(diff, 2.0))
         order = math.log2(errs[0] / errs[1])
@@ -110,11 +114,6 @@ class TestHeatSolver:
         sol = solve_heat(HeatProblem(u0, None, 0.02, 2e-3))
         assert counts == Counter(fft=1)
         assert sol.coeffs.shape == (11, 1) + grid.spectral_shape
-
-    def test_cadence_thins_snapshots(self, grid):
-        u0 = Field(grid, np.ones((1,) + grid.shape))
-        sol = solve_heat(HeatProblem(u0, None, 0.1, 1e-2, cadence=5))
-        np.testing.assert_allclose(sol.times, [0.0, 0.05, 0.1])
 
     def test_spectral_initial_data(self, grid):
         rng = sample_rng(21, 0)
@@ -135,8 +134,6 @@ class TestHeatSolver:
             HeatProblem(u0, None, 1e-3, 1e-2)
         with pytest.raises(ValueError, match="dt must be positive"):
             HeatProblem(u0, None, 0.1, 0.0)
-        with pytest.raises(ValueError, match="cadence"):
-            HeatProblem(u0, None, 0.1, 1e-2, cadence=0)
 
     def test_short_forcing_series_rejected(self, grid):
         u0 = Field(grid, np.ones((1,) + grid.shape))
@@ -146,12 +143,24 @@ class TestHeatSolver:
 
     def test_forcing_component_mismatch_rejected(self, grid):
         u0 = Field(grid, np.ones((1,) + grid.shape))
-
-        def forcing(t):
-            return Field(grid, np.ones((2,) + grid.shape))
-
+        g = Field(grid, np.ones((2,) + grid.shape))
+        forcing = TimeSeriesField.from_snapshots(np.array([0.0, 0.1]), [g, g])
         with pytest.raises(ValueError, match="components"):
-            solve_heat(HeatProblem(u0, forcing, 0.1, 1e-2))
+            HeatProblem(u0, forcing, 0.1, 1e-2)
+
+    def test_callable_forcing_rejected(self, grid):
+        u0 = Field(grid, np.ones((1,) + grid.shape))
+        with pytest.raises(TypeError, match="TimeSeriesField or None"):
+            HeatProblem(u0, lambda t: u0, 0.1, 1e-2)
+
+    def test_forcing_on_another_grid_rejected(self, grid):
+        coarse = make_grid(2, 32)
+        u0 = Field(coarse, np.ones((1,) + coarse.shape))
+        other = make_grid(2, 32, 1.0)
+        g = Field(other, np.ones((1,) + other.shape))
+        forcing = TimeSeriesField.from_snapshots(np.array([0.0, 0.1]), [g, g])
+        with pytest.raises(ValueError, match="forcing series lives on"):
+            HeatProblem(u0, forcing, 0.1, 1e-2)
 
     def test_bad_initial_type_rejected(self, grid):
         with pytest.raises(TypeError, match="Field"):
@@ -296,6 +305,27 @@ class TestTransportSolver:
         vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), 0.05)
         with pytest.raises(ValueError, match="covers"):
             TransportProblem(f0, vel, None, 0.1, 2e-3)
+
+    def test_initial_data_on_another_grid_rejected(self, grid):
+        other = make_grid(2, 64, 1.0)
+        f0 = Field(other, np.ones((1,) + other.shape))
+        vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), 0.1)
+        with pytest.raises(ValueError, match="f0 lives on"):
+            TransportProblem(f0, vel, None, 0.1, 2e-3)
+
+    def test_bad_initial_type_rejected(self, grid):
+        vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), 0.1)
+        with pytest.raises(TypeError, match="Field"):
+            TransportProblem(np.ones((1,) + grid.shape), vel, None, 0.1, 2e-3)
+
+    def test_source_on_another_grid_rejected(self, grid):
+        other = make_grid(2, 64, 1.0)
+        f0 = Field(grid, np.ones((1,) + grid.shape))
+        vel = _steady_velocity(grid, np.zeros((2,) + grid.shape), 0.1)
+        g = Field(other, np.ones((1,) + other.shape))
+        src = TimeSeriesField.from_snapshots(np.array([0.0, 0.1]), [g, g])
+        with pytest.raises(ValueError, match="source series lives on"):
+            TransportProblem(f0, vel, src, 0.1, 2e-3)
 
     def test_scalar_velocity_rejected(self, grid):
         f0 = Field(grid, np.ones((1,) + grid.shape))

@@ -112,6 +112,14 @@ class TestInitialData:
         with pytest.raises(ValueError, match="divergence-free"):
             MhdInitialData(bad, good)
 
+    def test_construction_checks_by_parseval(self, grid, count_transforms):
+        tg = taylor_green_data(grid)
+        counts = count_transforms()
+        data = MhdInitialData(tg.u0, tg.b0)
+        assert counts == Counter(fft=2)
+        np.testing.assert_array_equal(data.u0_hat, grid.fft(tg.u0.samples))
+        np.testing.assert_array_equal(data.b0_hat, grid.fft(tg.b0.samples))
+
     def test_mean_mode_rejected(self, grid):
         good = taylor_green_data(grid)
         shifted = Field(grid, good.u0.samples + 0.5)
@@ -317,6 +325,16 @@ class TestIterationScheme:
         counts = count_transforms()
         check_uniform_bounds(state, cfg)
         assert counts == Counter()
+
+    def test_iterate_reuses_the_stored_data_coefficients(self, grid, count_transforms):
+        cfg = _small_config()
+        state = init_iterate(taylor_green_data(grid), cfg, 0.01)
+        n = round(0.01 / cfg.dt)
+        counts = count_transforms()
+        iterate_once(state, cfg)
+        # Assembly: 1 + 1 per snapshot; transport: 1 velocity inverse, 4 + 4 per
+        # RK4 step.  The truncated u0 and B0 come from the data's coefficients.
+        assert counts == Counter(fft=(n + 1) + 4 * n, ifft=(n + 1) + 1 + 4 * n)
 
     def test_run_keeps_at_most_two_iterates_alive(self, grid, monkeypatch):
         series_refs = []
