@@ -169,6 +169,20 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     return TimeSeriesField(grid, times, stack)
 
 
+def _restricted(series: TimeSeriesField, T: float) -> TimeSeriesField:
+    """``series`` on [0, T]: its snapshots at t <= T, plus the interpolated
+    value at T when T is not a stored time; the series itself if it ends at T."""
+    slack = 1e-12 * max(1.0, T)
+    n = int(np.searchsorted(series.times, T + slack, side="right"))
+    if n == series.n_times:
+        return series
+    times, coeffs = series.times[:n], series.coeffs[:n]
+    if T - times[-1] > slack:
+        times = np.append(times, T)
+        coeffs = np.concatenate([coeffs, _interpolate(series.times, series.coeffs, T)[None]])
+    return TimeSeriesField(series.grid, times, coeffs)
+
+
 def heat_estimate_report(
     solution: TimeSeriesField,
     problem: HeatProblem,
@@ -184,7 +198,8 @@ def heat_estimate_report(
         lhs = ||u|| in L~^q(B^{s+2/q}_{p,r}),
         rhs factors = ||u0|| in B^s_{p,r} and ||G|| in L~^q1(B^{s-2+2/q1}_{p,r}),
 
-    with q1 <= q.  Zero data is flagged degenerate.
+    with q1 <= q, all on [0, T]: a forcing series that runs past T is measured
+    only up to T.  Zero data is flagged degenerate.
     """
     if q1 > q:
         raise ValueError(f"need q1 <= q, got q1={q1}, q={q}")
@@ -195,7 +210,8 @@ def heat_estimate_report(
         g_norm = 0.0
     else:
         g_exp = s - 2.0 + (0.0 if math.isinf(q1) else 2.0 / q1)
-        g_norm = chemin_lerner_norm(problem.forcing, BesovSpec(g_exp, p, r, q1), bank)
+        forcing = _restricted(problem.forcing, problem.T)
+        g_norm = chemin_lerner_norm(forcing, BesovSpec(g_exp, p, r, q1), bank)
     indices = {"s": s, "p": p, "r": r, "q": q, "q1": q1}
     rhs = u0_norm + g_norm
     if rhs == 0.0:

@@ -42,6 +42,7 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _coeffs,
     _running_norm,
     _shell_lp_norms,
     besov_norm,
@@ -276,14 +277,14 @@ class Horizon:
 
 
 def _free_evolution_traces(
-    u0: Field, dt: float, t_max: float, p: float, bank: FilterBank
+    u0: Field | SpectralField, dt: float, t_max: float, p: float, bank: FilterBank
 ) -> tuple:
     """Combined L~1(B^{d/p+1}) + L~2(B^{d/p}) running norms of e^{t Lap}u0."""
     grid = u0.grid
     d = grid.d
     n_steps = int(round(t_max / dt))
     times = np.arange(n_steps + 1) * dt
-    hat0 = grid.fft(u0.samples)
+    hat0 = _coeffs(u0)
     mat = np.stack([_shell_lp_norms(hat0 * np.exp(-grid.k_sq * t), p, bank) for t in times], 1)
     l1 = _running_norm(mat, times, BesovSpec(d / p + 1.0, p, 1.0, 1.0), bank)
     l2 = _running_norm(mat, times, BesovSpec(d / p, p, 1.0, 2.0), bank)
@@ -291,7 +292,7 @@ def _free_evolution_traces(
 
 
 def select_time_horizon(
-    u0: Field, eta: float, dt: float, t_max: float, p: float, bank: FilterBank
+    u0: Field | SpectralField, eta: float, dt: float, t_max: float, p: float, bank: FilterBank
 ) -> Horizon:
     """Largest multiple of dt <= T_max at which the free heat evolution of
     u0 still satisfies
@@ -533,12 +534,11 @@ def run_iteration(
     """
     grid = data.grid
     bank = config.bank(grid)
+    u0 = SpectralField(grid, data.u0_hat)
     if T_override is None:
-        horizon = select_time_horizon(
-            data.u0, config.eta, config.dt, config.t_max, config.p, bank
-        )
+        horizon = select_time_horizon(u0, config.eta, config.dt, config.t_max, config.p, bank)
     else:
-        lhs = float(_free_evolution_traces(data.u0, config.dt, T_override, config.p, bank)[1][-1])
+        lhs = float(_free_evolution_traces(u0, config.dt, T_override, config.p, bank)[1][-1])
         horizon = Horizon(float(T_override), lhs <= config.eta**2, lhs, config.eta**2)
 
     def record(state: IterationState, t0: float) -> IterationRecord:

@@ -4,8 +4,10 @@ constant-coefficient operators everything else is built from.
 Conventions fixed here, once, for the whole package:
 
 * the box is [0, L)^d sampled on a uniform N^d lattice, N a power of two;
-* transforms run through ``scipy.fft`` over the trailing d axes, and only
-  through ``FrequencyGrid.fft/ifft``: the forward transform is the
+* FFTs run through ``scipy.fft`` over the trailing d axes, and only
+  through ``FrequencyGrid.fft/ifft`` (the p != 2 shell norms invert each
+  shell by a dense DFT on its support cube instead, in
+  ``littlewood_paley``): the forward transform is the
   unnormalized real-input ``rfftn`` and the inverse ``irfftn`` divides by
   N**d, so samples and coefficients round-trip exactly up to floating
   roundoff, and the inverse returns fresh real float64 samples;

@@ -199,13 +199,15 @@ class TestIterateCommand:
               "--tolerance", "0"]
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
-        dirs = [tmp_path / "a", tmp_path / "b"]
-        for d in dirs:
-            code = cli.main(["iterate", *self._FLAGS, "--output_dir", str(d)])
-            assert code == 0
-        for name in ("diagnostics.csv", "final_u.field", "final_B.field",
-                     "filter_bank.json"):
-            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        # p = 3 takes the shell norms through BLAS products, p = 2 by Parseval.
+        for p in ("2", "3"):
+            dirs = [tmp_path / p / "a", tmp_path / p / "b"]
+            for d in dirs:
+                code = cli.main(["iterate", *self._FLAGS, "--p", p, "--output_dir", str(d)])
+                assert code == 0
+            for name in ("diagnostics.csv", "final_u.field", "final_B.field",
+                         "filter_bank.json"):
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_outputs_parse(self, capsys, tmp_path):
         code = cli.main(["iterate", *self._FLAGS, "--output_dir", str(tmp_path)])

@@ -12,6 +12,7 @@ from lpmhd import (
     HeatProblem,
     TimeSeriesField,
     TransportProblem,
+    build_filter_bank,
     divergence_free_field,
     etd_phi1,
     etd_phi2,
@@ -203,6 +204,27 @@ class TestHeatEstimate:
         sol = solve_heat(problem)
         with pytest.raises(ValueError, match="q1 <= q"):
             heat_estimate_report(sol, problem, 1.0, 2.0, 0.0, 2.0, 1.0, bank)
+
+    def test_forcing_measured_on_the_run_horizon_only(self):
+        grid = make_grid(2, 32)
+        bank = build_filter_bank(grid)
+        x1, x2 = grid.coords()
+        u0 = Field(grid, np.cos(2.0 * x1 + x2)[None])
+        g = np.sin(3.0 * x1 - x2)[None]
+
+        def ratio(forcing):
+            problem = HeatProblem(u0, forcing, 0.1, 0.01)
+            return heat_estimate_report(
+                solve_heat(problem), problem, 1.0, 1.0, 0.0, 2.0, 1.0, bank
+            ).ratio
+
+        exact = ratio(_step_series(grid, lambda t: g, 0.1, 0.01))
+        # A series on [0, 0.2] whose snapshots include T = 0.1 ...
+        assert ratio(_step_series(grid, lambda t: g, 0.2, 0.01)) == exact
+        # ... and one on [0, 0.21] where T falls between snapshots.
+        coarse = np.arange(8) * 0.03
+        late = TimeSeriesField.from_snapshots(coarse, [Field(grid, g)] * coarse.size)
+        assert ratio(late) == pytest.approx(exact, rel=1e-12)
 
     def test_zero_data_degenerate(self, grid, bank):
         u0 = Field(grid, np.zeros((1,) + grid.shape))

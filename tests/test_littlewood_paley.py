@@ -139,9 +139,10 @@ class TestShellNormKernel:
     """The one shell-norm kernel against the per-shell inverse-FFT oracle."""
 
     @staticmethod
-    def _setup(d, c, n_times=3, seed=20):
-        grid = make_grid(d, 32 if d == 2 else 16)
-        bank = build_filter_bank(grid)
+    def _setup(d, c, n_times=3, seed=20, L=2.0 * math.pi, band_shift=0):
+        grid = make_grid(d, 32 if d == 2 else 16, L)
+        lo, hi = default_band(grid)
+        bank = build_filter_bank(grid, lo - band_shift, hi - band_shift)
         rng = np.random.default_rng(seed + 10 * d + c)
         snaps = [Field(grid, rng.standard_normal((c,) + grid.shape)) for _ in range(n_times)]
         return grid, bank, TimeSeriesField.from_snapshots(np.linspace(0.0, 0.1, n_times), snaps)
@@ -150,21 +151,24 @@ class TestShellNormKernel:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("vector", [False, True])
     def test_matches_oracle(self, p, d, vector, full_lattice):
-        grid, bank, series = self._setup(d, d if vector else 1)
-        phi = full_lattice(grid, bank.phi)
-        expected = shell_norm_oracle.shell_matrix(
-            [series.field(i).samples for i in range(series.n_times)], phi, p
-        )
-        got = shell_lp_matrix(series, p, bank)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
-        f = series.field(0)
-        for spec in (BesovSpec(0.5, p, 1.0), BesovSpec(-1.0, p, math.inf)):
-            want = shell_norm_oracle.besov_norm(
-                f.samples, phi, bank.shells, spec.s, p, spec.r
+        # The default bank, a box with L != 2 pi, and an explicit band one
+        # octave down: each gives other shell supports.
+        for L, band_shift in ((2.0 * math.pi, 0), (3.0, 0), (2.0 * math.pi, 1)):
+            grid, bank, series = self._setup(d, d if vector else 1, L=L, band_shift=band_shift)
+            phi = full_lattice(grid, bank.phi)
+            expected = shell_norm_oracle.shell_matrix(
+                [series.field(i).samples for i in range(series.n_times)], phi, p
             )
-            assert abs(besov_norm(f, spec, bank) - want) <= 1e-13 * want
-            assert abs(besov_norm(to_spectral(f), spec, bank) - want) <= 1e-13 * want
+            got = shell_lp_matrix(series, p, bank)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+            f = series.field(0)
+            for spec in (BesovSpec(0.5, p, 1.0), BesovSpec(-1.0, p, math.inf)):
+                want = shell_norm_oracle.besov_norm(
+                    f.samples, phi, bank.shells, spec.s, p, spec.r
+                )
+                assert abs(besov_norm(f, spec, bank) - want) <= 1e-13 * want
+                assert abs(besov_norm(to_spectral(f), spec, bank) - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_non_finite_result_raises(self, p):
@@ -173,6 +177,13 @@ class TestShellNormKernel:
         hat[(0,) + (3,) * grid.d] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
             besov_norm(SpectralField(grid, hat), BesovSpec(1.0, p, 1.0), bank)
+        # The corner m = (15, 15) lies beyond the top shell's radius 32/3, so
+        # outside every shell's support and every cube of the p != 2 kernel.
+        corner = to_spectral(series.field(0)).coeffs
+        assert not bank.phi[:, 15, 15].any()
+        corner[0, 15, 15] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            besov_norm(SpectralField(grid, corner), BesovSpec(1.0, p, 1.0), bank)
         huge = Field(grid, 1e300 * series.field(0).samples)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="must be finite"):
@@ -184,11 +195,14 @@ class TestShellNormKernel:
         shell_lp_matrix(series, 2.0, bank)
         assert counts == Counter()
 
-    def test_other_p_inverts_each_shell_once(self, count_transforms):
+    def test_other_p_runs_no_grid_transform(self, count_transforms):
         _, bank, series = self._setup(2, 2, n_times=5)
         counts = count_transforms()
-        shell_lp_matrix(series, 3.0, bank)
-        assert counts == Counter(ifft=5 * bank.n_shells)
+        mat = shell_lp_matrix(series, 3.0, bank)
+        assert counts == Counter()
+        # The default band's lowest shell holds no lattice point: its row is exactly 0.
+        assert not bank.phi[0].any()
+        assert np.all(mat[0] == 0.0) and np.all(mat[1:] > 0.0)
 
     def test_time_outer_norm_uses_one_matrix(self, monkeypatch):
         _, bank, series = self._setup(2, 1, n_times=4)

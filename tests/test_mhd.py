@@ -336,6 +336,22 @@ class TestIterationScheme:
         # RK4 step.  The truncated u0 and B0 come from the data's coefficients.
         assert counts == Counter(fft=(n + 1) + 4 * n, ifft=(n + 1) + 1 + 4 * n)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("T_override", [None, 0.01])
+    def test_run_transforms_only_to_build_its_iterates(self, grid, count_transforms, p,
+                                                       T_override):
+        # The horizon reads the data's stored u0 coefficients, and the bounds
+        # and D_n run no grid transform at any p, so a run costs exactly the
+        # transforms of the iterates it builds.
+        cfg = _small_config(max_iterations=1, p=p)
+        data = taylor_green_data(grid)
+        counts = count_transforms()
+        diag = run_iteration(data, cfg, T_override=T_override)
+        run_counts = counts.copy()
+        counts.clear()
+        iterate_once(init_iterate(data, cfg, diag.T), cfg)
+        assert run_counts == counts
+
     def test_run_keeps_at_most_two_iterates_alive(self, grid, monkeypatch):
         series_refs = []
         original = mhd.iterate_once
