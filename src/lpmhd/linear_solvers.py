@@ -131,9 +131,9 @@ def etd_phi2(z: np.ndarray) -> np.ndarray:
 
 def _snapshot_stack(problem, first: np.ndarray) -> tuple:
     """The times n*dt of all n_steps + 1 steps and their coefficient stack,
-    filled with ``first`` at step 0 and unfilled after it."""
+    ``first`` at step 0 and zeros after it."""
     times = np.arange(problem.n_steps + 1) * problem.dt
-    stack = np.empty((times.size,) + first.shape, dtype=np.complex128)
+    stack = np.zeros((times.size,) + first.shape, dtype=np.complex128)
     stack[0] = first
     return times, stack
 
@@ -282,15 +282,19 @@ class TransportProblem:
 
 def _advection_rhs(
     grid: FrequencyGrid,
+    ik: np.ndarray,
     fhat: np.ndarray,
     v_samples: np.ndarray,
     g_hat: np.ndarray | None,
 ) -> np.ndarray:
-    """Spectral right side -mask*F[v.grad f] + g_hat for one RK stage: one
-    batched inverse for the d derivatives, one forward for the product."""
-    grads = grid.ifft(grid.ik[:, None] * fhat)
-    adv = sum(v_samples[a] * grads[a] for a in range(grid.d))
-    out = -grid.fft(adv) * grid.dealias_mask
+    """Right side -F[v.grad f] + g_hat of one RK stage on the dealiasing cube
+    (``fhat``, ``ik`` and ``g_hat`` hold cube entries): one batched inverse
+    for the d derivatives, one forward for the product."""
+    grads = grid.ifft(ik[:, None] * fhat, dealiased=True)
+    adv = v_samples[0] * grads[0]
+    for a in range(1, grid.d):
+        adv += v_samples[a] * grads[a]
+    out = -grid.fft(adv, dealiased=True)
     if g_hat is not None:
         out = out + g_hat
     return out
@@ -299,14 +303,17 @@ def _advection_rhs(
 def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     """Classical RK4 on the dealiased advection equation.
 
-    Velocity and source are linearly interpolated at the half steps; the
-    initial spectrum is dealiased once so every later product stays inside
-    the 2/3 mask.
+    Velocity and source are linearly interpolated at the half steps.  The
+    state, the stages and the source live on the 2/3-rule cube
+    (``grid.cube``), outside which every dealiased spectrum is zero; each
+    step is scattered into the half-spectrum stack as it is stored.
     """
     grid = problem.grid
-    fhat = _coeffs(problem.f0) * grid.dealias_mask
+    ik = grid.to_cube(grid.ik)
+    fhat = grid.to_cube(_coeffs(problem.f0))
     dt = problem.dt
     velocity, source = problem.velocity, problem.source
+    source_cube = None if source is None else grid.to_cube(source.coeffs)
 
     def v_at(t: float) -> np.ndarray:
         return _interpolate(velocity.times, problem.velocity_samples, t)
@@ -314,19 +321,19 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     def g_at(t: float) -> np.ndarray | None:
         if source is None:
             return None
-        return _interpolate(source.times, source.coeffs, t) * grid.dealias_mask
+        return _interpolate(source.times, source_cube, t)
 
-    times, stack = _snapshot_stack(problem, fhat)
+    times, stack = _snapshot_stack(problem, grid.from_cube(fhat))
     for n in range(problem.n_steps):
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
         g0, gh, g1 = g_at(t), g_at(t + dt / 2.0), g_at(t + dt)
-        k1 = _advection_rhs(grid, fhat, v0, g0)
-        k2 = _advection_rhs(grid, fhat + 0.5 * dt * k1, vh, gh)
-        k3 = _advection_rhs(grid, fhat + 0.5 * dt * k2, vh, gh)
-        k4 = _advection_rhs(grid, fhat + dt * k3, v1, g1)
+        k1 = _advection_rhs(grid, ik, fhat, v0, g0)
+        k2 = _advection_rhs(grid, ik, fhat + 0.5 * dt * k1, vh, gh)
+        k3 = _advection_rhs(grid, ik, fhat + 0.5 * dt * k2, vh, gh)
+        k4 = _advection_rhs(grid, ik, fhat + dt * k3, v1, g1)
         fhat = fhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stack[n + 1] = fhat
+        grid.from_cube(fhat, out=stack[n + 1])
     return TimeSeriesField(grid, times, stack)
 
 

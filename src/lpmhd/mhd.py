@@ -57,6 +57,7 @@ from .spectral import (
     FrequencyGrid,
     SpectralField,
     _check_divergence_free,
+    _leray,
     leray_project,
     lp_norm,
     make_grid,
@@ -377,23 +378,39 @@ def _assemble_sources(
     """Heat forcing P div(B (x) B - u (x) u) and transport source
     div(u (x) B) = (B.grad)u, as series on the time axis of u_series.
 
-    Per snapshot: one inverse of the dealiased stacked (u, B) coefficients
-    and one forward transform of all the products, which are then masked
-    and contracted with i*k_j into the two preallocated stacks.
+    Everything happens on the 2/3-rule cube (``grid.cube``).  Per snapshot:
+    one dealiased inverse of the stacked (u, B) coefficients and one
+    dealiased forward of the products, of which the symmetric B (x) B -
+    u (x) u contributes only its d(d+1)/2 distinct entries; the contraction
+    with i*k_j and the Leray projection run on the cube, which is scattered
+    into the two preallocated stacks.
     """
     grid = u_series.grid
     d = grid.d
-    mask = grid.dealias_mask
-    forcing = np.empty_like(u_series.coeffs)
-    source = np.empty_like(u_series.coeffs)
-    for i in range(u_series.n_times):
-        um, bm = grid.ifft(np.stack([u_series.coeffs[i], b_series.coeffs[i]]) * mask)
-        bb_uu = np.einsum("i...,j...->ij...", bm, bm) - np.einsum("i...,j...->ij...", um, um)
-        ub = np.einsum("i...,j...->ij...", um, bm)
-        prod_hat = grid.fft(np.stack([bb_uu, ub])) * mask
-        div_hat = sum(prod_hat[:, :, j] * grid.ik[j] for j in range(d))
-        forcing[i] = leray_project(SpectralField(grid, div_hat[0])).coeffs
-        source[i] = div_hat[1]
+    ik = grid.to_cube(grid.ik)
+    k_axes = [grid.to_cube(np.broadcast_to(k, grid.spectral_shape)) for k in grid.k_axes]
+    k_sq = grid.to_cube(grid.k_sq)
+    upper = np.triu_indices(d)
+    n_sym = upper[0].size
+    # entry[t, i, j]: the row of the transformed products holding entry (i, j)
+    # of tensor t, B (x) B - u (x) u (symmetric) or u (x) B.
+    entry = np.empty((2, d, d), dtype=np.intp)
+    entry[0][upper] = entry[0].T[upper] = np.arange(n_sym)
+    entry[1] = n_sym + np.arange(d * d).reshape(d, d)
+    prods = np.empty((n_sym + d * d,) + grid.shape)
+    forcing = np.zeros_like(u_series.coeffs)
+    source = np.zeros_like(u_series.coeffs)
+    for n in range(u_series.n_times):
+        pair = np.stack([grid.to_cube(u_series.coeffs[n]), grid.to_cube(b_series.coeffs[n])])
+        um, bm = grid.ifft(pair, dealiased=True)
+        for row, (i, j) in enumerate(zip(*upper)):
+            np.multiply(bm[i], bm[j], out=prods[row])
+            prods[row] -= um[i] * um[j]
+        np.multiply(um[:, None], bm[None], out=prods[n_sym:].reshape((d, d) + grid.shape))
+        tensors = grid.fft(prods, dealiased=True)[entry]
+        div_hat = sum(tensors[:, :, j] * ik[j] for j in range(d))
+        grid.from_cube(_leray(div_hat[0], k_axes, k_sq), out=forcing[n])
+        grid.from_cube(div_hat[1], out=source[n])
     times = u_series.times
     return TimeSeriesField(grid, times.copy(), forcing), TimeSeriesField(grid, times.copy(), source)
 

@@ -28,14 +28,18 @@ Conventions fixed here, once, for the whole package:
   1 has unit norm for every p;
 * pointwise products of band-limited data are dealiased with the 2/3
   rule: modes with |m_i| > floor(N/3) on any axis are zeroed in the
-  factors and in the product.
+  factors and in the product.  What survives is the cube |m_a| <= N//3
+  (``grid.cube``); ``fft/ifft(..., dealiased=True)`` return and take only
+  its coefficients, bitwise equal to the full transforms gathered on it
+  and scattered from it, so dealiased arithmetic never touches the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.fft
@@ -131,13 +135,92 @@ class FrequencyGrid:
             for m, k in zip(self.m_axes, self.k_axes)
         )))
 
-    def fft(self, samples: np.ndarray) -> np.ndarray:
-        """Forward real transform over the trailing d axes; leading axes batch."""
-        return scipy.fft.rfftn(samples, axes=self._spatial_axes)
+    @cached_property
+    def cube(self) -> tuple:
+        """Per-axis indices of the 2/3-rule cube |m_a| <= K = N//3 in the half
+        spectrum: rows 0..K, N-K..N-1 (FFT order) on the first d-1 axes and
+        columns 0..K on the last, so it has shape (2K+1,)*(d-1) + (K+1,)."""
+        K = self.N // 3
+        rows = np.r_[0 : K + 1, self.N - K : self.N]
+        return (rows,) * (self.d - 1) + (np.arange(K + 1),)
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of ``fft`` over the trailing d axes, as fresh real float64 samples."""
-        return scipy.fft.irfftn(coeffs, s=self.shape, axes=self._spatial_axes)
+    @cached_property
+    def _cube_blocks(self) -> tuple:
+        """(half-spectrum slices, cube slices) of the cube's 2**(d-1) contiguous blocks."""
+        K, N = self.N // 3, self.N
+        lead = ((slice(0, K + 1), slice(0, K + 1)), (slice(N - K, N), slice(K + 1, 2 * K + 1)))
+        return tuple(
+            (tuple(f for f, _ in combo) + (slice(0, K + 1),),
+             tuple(c for _, c in combo) + (slice(None),))
+            for combo in itertools.product(lead, repeat=self.d - 1)
+        )
+
+    def to_cube(self, coeffs: np.ndarray) -> np.ndarray:
+        """The cube's entries of (..., *spectral_shape) arrays, as a fresh array."""
+        shape = coeffs.shape[: coeffs.ndim - self.d] + tuple(i.size for i in self.cube)
+        out = np.empty(shape, dtype=coeffs.dtype)
+        for full, part in self._cube_blocks:
+            out[(Ellipsis,) + part] = coeffs[(Ellipsis,) + full]
+        return out
+
+    def from_cube(self, cube_coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Scatter cube entries into ``out`` (default: fresh zeros of the
+        half-spectrum shape); entries of ``out`` off the cube are left as they are."""
+        if out is None:
+            lead = cube_coeffs.shape[: cube_coeffs.ndim - self.d]
+            out = np.zeros(lead + self.spectral_shape, dtype=np.complex128)
+        for full, part in self._cube_blocks:
+            out[(Ellipsis,) + full] = cube_coeffs[(Ellipsis,) + part]
+        return out
+
+    def fft(self, samples: np.ndarray, dealiased: bool = False) -> np.ndarray:
+        """Forward real transform over the trailing d axes; leading axes batch.
+
+        With ``dealiased`` only the cube's coefficients are returned, bitwise
+        equal to ``to_cube(fft(samples))``: the axes are transformed in
+        ``rfftn``'s order (last, then first to d-1-th) and each is cut to the
+        cube before the next, so later axes transform fewer lines.
+        """
+        if not dealiased:
+            return scipy.fft.rfftn(samples, axes=self._spatial_axes)
+        cols = self.cube[-1].size
+        out = np.ascontiguousarray(scipy.fft.rfft(samples, axis=-1)[..., :cols])
+        for a, rows in enumerate(self.cube[:-1]):
+            axis = a - self.d
+            out = np.take(scipy.fft.fft(out, axis=axis, overwrite_x=True), rows, axis=axis)
+        return out
+
+    def ifft(self, coeffs: np.ndarray, dealiased: bool = False) -> np.ndarray:
+        """Inverse of ``fft`` over the trailing d axes, as fresh real float64 samples.
+
+        With ``dealiased``, ``coeffs`` holds only the cube's entries, and the
+        result is bitwise ``ifft(from_cube(coeffs))``: the axes are
+        transformed in ``irfftn``'s order (first to d-1-th, then the last),
+        each leading axis only on the lines that can be nonzero (columns
+        0..N//3, cube rows on the leading axes still to come), and the
+        1/N**d is one exact power-of-two scaling at the end.
+        """
+        if not dealiased:
+            return scipy.fft.irfftn(coeffs, s=self.shape, axes=self._spatial_axes)
+        K, N = self.N // 3, self.N
+        for a in range(self.d - 1):
+            axis = a - self.d
+            shape = list(coeffs.shape)
+            shape[axis] = N
+            if a == self.d - 2:
+                shape[-1] = N // 2 + 1
+            lines = np.zeros(shape, dtype=np.complex128)
+            cols = lines[..., : K + 1]
+            head = (slice(None),) * (coeffs.ndim + axis)
+            cols[head + (slice(0, K + 1),)] = coeffs[head + (slice(0, K + 1),)]
+            cols[head + (slice(N - K, N),)] = coeffs[head + (slice(K + 1, 2 * K + 1),)]
+            done = scipy.fft.ifft(cols, axis=axis, norm="forward", overwrite_x=True)
+            if not np.shares_memory(done, cols):  # overwrite_x permits, not promises, in place
+                cols[...] = done
+            coeffs = cols
+        samples = scipy.fft.irfft(lines, n=N, axis=-1, norm="forward")
+        samples *= 1.0 / N**self.d
+        return samples
 
     def __eq__(self, other) -> bool:
         return (
@@ -314,17 +397,21 @@ def leray_project(F: SpectralField) -> SpectralField:
     d = F.grid.d
     if F.components != d:
         raise ValueError(f"projection expects a {d}-component field, got {F.components}")
-    k_sq_safe = F.grid.k_sq.copy()
-    zero = F.grid.k_sq == 0.0
-    k_sq_safe[zero] = 1.0
-    dot = np.zeros(F.grid.spectral_shape, dtype=np.complex128)
-    for a in range(d):
-        dot += F.grid.k_axes[a] * F.coeffs[a]
+    return SpectralField(F.grid, _leray(F.coeffs, F.grid.k_axes, F.grid.k_sq))
+
+
+def _leray(coeffs: np.ndarray, k_axes, k_sq: np.ndarray) -> np.ndarray:
+    """``leray_project`` of (d, ...) coefficients under wavenumbers ``k_axes``
+    and |k|^2 ``k_sq`` broadcasting against them, on any set of modes."""
+    k_sq_safe = np.where(k_sq == 0.0, 1.0, k_sq)
+    dot = np.zeros(coeffs.shape[1:], dtype=np.complex128)
+    for a, k in enumerate(k_axes):
+        dot += k * coeffs[a]
     dot /= k_sq_safe
-    out = F.coeffs.copy()
-    for a in range(d):
-        out[a] -= F.grid.k_axes[a] * dot
-    return SpectralField(F.grid, out)
+    out = coeffs.copy()
+    for a, k in enumerate(k_axes):
+        out[a] -= k * dot
+    return out
 
 
 def heat_semigroup(F: SpectralField, t: float) -> SpectralField:
@@ -366,12 +453,23 @@ def _check_divergence_free(grid: FrequencyGrid, hats: np.ndarray, rtol: float,
 def _samples_lp_norm(samples: np.ndarray, p: float) -> float:
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")
-    mag_sq = np.sum(samples * samples, axis=0)
+    mag_sq = samples[0] * samples[0]
+    for comp in samples[1:]:  # in np.sum's order, without the squared stack
+        mag_sq += comp * comp
     if math.isinf(p):
         return float(np.sqrt(np.max(mag_sq)))
     if p == 2.0:
         return float(np.sqrt(np.mean(mag_sq)))
-    return float(np.mean(mag_sq ** (p / 2.0)) ** (1.0 / p))
+    return float(np.mean(_abs_pow(mag_sq, p)) ** (1.0 / p))
+
+
+def _abs_pow(mag_sq: np.ndarray, p: float) -> np.ndarray:
+    """|f|^p from |f|^2: for integer p a product of powers of ``mag_sq`` and
+    at most one sqrt, several times cheaper than the general power."""
+    if p != int(p):
+        return mag_sq ** (p / 2.0)
+    half, odd = divmod(int(p), 2)
+    return reduce(np.multiply, [mag_sq] * half + [np.sqrt(mag_sq)] * odd)
 
 
 def mean_mode(f: Field) -> np.ndarray:
@@ -385,7 +483,7 @@ def dealias(F: SpectralField) -> SpectralField:
 
 
 def _dealiased_samples(grid: FrequencyGrid, samples: np.ndarray) -> np.ndarray:
-    return grid.ifft(grid.fft(samples) * grid.dealias_mask)
+    return grid.ifft(grid.fft(samples, dealiased=True), dealiased=True)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
@@ -428,8 +526,6 @@ def tensor_divergence(a: Field, b: Field) -> Field:
     grid = a.grid
     am = _dealiased_samples(grid, a.samples)
     bm = _dealiased_samples(grid, b.samples)
-    out = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
-    for j in range(d):
-        prod_hat = grid.fft(am * bm[j]) * grid.dealias_mask
-        out += prod_hat * grid.ik[j]
-    return Field(grid, grid.ifft(out))
+    ik = grid.to_cube(grid.ik)
+    out = sum(grid.fft(am * bm[j], dealiased=True) * ik[j] for j in range(d))
+    return Field(grid, grid.ifft(out, dealiased=True))

@@ -61,9 +61,9 @@ def count_transforms(monkeypatch):
         for name in ("fft", "ifft"):
             original = getattr(FrequencyGrid, name)
 
-            def counted(self, arr, _name=name, _original=original):
+            def counted(self, arr, *args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
-                return _original(self, arr)
+                return _original(self, arr, *args, **kwargs)
 
             monkeypatch.setattr(FrequencyGrid, name, counted)
         return counts

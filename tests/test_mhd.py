@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import assembly_oracle
+import half_spectrum_oracle
 import horizon_oracle
 from lpmhd import (
+    FrequencyGrid,
     BesovSpec,
     Field,
     IterationConfig,
@@ -451,6 +453,31 @@ class TestSourceAssembly:
                 w = want.field(i)
                 scale = np.max(np.abs(w.samples))
                 assert np.max(np.abs(got.field(i).samples - w.samples)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cube_assembly_matches_the_half_spectrum_formula(self, d):
+        grid, u, b = self._series(d)
+        got = mhd._assemble_sources(u, b)
+        want = half_spectrum_oracle.assemble_sources(u, b)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.coeffs, w.coeffs)
+            assert np.all(g.coeffs[..., ~grid.dealias_mask] == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_forward_transforms_only_distinct_tensor_entries(self, d, monkeypatch):
+        _, u, b = self._series(d)
+        batches = []
+        original = FrequencyGrid.fft
+
+        def recorded(self, samples, *args, **kwargs):
+            batches.append((samples.shape[0], kwargs))
+            return original(self, samples, *args, **kwargs)
+
+        monkeypatch.setattr(FrequencyGrid, "fft", recorded)
+        mhd._assemble_sources(u, b)
+        # d(d+1)/2 entries of B (x) B - u (x) u and d^2 of u (x) B: 7 in 2-D, 15 in 3-D.
+        entries = d * (d + 1) // 2 + d * d
+        assert batches == [(entries, {"dealiased": True})] * u.n_times
 
     def test_snapshots_own_their_buffers(self):
         _, u, b = self._series(2)

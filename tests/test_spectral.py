@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import half_spectrum_oracle
 from lpmhd.spectral import (
     Field,
     _l2_norms,
+    _samples_lp_norm,
     SpectralField,
     TensorField,
     dealiased_product,
@@ -88,6 +90,56 @@ class TestFrequencyGrid:
         assert grid == other
         assert hash(grid) == hash(other)
         assert grid != make_grid(2, 32, 2.0 * math.pi)
+
+
+class TestDealiasingCube:
+    SIZES = [(d, n, L) for d in (2, 3) for n in (8, 16, 32, 64) for L in (2.0 * math.pi, 3.0)]
+
+    def test_make_grid_builds_no_cube_index(self):
+        grid = make_grid(2, 64)
+        assert "cube" not in vars(grid) and "_cube_blocks" not in vars(grid)
+        assert grid.cube is grid.cube
+
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 64), (3, 16), (3, 32)])
+    def test_cube_is_the_dealias_mask(self, d, n):
+        grid = make_grid(d, n)
+        k = n // 3
+        assert tuple(idx.size for idx in grid.cube) == (2 * k + 1,) * (d - 1) + (k + 1,)
+        np.testing.assert_array_equal(grid.cube[-1], np.arange(k + 1))
+        for rows in grid.cube[:-1]:
+            np.testing.assert_array_equal(grid.m1d[rows], np.r_[0 : k + 1, -k:0])
+        marked = np.zeros(grid.spectral_shape, dtype=bool)
+        marked[np.ix_(*grid.cube)] = True
+        np.testing.assert_array_equal(marked, grid.dealias_mask)
+
+    @pytest.mark.parametrize("d, n, L", SIZES)
+    def test_dealiased_forward_is_the_full_transform_gathered(self, d, n, L):
+        grid = make_grid(d, n, L)
+        samples = _random_field(grid, n + d, components=2).samples
+        got = grid.fft(samples, dealiased=True)
+        np.testing.assert_array_equal(got, grid.fft(samples)[(Ellipsis,) + np.ix_(*grid.cube)])
+
+    @pytest.mark.parametrize("d, n, L", SIZES)
+    def test_dealiased_inverse_is_the_full_transform_of_the_scatter(self, d, n, L):
+        grid = make_grid(d, n, L)
+        hat = grid.fft(_random_field(grid, n - d, components=2).samples)
+        cube = hat[(Ellipsis,) + np.ix_(*grid.cube)]
+        full = np.zeros_like(hat)
+        full[(Ellipsis,) + np.ix_(*grid.cube)] = cube
+        got = grid.ifft(cube, dealiased=True)
+        assert got.dtype == np.float64 and got.flags.owndata
+        np.testing.assert_array_equal(got, grid.ifft(full))
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    def test_gather_and_scatter_round_trip(self, d, n):
+        grid = make_grid(d, n)
+        hat = grid.fft(_random_field(grid, 3, components=d).samples)
+        cube = grid.to_cube(hat)
+        np.testing.assert_array_equal(grid.from_cube(cube), hat * grid.dealias_mask)
+        out = np.full_like(hat, 7.0)
+        assert grid.from_cube(cube, out=out) is out
+        np.testing.assert_array_equal(out[:, ~grid.dealias_mask], 7.0)
+        np.testing.assert_array_equal(grid.to_cube(out), cube)
 
 
 class TestFieldTypes:
@@ -192,6 +244,14 @@ class TestNormsAndProducts:
         one = Field(grid, np.ones((1,) + grid.shape))
         np.testing.assert_allclose(lp_norm(one, p), 1.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, 5.0, 2.5])
+    def test_lp_reduction_matches_the_power_form(self, p):
+        rng = np.random.default_rng(int(2 * p))
+        samples = rng.standard_normal((3, 32, 32, 32)) * np.exp(rng.uniform(-3, 3, (1, 32, 32, 32)))
+        mag_sq = np.sum(samples * samples, axis=0)
+        want = np.mean(mag_sq ** (p / 2.0)) ** (1.0 / p)
+        assert abs(_samples_lp_norm(samples, p) - want) <= 1e-15 * want
+
     def test_vector_magnitude_pointwise(self, grid):
         v = Field(grid, np.stack([3.0 * np.ones(grid.shape), 4.0 * np.ones(grid.shape)]))
         np.testing.assert_allclose(lp_norm(v, math.inf), 5.0, rtol=1e-14)
@@ -233,6 +293,18 @@ class TestNormsAndProducts:
         prod = dealiased_product(f, g)
         np.testing.assert_allclose(prod.samples, (np.cos(x1) * np.cos(x2))[None],
                                    atol=1e-13)
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    def test_cube_products_match_the_half_spectrum_formulas(self, d, n):
+        grid = make_grid(d, n)
+        a = _random_field(grid, 4, components=d)
+        b = _random_field(grid, 5, components=d)
+        np.testing.assert_array_equal(
+            dealiased_product(a, b).samples, half_spectrum_oracle.dealiased_product(a, b)
+        )
+        np.testing.assert_array_equal(
+            tensor_divergence(a, b).samples, half_spectrum_oracle.tensor_divergence(a, b)
+        )
 
     def test_tensor_divergence_matches_componentwise(self, grid):
         a = _random_field(grid, 13, components=2)
