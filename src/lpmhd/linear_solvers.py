@@ -146,8 +146,8 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
         u_next = e^z u + dt*(phi1(z) G_n + phi2(z) (G_{n+1} - G_n)),
 
     which integrates the linear part exactly and the Duhamel term exactly
-    for forcing linear in t.  Every step is stored, straight into the
-    series' coefficient stack.
+    for forcing linear in t, on the cube only for a cube forcing series.
+    Every step is stored, straight into the half-spectrum stack.
     """
     grid = problem.grid
     uhat = _coeffs(problem.u0)
@@ -157,13 +157,17 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     phi1 = etd_phi1(z)
     phi2 = etd_phi2(z)
     forcing = problem.forcing
-    g_n = None if forcing is None else forcing.sample_at(0.0).coeffs
+    on_cube = forcing is not None and forcing.on_cube
+    if on_cube:
+        phi1, phi2 = grid.to_cube(phi1), grid.to_cube(phi2)
+    g_n = None if forcing is None else _interpolate(forcing.times, forcing.coeffs, 0.0)
     times, stack = _snapshot_stack(problem, uhat)
     for n in range(1, problem.n_steps + 1):
         uhat = decay * uhat
         if forcing is not None:
-            g_next = forcing.sample_at(n * dt).coeffs
-            uhat = uhat + dt * (phi1 * g_n + phi2 * (g_next - g_n))
+            g_next = _interpolate(forcing.times, forcing.coeffs, n * dt)
+            term = dt * (phi1 * g_n + phi2 * (g_next - g_n))
+            uhat = grid.from_cube(grid.to_cube(uhat) + term, out=uhat) if on_cube else uhat + term
             g_n = g_next
         stack[n] = uhat
     return TimeSeriesField(grid, times, stack)
@@ -263,7 +267,7 @@ class TransportProblem:
             raise ValueError(f"f0 lives on {self.f0.grid!r}, the velocity on {grid!r}")
         if self.source is not None:
             _check_series("source", self.source, grid, self.T, self.f0.components)
-        vel = self.velocity.coeffs
+        vel = self.velocity.half_spectrum()
         _check_divergence_free(grid, vel, 1e-8, "velocity is not divergence-free: |div v|_L2")
         # One batched inverse serves the CFL number and every RK4 stage.
         self.velocity_samples = grid.ifft(vel)
@@ -305,15 +309,15 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
 
     Velocity and source are linearly interpolated at the half steps.  The
     state, the stages and the source live on the 2/3-rule cube
-    (``grid.cube``), outside which every dealiased spectrum is zero; each
-    step is scattered into the half-spectrum stack as it is stored.
+    (``grid.cube``), outside which every dealiased spectrum is zero, and
+    the solution is returned as the cube series of every step.
     """
     grid = problem.grid
     ik = grid.to_cube(grid.ik)
     fhat = grid.to_cube(_coeffs(problem.f0))
     dt = problem.dt
     velocity, source = problem.velocity, problem.source
-    source_cube = None if source is None else grid.to_cube(source.coeffs)
+    source_cube = None if source is None else source.cube_coeffs()
 
     def v_at(t: float) -> np.ndarray:
         return _interpolate(velocity.times, problem.velocity_samples, t)
@@ -323,7 +327,7 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
             return None
         return _interpolate(source.times, source_cube, t)
 
-    times, stack = _snapshot_stack(problem, grid.from_cube(fhat))
+    times, stack = _snapshot_stack(problem, fhat)
     for n in range(problem.n_steps):
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
@@ -333,7 +337,7 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
         k3 = _advection_rhs(grid, ik, fhat + 0.5 * dt * k2, vh, gh)
         k4 = _advection_rhs(grid, ik, fhat + dt * k3, v1, g1)
         fhat = fhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        grid.from_cube(fhat, out=stack[n + 1])
+        stack[n + 1] = fhat
     return TimeSeriesField(grid, times, stack)
 
 

@@ -31,7 +31,8 @@ the 1/N^d.  At 3-D N=32 the default shells have K = 1, 2, 5, 10 (the lowest
 holds no lattice point and is exactly 0), so the work is a few small BLAS
 products instead of a full N^d inverse per shell.
 
-A ``TimeSeriesField`` is one stacked half-spectrum coefficient array, so
+A ``TimeSeriesField`` is one stacked coefficient array, on the half
+spectrum or, for series that vanish off the 2/3-rule cube, on ``grid.cube``;
 the shell matrices of the time-mixed norms read it with no transform at p = 2.
 """
 
@@ -364,8 +365,9 @@ def _interpolate(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
 @dataclass
 class TimeSeriesField:
     """One field on a strictly increasing time axis from t = 0, held as the
-    stacked half-spectrum coefficients of its snapshots, shape
-    (n_times, c, *grid.spectral_shape).  Finiteness is checked once, here."""
+    stacked coefficients of its snapshots: (n_times, c, *grid.spectral_shape)
+    on the half spectrum, or (n_times, c, *grid.cube_shape) for a field that
+    vanishes off the 2/3-rule cube.  Finiteness is checked once, here."""
 
     grid: FrequencyGrid
     times: np.ndarray
@@ -376,9 +378,10 @@ class TimeSeriesField:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if self.times.ndim != 1 or self.times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        if self.coeffs.ndim != self.grid.d + 2 or self.coeffs.shape[2:] != self.grid.spectral_shape:
-            raise ValueError(f"coeffs must have shape (n_times, c, *spectral_shape), got "
-                             f"{self.coeffs.shape}")
+        if self.coeffs.ndim != self.grid.d + 2 or self.coeffs.shape[2:] not in (
+                self.grid.spectral_shape, self.grid.cube_shape):
+            raise ValueError(f"coeffs must have shape (n_times, c, *spectral_shape) or "
+                             f"(n_times, c, *cube_shape), got {self.coeffs.shape}")
         if self.coeffs.shape[0] != self.times.size:
             raise ValueError("times and snapshots disagree in length")
         if self.times[0] != 0.0:
@@ -408,29 +411,50 @@ class TimeSeriesField:
     def T(self) -> float:
         return float(self.times[-1])
 
+    @property
+    def on_cube(self) -> bool:
+        """Whether the coefficients are held on ``grid.cube``."""
+        return self.coeffs.shape[2:] == self.grid.cube_shape
+
+    def half_spectrum(self) -> np.ndarray:
+        """The coefficient stack on the half spectrum: a cube stack is scattered into zeros."""
+        return self.grid.from_cube(self.coeffs) if self.on_cube else self.coeffs
+
+    def cube_coeffs(self) -> np.ndarray:
+        """The coefficient stack on the cube: a half-spectrum stack is gathered onto it."""
+        return self.coeffs if self.on_cube else self.grid.to_cube(self.coeffs)
+
     def field(self, i: int) -> Field:
         """Physical samples of snapshot i, for I/O and inspection."""
-        return Field(self.grid, self.grid.ifft(self.coeffs[i]))
+        return Field(self.grid, self.grid.ifft(self.coeffs[i], dealiased=self.on_cube))
 
     def sample_at(self, t: float) -> SpectralField:
-        """Linear interpolation in time of the coefficients; exact at stored snapshots."""
-        return SpectralField(self.grid, _interpolate(self.times, self.coeffs, t))
+        """Linear interpolation in time, on the half spectrum; exact at stored snapshots."""
+        hat = _interpolate(self.times, self.coeffs, t)
+        return SpectralField(self.grid, self.grid.from_cube(hat) if self.on_cube else hat)
 
     def __sub__(self, other: "TimeSeriesField") -> "TimeSeriesField":
+        """Snapshot-wise difference: on the cube if both series are, else on the half spectrum."""
         if self.grid != other.grid:
             raise ValueError("series live on different grids")
         if self.n_times != other.n_times or not np.allclose(
             self.times, other.times, rtol=0.0, atol=1e-12
         ):
             raise ValueError("series have different time axes")
-        return TimeSeriesField(self.grid, self.times.copy(), self.coeffs - other.coeffs)
+        same = self.on_cube == other.on_cube
+        diff = self.coeffs - other.coeffs if same else self.half_spectrum() - other.half_spectrum()
+        return TimeSeriesField(self.grid, self.times.copy(), diff)
 
 
 def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.ndarray:
     """||Delta_j f(t_i)||_Lp as an (n_shells, n_times) matrix."""
     if series.grid != bank.grid:
         raise ValueError("series and bank live on different grids")
-    return np.stack([_shell_lp_norms(hat, p, bank) for hat in series.coeffs], 1)
+    hats = series.coeffs
+    if series.on_cube:  # each snapshot scattered into one zeroed half-spectrum buffer
+        buffer = np.zeros((series.components,) + bank.grid.spectral_shape, dtype=np.complex128)
+        hats = (bank.grid.from_cube(hat, out=buffer) for hat in series.coeffs)
+    return np.stack([_shell_lp_norms(hat, p, bank) for hat in hats], 1)
 
 
 def _running_norm(

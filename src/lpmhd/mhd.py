@@ -352,13 +352,16 @@ def init_iterate(
     grid: FrequencyGrid | None = None,
     bank: FilterBank | None = None,
 ) -> IterationState:
-    """Iterate 0: free heat evolution of the level-0 truncated data."""
+    """Iterate 0: free heat evolution of the level-0 truncated data, B^0 on
+    the 2/3-rule cube when its data vanish off it (always at L = 2 pi)."""
     grid = grid or data.grid
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
     u_hat, b_hat = _truncated_coeffs(data, level, bank)
     u_series = solve_heat(HeatProblem(u_hat, None, T, config.dt))
     b_series = solve_heat(HeatProblem(b_hat, None, T, config.dt))
+    if not np.any(b_hat.coeffs[:, ~grid.dealias_mask]):
+        b_series = TimeSeriesField(grid, b_series.times, grid.to_cube(b_series.coeffs))
     return IterationState(
         n=0,
         u_series=u_series,
@@ -376,14 +379,14 @@ def _assemble_sources(
     u_series: TimeSeriesField, b_series: TimeSeriesField
 ) -> tuple:
     """Heat forcing P div(B (x) B - u (x) u) and transport source
-    div(u (x) B) = (B.grad)u, as series on the time axis of u_series.
+    div(u (x) B) = (B.grad)u, as cube series on the time axis of u_series.
 
     Everything happens on the 2/3-rule cube (``grid.cube``).  Per snapshot:
     one dealiased inverse of the stacked (u, B) coefficients and one
     dealiased forward of the products, of which the symmetric B (x) B -
     u (x) u contributes only its d(d+1)/2 distinct entries; the contraction
-    with i*k_j and the Leray projection run on the cube, which is scattered
-    into the two preallocated stacks.
+    with i*k_j and the Leray projection run on the cube, straight into the
+    two preallocated cube stacks.
     """
     grid = u_series.grid
     d = grid.d
@@ -398,10 +401,11 @@ def _assemble_sources(
     entry[0][upper] = entry[0].T[upper] = np.arange(n_sym)
     entry[1] = n_sym + np.arange(d * d).reshape(d, d)
     prods = np.empty((n_sym + d * d,) + grid.shape)
-    forcing = np.zeros_like(u_series.coeffs)
-    source = np.zeros_like(u_series.coeffs)
+    forcing = np.empty((u_series.n_times, d) + grid.cube_shape, dtype=np.complex128)
+    source = np.empty_like(forcing)
+    u_cube, b_cube = u_series.cube_coeffs(), b_series.cube_coeffs()
     for n in range(u_series.n_times):
-        pair = np.stack([grid.to_cube(u_series.coeffs[n]), grid.to_cube(b_series.coeffs[n])])
+        pair = np.stack([u_cube[n], b_cube[n]])
         um, bm = grid.ifft(pair, dealiased=True)
         for row, (i, j) in enumerate(zip(*upper)):
             np.multiply(bm[i], bm[j], out=prods[row])
@@ -409,8 +413,8 @@ def _assemble_sources(
         np.multiply(um[:, None], bm[None], out=prods[n_sym:].reshape((d, d) + grid.shape))
         tensors = grid.fft(prods, dealiased=True)[entry]
         div_hat = sum(tensors[:, :, j] * ik[j] for j in range(d))
-        grid.from_cube(_leray(div_hat[0], k_axes, k_sq), out=forcing[n])
-        grid.from_cube(div_hat[1], out=source[n])
+        forcing[n] = _leray(div_hat[0], k_axes, k_sq)
+        source[n] = div_hat[1]
     times = u_series.times
     return TimeSeriesField(grid, times.copy(), forcing), TimeSeriesField(grid, times.copy(), source)
 
@@ -422,15 +426,17 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
              Leray-projected tensor forcing of iterate n,
     B^{n+1}: transport solve advected by u^n from level-(n+1) truncated B0
              with the stretching source (B^n.grad)u^n.
+    The transport runs first, so its peak holds no u^{n+1}.
     """
     n_next = state.n + 1
     level = _clamped_level(state.bank, max(n_next, state.bank.j_min))
     u_hat, b_hat = _truncated_coeffs(state.data, level, state.bank)
     forcing, source = _assemble_sources(state.u_series, state.b_series)
-    u_next = solve_heat(HeatProblem(u_hat, forcing, state.T, config.dt))
     b_next = solve_transport(
         TransportProblem(b_hat, state.u_series, source, state.T, config.dt)
     )
+    del source
+    u_next = solve_heat(HeatProblem(u_hat, forcing, state.T, config.dt))
     return replace(state, n=n_next, u_series=u_next, b_series=b_next)
 
 
@@ -603,8 +609,8 @@ def system_residual(u_series: TimeSeriesField, b_series: TimeSeriesField) -> dic
     res_u, res_b = [], []
     for i in range(1, times.size - 1):
         dt2 = times[i + 1] - times[i - 1]
-        du_dt = grid.ifft(u_series.coeffs[i + 1] - u_series.coeffs[i - 1]) / dt2
-        db_dt = grid.ifft(b_series.coeffs[i + 1] - b_series.coeffs[i - 1]) / dt2
+        du_dt, db_dt = (grid.ifft(s.coeffs[i + 1] - s.coeffs[i - 1], dealiased=s.on_cube) / dt2
+                        for s in (u_series, b_series))
         u = u_series.field(i)
         b = b_series.field(i)
         lap_u = grid.ifft(grid.fft(u.samples) * (-grid.k_sq))

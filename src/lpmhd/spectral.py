@@ -145,6 +145,11 @@ class FrequencyGrid:
         return (rows,) * (self.d - 1) + (np.arange(K + 1),)
 
     @cached_property
+    def cube_shape(self) -> tuple:
+        """Shape (2K+1,)*(d-1) + (K+1,) of the cube; never ``spectral_shape``, as 2K+1 is odd."""
+        return tuple(i.size for i in self.cube)
+
+    @cached_property
     def _cube_blocks(self) -> tuple:
         """(half-spectrum slices, cube slices) of the cube's 2**(d-1) contiguous blocks."""
         K, N = self.N // 3, self.N
@@ -157,7 +162,7 @@ class FrequencyGrid:
 
     def to_cube(self, coeffs: np.ndarray) -> np.ndarray:
         """The cube's entries of (..., *spectral_shape) arrays, as a fresh array."""
-        shape = coeffs.shape[: coeffs.ndim - self.d] + tuple(i.size for i in self.cube)
+        shape = coeffs.shape[: coeffs.ndim - self.d] + self.cube_shape
         out = np.empty(shape, dtype=coeffs.dtype)
         for full, part in self._cube_blocks:
             out[(Ellipsis,) + part] = coeffs[(Ellipsis,) + full]

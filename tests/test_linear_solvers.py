@@ -109,6 +109,21 @@ class TestHeatSolver:
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
 
+    def test_cube_forcing_adds_its_duhamel_term_on_the_cube(self, grid):
+        # Off the cube the scattered forcing adds +0.0 and the cube forcing adds
+        # nothing, so the stacks differ at most in the sign of a zero, which
+        # assert_array_equal does not see.
+        rng = np.random.default_rng(22)
+        times = np.linspace(0.0, 0.02, 3)
+        coeffs = np.stack([grid.fft(rng.standard_normal((2,) + grid.shape), dealiased=True)
+                           for _ in times])
+        cube = TimeSeriesField(grid, times, coeffs)
+        half = TimeSeriesField(grid, times, grid.from_cube(coeffs))
+        u0 = Field(grid, rng.standard_normal((2,) + grid.shape))
+        got, want = (solve_heat(HeatProblem(u0, g, 0.02, 2e-3)) for g in (cube, half))
+        assert cube.on_cube and not got.on_cube
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
     def test_snapshots_stored_as_coefficients(self, grid, count_transforms):
         x1, x2 = grid.coords()
         u0 = Field(grid, np.cos(2.0 * x1 + x2)[None])
@@ -301,9 +316,32 @@ class TestTransportSolver:
         problem = TransportProblem(noise(), vel, source, T, dt)
         sol = solve_transport(problem)
         want = half_spectrum_oracle.solve_transport(problem)
-        np.testing.assert_array_equal(sol.coeffs, want.coeffs)
-        # White-noise data and source: every stored step is still exactly 0 off the 2/3 cube.
-        assert np.all(sol.coeffs[..., ~grid.dealias_mask] == 0.0)
+        assert sol.coeffs.shape == (problem.n_steps + 1, d) + grid.cube_shape
+        np.testing.assert_array_equal(grid.from_cube(sol.coeffs), want.coeffs)
+        # White-noise data and source: every step of the full-layout formula is
+        # exactly 0 off the 2/3 cube, so the cube stack loses nothing.
+        assert np.all(want.coeffs[..., ~grid.dealias_mask] == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cube_velocity_and_source_read_like_their_scattered_copies(self, d):
+        grid = make_grid(d, 32 if d == 2 else 16)
+        bank = build_filter_bank(grid)
+        T, dt = 0.01, 2e-3
+        times = np.linspace(0.0, T, 3)
+        rng = np.random.default_rng(d + 30)
+
+        def pair(snapshots):
+            coeffs = np.stack([grid.fft(s.samples, dealiased=True) for s in snapshots])
+            return (TimeSeriesField(grid, times, coeffs),
+                    TimeSeriesField(grid, times, grid.from_cube(coeffs)))
+
+        vel = pair([divergence_free_field(grid, bank, sample_rng(31, i)) for i in range(3)])
+        src = pair([Field(grid, rng.standard_normal((1,) + grid.shape)) for _ in times])
+        f0 = Field(grid, rng.standard_normal((1,) + grid.shape))
+        got, want = (solve_transport(TransportProblem(f0, v, g, T, dt))
+                     for v, g in zip(vel, src))
+        assert got.on_cube and want.on_cube
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_spectral_source_matches_physical_source(self, grid):
         x1, _ = grid.coords()

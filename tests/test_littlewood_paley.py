@@ -237,6 +237,62 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeriesField.from_snapshots(np.array([0.0, 0.1, 0.2]), [f, f.copy()])
 
+    def test_accepts_the_half_spectrum_and_the_cube(self, grid):
+        times = np.array([0.0, 0.1])
+        half = TimeSeriesField(grid, times, np.zeros((2, 2) + grid.spectral_shape))
+        cube = TimeSeriesField(grid, times, np.zeros((2, 2) + grid.cube_shape))
+        assert not half.on_cube and cube.on_cube
+        assert half.half_spectrum() is half.coeffs
+        assert cube.half_spectrum().shape == (2, 2) + grid.spectral_shape
+        wider = grid.cube_shape[:-1] + (grid.cube_shape[-1] + 1,)
+        for shape in ((2, 2) + wider, (2, 2) + grid.shape, (2,) + grid.cube_shape,
+                      (2, 1, 2) + grid.cube_shape):
+            with pytest.raises(ValueError, match="cube_shape"):
+                TimeSeriesField(grid, times, np.zeros(shape))
+
+    @staticmethod
+    def _cube_pair(d, seed=12):
+        """A series held on the cube and its copy scattered onto the half spectrum."""
+        grid = make_grid(d, 32 if d == 2 else 16)
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0.0, 0.3, 4)
+        coeffs = np.stack([grid.fft(rng.standard_normal((d,) + grid.shape), dealiased=True)
+                           for _ in times])
+        cube = TimeSeriesField(grid, times, coeffs)
+        return grid, cube, TimeSeriesField(grid, times, grid.from_cube(coeffs))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    def test_cube_shell_matrix_is_bitwise_the_scattered_one(self, d, p):
+        grid, cube, half = self._cube_pair(d)
+        bank = build_filter_bank(grid)
+        np.testing.assert_array_equal(shell_lp_matrix(cube, p, bank),
+                                      shell_lp_matrix(half, p, bank))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cube_snapshots_read_bitwise_like_the_scattered_ones(self, d):
+        grid, cube, half = self._cube_pair(d)
+        for i in range(cube.n_times):
+            assert cube.field(i).samples.tobytes() == half.field(i).samples.tobytes()
+        for t in (0.0, 0.05, cube.times[2], cube.T):
+            got = cube.sample_at(t)
+            assert got.coeffs.shape == (d,) + grid.spectral_shape
+            np.testing.assert_array_equal(got.coeffs, half.sample_at(t).coeffs)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mixed_layout_differences_land_on_the_half_spectrum(self, d):
+        grid, cube, half = self._cube_pair(d)
+        _, other_cube, other_half = self._cube_pair(d, seed=13)
+        want = half - other_half
+        assert not want.on_cube
+        both = cube - other_cube
+        assert both.on_cube
+        np.testing.assert_array_equal(grid.from_cube(both.coeffs), want.coeffs)
+        for got, ref in ((cube - other_half, want), (half - other_cube, want),
+                         (cube - half, half - half)):
+            assert not got.on_cube
+            np.testing.assert_array_equal(got.coeffs, ref.coeffs)
+
     def test_sample_at_interpolates(self, grid):
         series = self._series(grid)
         t = 0.5 * (series.times[1] + series.times[2])
