@@ -352,8 +352,7 @@ def init_iterate(
     grid: FrequencyGrid | None = None,
     bank: FilterBank | None = None,
 ) -> IterationState:
-    """Iterate 0: free heat evolution of the level-0 truncated data, B^0 on
-    the 2/3-rule cube when its data vanish off it (always at L = 2 pi)."""
+    """Iterate 0: free heat flow of the level-0 truncated data; B^0 on the cube if zero off it."""
     grid = grid or data.grid
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))

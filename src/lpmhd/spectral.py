@@ -11,7 +11,7 @@ Conventions fixed here, once, for the whole package:
   unnormalized real-input ``rfftn`` and the inverse ``irfftn`` divides by
   N**d, so samples and coefficients round-trip exactly up to floating
   roundoff, and the inverse returns fresh real float64 samples;
-* the one Fourier layout is the real-FFT half spectrum, of shape
+* the Fourier layout of a field is the real-FFT half spectrum, of shape
   ``grid.spectral_shape = (N,)*(d-1) + (N//2+1,)``: wavenumbers are
   k = (2*pi/L) * m with integer m in [-N/2, N/2) in FFT order on the first
   d-1 axes and m = 0..N/2 on the last.  The unstored modes m_last < 0 are
@@ -31,7 +31,8 @@ Conventions fixed here, once, for the whole package:
   factors and in the product.  What survives is the cube |m_a| <= N//3
   (``grid.cube``); ``fft/ifft(..., dealiased=True)`` return and take only
   its coefficients, bitwise equal to the full transforms gathered on it
-  and scattered from it, so dealiased arithmetic never touches the rest.
+  and scattered from it, so dealiased arithmetic never touches the rest;
+  time series that vanish off the cube are stored on it.
 """
 
 from __future__ import annotations
