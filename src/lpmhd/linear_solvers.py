@@ -146,8 +146,8 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
         u_next = e^z u + dt*(phi1(z) G_n + phi2(z) (G_{n+1} - G_n)),
 
     which integrates the linear part exactly and the Duhamel term exactly
-    for forcing linear in t, on the cube only for a cube forcing series.
-    Every step is stored, straight into the half-spectrum stack.
+    for forcing linear in t.  Every step is stored, straight into the
+    series' coefficient stack.
     """
     grid = problem.grid
     uhat = _coeffs(problem.u0)
@@ -157,17 +157,13 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     phi1 = etd_phi1(z)
     phi2 = etd_phi2(z)
     forcing = problem.forcing
-    on_cube = forcing is not None and forcing.on_cube
-    if on_cube:
-        phi1, phi2 = grid.to_cube(phi1), grid.to_cube(phi2)
-    g_n = None if forcing is None else _interpolate(forcing.times, forcing.coeffs, 0.0)
+    g_n = None if forcing is None else forcing.sample_at(0.0).coeffs
     times, stack = _snapshot_stack(problem, uhat)
     for n in range(1, problem.n_steps + 1):
         uhat = decay * uhat
         if forcing is not None:
-            g_next = _interpolate(forcing.times, forcing.coeffs, n * dt)
-            term = dt * (phi1 * g_n + phi2 * (g_next - g_n))
-            uhat = grid.from_cube(grid.to_cube(uhat) + term, out=uhat) if on_cube else uhat + term
+            g_next = forcing.sample_at(n * dt).coeffs
+            uhat = uhat + dt * (phi1 * g_n + phi2 * (g_next - g_n))
             g_n = g_next
         stack[n] = uhat
     return TimeSeriesField(grid, times, stack)
