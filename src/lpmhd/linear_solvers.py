@@ -14,6 +14,7 @@ constants are regression material, not theory; both sides are measured.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -240,9 +241,9 @@ class TransportProblem:
 
     The velocity is a divergence-free TimeSeriesField covering [0, T], and
     f0 and the source live on its grid; construction checks the divergence
-    defect (<= 1e-8 relative, by Parseval) and the advective CFL number
-    dt*max|v|*N/L <= 0.5 on ``velocity_samples``, the velocity's samples
-    from one batched inverse.
+    defect (<= 1e-8 relative, by Parseval on the stored layout, with no
+    transform).  The advective CFL number dt*max|v|*N/L <= 0.5 is checked
+    by ``solve_transport`` on each snapshot it reads.
     """
 
     f0: object
@@ -263,21 +264,37 @@ class TransportProblem:
             raise ValueError(f"f0 lives on {self.f0.grid!r}, the velocity on {grid!r}")
         if self.source is not None:
             _check_series("source", self.source, grid, self.T, self.f0.components)
-        vel = self.velocity.half_spectrum()
-        _check_divergence_free(grid, vel, 1e-8, "velocity is not divergence-free: |div v|_L2")
-        # One batched inverse serves the CFL number and every RK4 stage.
-        self.velocity_samples = grid.ifft(vel)
-        vmax = float(np.sqrt(np.max(np.sum(self.velocity_samples**2, axis=1))))
-        cfl = self.dt * vmax * grid.N / grid.L
-        if cfl > 0.5 + 1e-12:
-            raise ValueError(
-                f"CFL violation: dt*max|v|*N/L = {cfl:.3f} > 0.5 with dt={self.dt}"
-            )
-        self.vmax = vmax
+        _check_divergence_free(grid, self.velocity.coeffs, 1e-8,
+                               "velocity is not divergence-free: |div v|_L2")
 
     @property
     def grid(self) -> FrequencyGrid:
         return self.velocity.grid
+
+
+def _velocity_reader(problem: TransportProblem):
+    """v(t) -> velocity samples at t, interpolated as ``_interpolate`` does.
+    Each snapshot is inverted when first read (the pruned inverse for a cube
+    series) and its CFL number checked; the two latest are kept.  On a
+    violation every snapshot is inverted to report the max, as one batched
+    check over the whole series would."""
+    grid, velocity, dt = problem.grid, problem.velocity, problem.dt
+
+    def samples(i: int) -> np.ndarray:
+        return grid.ifft(velocity.coeffs[i], dealiased=velocity.on_cube)
+
+    def cfl(v: np.ndarray) -> float:
+        return dt * float(np.sqrt(np.max(np.sum(v**2, axis=0)))) * grid.N / grid.L
+
+    @functools.lru_cache(maxsize=2)
+    def snapshot(i: int) -> np.ndarray:
+        v = samples(i)
+        if cfl(v) > 0.5 + 1e-12:
+            worst = max(cfl(samples(j)) for j in range(velocity.n_times))
+            raise ValueError(f"CFL violation: dt*max|v|*N/L = {worst:.3f} > 0.5 with dt={dt}")
+        return v
+
+    return lambda t: _interpolate(velocity.times, snapshot, t)
 
 
 def _advection_rhs(
@@ -312,11 +329,9 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     ik = grid.to_cube(grid.ik)
     fhat = grid.to_cube(_coeffs(problem.f0))
     dt = problem.dt
-    velocity, source = problem.velocity, problem.source
+    source = problem.source
     source_cube = None if source is None else source.cube_coeffs()
-
-    def v_at(t: float) -> np.ndarray:
-        return _interpolate(velocity.times, problem.velocity_samples, t)
+    v_at = _velocity_reader(problem)
 
     def g_at(t: float) -> np.ndarray | None:
         if source is None:
@@ -406,14 +421,11 @@ def transport_estimate_report(
         gv = jacobian(v).as_field()
         return max(besov_norm(gv, BesovSpec(d / p, p, r), bank), lp_norm(gv, math.inf))
 
-    v_samples = problem.velocity_samples
-    if np.all(v_samples == v_samples[0]):
-        grad_strength = np.full(times.size, strength(Field(grid, v_samples[0])))  # steady
+    v_at, v_hats = _velocity_reader(problem), problem.velocity.coeffs
+    if np.all(v_hats == v_hats[0]):
+        grad_strength = np.full(times.size, strength(Field(grid, v_at(0.0))))  # steady
     else:
-        grad_strength = np.array([
-            strength(Field(grid, _interpolate(problem.velocity.times, v_samples, float(t))))
-            for t in times
-        ])
+        grad_strength = np.array([strength(Field(grid, v_at(float(t)))) for t in times])
     V = cumulative_trapezoid(grad_strength, times, initial=0.0)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
     f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)

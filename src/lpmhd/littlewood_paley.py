@@ -347,9 +347,10 @@ def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     return float(_aggregate(vals * _shell_weights(bank, spec.s), spec.r))
 
 
-def _interpolate(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
-    """stack (leading axis over ``times``) linearly interpolated at t; the
-    stored entry itself at a stored time."""
+def _interpolate(times: np.ndarray, stack, t: float) -> np.ndarray:
+    """stack (leading axis over ``times``, or a function of the snapshot
+    index) linearly interpolated at t; the stored entry itself at a stored time."""
+    at = stack if callable(stack) else stack.__getitem__
     T = float(times[-1])
     slack = 1e-12 * max(1.0, T)
     if t < -slack or t > T + slack:
@@ -357,9 +358,9 @@ def _interpolate(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
     t = min(max(t, 0.0), T)
     i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), times.size - 1)
     if i == times.size - 1 or abs(times[i] - t) <= slack:
-        return stack[i]
+        return at(i)
     w = (t - times[i]) / (times[i + 1] - times[i])
-    return (1.0 - w) * stack[i] + w * stack[i + 1]
+    return (1.0 - w) * at(i) + w * at(i + 1)
 
 
 @dataclass

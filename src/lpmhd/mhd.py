@@ -345,6 +345,16 @@ def compute_e0(data: MhdInitialData, p: float, bank: FilterBank) -> float:
     ) + besov_norm(SpectralField(grid, data.b0_hat), BesovSpec(d / p, p, 1.0), bank)
 
 
+def _heat_flow(hat: SpectralField, forcing: TimeSeriesField | None, T: float,
+               dt: float) -> TimeSeriesField:
+    """``solve_heat`` from ``hat`` under a cube forcing or none, gathered onto
+    the cube when ``hat`` is exactly zero off it, as every step then is."""
+    series = solve_heat(HeatProblem(hat, forcing, T, dt))
+    if np.any(hat.coeffs[:, ~hat.grid.dealias_mask]):
+        return series
+    return TimeSeriesField(hat.grid, series.times, hat.grid.to_cube(series.coeffs))
+
+
 def init_iterate(
     data: MhdInitialData,
     config: IterationConfig,
@@ -352,15 +362,12 @@ def init_iterate(
     grid: FrequencyGrid | None = None,
     bank: FilterBank | None = None,
 ) -> IterationState:
-    """Iterate 0: free heat flow of the level-0 truncated data; B^0 on the cube if zero off it."""
+    """Iterate 0: free heat flow of the level-0 truncated data, each field on the cube if zero off it."""
     grid = grid or data.grid
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
-    u_hat, b_hat = _truncated_coeffs(data, level, bank)
-    u_series = solve_heat(HeatProblem(u_hat, None, T, config.dt))
-    b_series = solve_heat(HeatProblem(b_hat, None, T, config.dt))
-    if not np.any(b_hat.coeffs[:, ~grid.dealias_mask]):
-        b_series = TimeSeriesField(grid, b_series.times, grid.to_cube(b_series.coeffs))
+    u_series, b_series = (_heat_flow(hat, None, T, config.dt)
+                          for hat in _truncated_coeffs(data, level, bank))
     return IterationState(
         n=0,
         u_series=u_series,
@@ -422,7 +429,8 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
     """Advance the scheme one index:
 
     u^{n+1}: heat solve from level-(n+1) truncated u0 under the
-             Leray-projected tensor forcing of iterate n,
+             Leray-projected tensor forcing of iterate n, on the cube when
+             the truncated u0 is zero off it,
     B^{n+1}: transport solve advected by u^n from level-(n+1) truncated B0
              with the stretching source (B^n.grad)u^n.
     The transport runs first, so its peak holds no u^{n+1}.
@@ -435,7 +443,7 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
         TransportProblem(b_hat, state.u_series, source, state.T, config.dt)
     )
     del source
-    u_next = solve_heat(HeatProblem(u_hat, forcing, state.T, config.dt))
+    u_next = _heat_flow(u_hat, forcing, state.T, config.dt)
     return replace(state, n=n_next, u_series=u_next, b_series=b_next)
 
 

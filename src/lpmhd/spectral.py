@@ -436,9 +436,10 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 def _l2_norms(grid: FrequencyGrid, hats: np.ndarray) -> np.ndarray:
-    """L^2 norms by Parseval from (..., c, *spectral_shape) coefficients,
-    one per leading index; |f(x)|_2 pointwise, as in ``lp_norm``."""
-    power = (hats.real**2 + hats.imag**2) * grid.parseval_weight
+    """L^2 norms by Parseval from (..., c, *spectral_shape) or (..., c,
+    *cube_shape) coefficients, one per leading index; |f(x)|_2 pointwise, as
+    in ``lp_norm``.  The cube's columns 0..N//3 all stand below N/2."""
+    power = (hats.real**2 + hats.imag**2) * grid.parseval_weight[: hats.shape[-1]]
     total = power.reshape(hats.shape[: -grid.d - 1] + (-1,)).sum(axis=-1)
     return np.sqrt(total) / float(grid.N) ** grid.d
 
@@ -446,10 +447,12 @@ def _l2_norms(grid: FrequencyGrid, hats: np.ndarray) -> np.ndarray:
 def _check_divergence_free(grid: FrequencyGrid, hats: np.ndarray, rtol: float,
                            message: str) -> np.ndarray:
     """Raise ValueError(f"{message} = <defect>") unless ||div f||_L2 <= rtol *
-    max(1, ||f||_L2) for every (d, *spectral_shape) field f of ``hats``, both
-    sides by Parseval with no transform; returns the ||f||_L2 values."""
+    max(1, ||f||_L2) for every (d, *spectral_shape) or (d, *cube_shape) field
+    f of ``hats``, both sides by Parseval with no transform; returns the
+    ||f||_L2 values."""
+    ik = grid.ik if hats.shape[-grid.d:] == grid.spectral_shape else grid.to_cube(grid.ik)
     norms = _l2_norms(grid, hats)
-    div_norms = _l2_norms(grid, np.sum(grid.ik * hats, axis=-grid.d - 1, keepdims=True))
+    div_norms = _l2_norms(grid, np.sum(ik * hats, axis=-grid.d - 1, keepdims=True))
     bad = div_norms > rtol * np.maximum(1.0, norms)
     if bad.any():
         raise ValueError(f"{message} = {div_norms[bad][0]:.3e}")

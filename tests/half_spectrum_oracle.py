@@ -25,9 +25,10 @@ def solve_transport(problem):
     fhat = _coeffs(problem.f0) * grid.dealias_mask
     dt = problem.dt
     velocity, source = problem.velocity, problem.source
+    velocity_samples = grid.ifft(velocity.half_spectrum())
 
     def v_at(t):
-        return _interpolate(velocity.times, problem.velocity_samples, t)
+        return _interpolate(velocity.times, velocity_samples, t)
 
     def g_at(t):
         if source is None:

@@ -1,6 +1,7 @@
 """Tests for the heat and transport sub-solvers and their estimate monitors."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -289,7 +290,8 @@ class TestTransportSolver:
         sol = solve_transport(problem)
         n = problem.n_steps
         # f0 in, then 4 RK stages per step; snapshots are stored as coefficients.
-        assert counts == Counter(fft=1 + 4 * n, ifft=4 * n)
+        # Each velocity snapshot is inverted once, when a step first reads it.
+        assert counts == Counter(fft=1 + 4 * n, ifft=4 * n + vel.n_times)
         assert sol.n_times == n + 1
 
     @pytest.mark.parametrize("d, n, L", [(2, 64, 3.0), (3, 16, 2.0 * math.pi)])
@@ -364,17 +366,47 @@ class TestTransportSolver:
             grid, np.stack([30.0 * np.ones(grid.shape), np.zeros(grid.shape)]), 0.1
         )
         with pytest.raises(ValueError, match="CFL violation"):
-            TransportProblem(f0, big, None, 0.1, 2e-3)
+            solve_transport(TransportProblem(f0, big, None, 0.1, 2e-3))
+        # Snapshot 0 passes and snapshot 1 is the first to violate (0.611);
+        # the message reports the max over all snapshots, snapshot 2's.
+        snaps = [Field(grid, np.stack([a * np.ones(grid.shape), np.zeros(grid.shape)]))
+                 for a in (1.0, 30.0, 40.0)]
+        later = TimeSeriesField.from_snapshots(np.array([0.0, 0.05, 0.1]), snaps)
+        with pytest.raises(ValueError, match=r"dt\*max\|v\|\*N/L = 0\.815 > 0\.5"):
+            solve_transport(TransportProblem(f0, later, None, 0.1, 2e-3))
 
     def test_construction_checks_divergence_by_parseval(self, grid, bank, count_transforms):
         f0 = Field(grid, np.ones((1,) + grid.shape))
         times = np.linspace(0.0, 0.1, 6)
         snaps = [divergence_free_field(grid, bank, sample_rng(5, i)) for i in range(times.size)]
         velocity = TimeSeriesField.from_snapshots(times, snaps)
+        cube = TimeSeriesField(grid, times, velocity.cube_coeffs())
         counts = count_transforms()
-        TransportProblem(f0, velocity, None, 0.1, 2e-3)
-        # Parseval on the coefficients, then one batched inverse for the samples.
-        assert counts == Counter(ifft=1)
+        for series in (velocity, cube):
+            TransportProblem(f0, series, None, 0.1, 2e-3)
+        # Parseval on the stored layout; only the march inverts the velocity.
+        assert counts == Counter()
+
+    def test_transport_holds_two_velocity_snapshots(self):
+        # Traced peak of building and solving a 3-D N=16 transport problem
+        # advected by a 30-snapshot cube velocity, in units of one snapshot's
+        # N^d samples.  Inverting every snapshot up front held all 30 (peak
+        # 103.8); inverting each when a step first reads it and keeping two
+        # brings it to 14.6.  The bound sits below 30.
+        grid = make_grid(3, 16)
+        bank = build_filter_bank(grid)
+        times = np.arange(30) * 1e-3
+        snaps = [divergence_free_field(grid, bank, sample_rng(7, i)) for i in range(30)]
+        velocity = TimeSeriesField(grid, times,
+                                   TimeSeriesField.from_snapshots(times, snaps).cube_coeffs())
+        f0 = Field(grid, np.random.default_rng(1).standard_normal((1,) + grid.shape))
+        tracemalloc.start()
+        try:
+            solve_transport(TransportProblem(f0, velocity, None, times[-1], 1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (grid.d * grid.N**grid.d * 8) < 22.0
 
     def test_compressible_velocity_rejected(self, grid):
         x1, _ = grid.coords()

@@ -6,6 +6,7 @@ import pytest
 import half_spectrum_oracle
 from lpmhd.spectral import (
     Field,
+    _check_divergence_free,
     _l2_norms,
     _samples_lp_norm,
     SpectralField,
@@ -140,6 +141,28 @@ class TestDealiasingCube:
         assert grid.from_cube(cube, out=out) is out
         np.testing.assert_array_equal(out[:, ~grid.dealias_mask], 7.0)
         np.testing.assert_array_equal(grid.to_cube(out), cube)
+
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    def test_divergence_check_reads_the_cube_like_its_scattered_copy(self, d, n):
+        # Stacks of three snapshots: Leray-projected noise passes, the noise
+        # itself fails; on the cube and on the half spectrum alike.
+        grid = make_grid(d, n)
+        noise = grid.fft(_random_field(grid, 11, components=3 * d).samples, dealiased=True)
+        noise = noise.reshape((3, d) + grid.cube_shape)
+        free = grid.to_cube(leray_project(SpectralField(grid, grid.from_cube(noise[0]))).coeffs)
+        for cube, passes in ((np.stack([free, 2.0 * free, -free]), True), (noise, False)):
+            outcomes = []
+            for hats in (cube, grid.from_cube(cube)):
+                try:
+                    outcomes.append(_check_divergence_free(grid, hats, 1e-8, "div"))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            if passes:
+                assert outcomes[0].shape == (3,)
+                np.testing.assert_allclose(outcomes[0], outcomes[1], rtol=1e-14)
+            else:
+                assert outcomes[0] == outcomes[1] and outcomes[0].startswith("div = ")
 
 
 class TestFieldTypes:
