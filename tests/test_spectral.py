@@ -142,7 +142,6 @@ class TestDealiasingCube:
         np.testing.assert_array_equal(out[:, ~grid.dealias_mask], 7.0)
         np.testing.assert_array_equal(grid.to_cube(out), cube)
 
-
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
     def test_divergence_check_reads_the_cube_like_its_scattered_copy(self, d, n):
         # Stacks of three snapshots: Leray-projected noise passes, the noise
