@@ -1,8 +1,9 @@
 """Shell-localized harmonic analysis and small-data MHD machinery on the
 periodic box.
 
-The package splits into layers: ``spectral`` (grids, FFT fields, calculus,
-Leray projection, dealiased products), ``littlewood_paley`` (dyadic filter
+The package splits into layers: ``spectral`` (grids, the real FFT and its
+2/3-rule cube transforms, fields, divergence, Leray projection, L^p norms,
+dealiased products), ``littlewood_paley`` (dyadic filter
 banks, shell norms, space-time norms, derivative-ratio checks),
 ``paraproduct`` (three-part product splitting and inequality checkers),
 ``linear_solvers`` (exponential heat marcher, RK4 advection marcher, and
@@ -15,19 +16,12 @@ from .spectral import (
     Field,
     FrequencyGrid,
     SpectralField,
-    TensorField,
     dealiased_product,
     divergence,
-    gradient,
-    heat_semigroup,
-    jacobian,
-    laplacian,
     leray_project,
     lp_norm,
     make_grid,
     mean_mode,
-    outer_product,
-    spectral_derivative,
     tensor_divergence,
     to_physical,
     to_spectral,

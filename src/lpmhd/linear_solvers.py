@@ -31,15 +31,8 @@ from .littlewood_paley import (
     chemin_lerner_norm,
     chemin_lerner_trace,
 )
-from .paraproduct import EstimateReport
-from .spectral import (
-    Field,
-    FrequencyGrid,
-    SpectralField,
-    _check_divergence_free,
-    jacobian,
-    lp_norm,
-)
+from .paraproduct import EstimateReport, _ratio_report
+from .spectral import Field, FrequencyGrid, SpectralField, _check_divergence_free, lp_norm
 
 __all__ = [
     "HeatProblem",
@@ -213,25 +206,9 @@ def heat_estimate_report(
         g_exp = s - 2.0 + (0.0 if math.isinf(q1) else 2.0 / q1)
         forcing = _restricted(problem.forcing, problem.T)
         g_norm = chemin_lerner_norm(forcing, BesovSpec(g_exp, p, r, q1), bank)
-    indices = {"s": s, "p": p, "r": r, "q": q, "q1": q1}
     rhs = u0_norm + g_norm
-    if rhs == 0.0:
-        return EstimateReport(
-            variant="heat",
-            indices=indices,
-            lhs=lhs,
-            factors=[("u0_norm", 0.0), ("G_norm", 0.0)],
-            ratio=0.0,
-            degenerate=True,
-        )
-    return EstimateReport(
-        variant="heat",
-        indices=indices,
-        lhs=lhs,
-        factors=[("u0_plus_G", rhs)],
-        ratio=lhs / rhs,
-        degenerate=False,
-    )
+    factors = [("u0_plus_G", rhs)] if rhs != 0.0 else [("u0_norm", 0.0), ("G_norm", 0.0)]
+    return _ratio_report("heat", {"s": s, "p": p, "r": r, "q": q, "q1": q1}, lhs, factors)
 
 
 @dataclass
@@ -403,7 +380,8 @@ def transport_estimate_report(
 
     returning traces at the smallest C for which it holds on the whole run.
     Admissible s: -d*min(1/p, 1-1/p) - 1 < s < 1 + d/p, with the upper
-    endpoint allowed exactly when r = 1.
+    endpoint allowed exactly when r = 1.  grad v comes from the velocity's
+    coefficients, so the CFL check is the one ``solve_transport`` made.
     """
     grid = problem.grid
     d = grid.d
@@ -417,15 +395,21 @@ def transport_estimate_report(
         )
     times = solution.times
 
-    def strength(v: Field) -> float:
-        gv = jacobian(v).as_field()
-        return max(besov_norm(gv, BesovSpec(d / p, p, r), bank), lp_norm(gv, math.inf))
+    velocity = problem.velocity
+    ik = grid.to_cube(grid.ik) if velocity.on_cube else grid.ik
 
-    v_at, v_hats = _velocity_reader(problem), problem.velocity.coeffs
-    if np.all(v_hats == v_hats[0]):
-        grad_strength = np.full(times.size, strength(Field(grid, v_at(0.0))))  # steady
+    def strength(t: float) -> float:
+        """max(||grad v||_{B^{d/p}_{p,r}}, ||grad v||_Linf) at t, from ik (x) v^."""
+        v_hat = _interpolate(velocity.times, velocity.coeffs, t)
+        grad = (v_hat[:, None] * ik).reshape((d * d,) + v_hat.shape[1:])
+        sup = lp_norm(Field(grid, grid.ifft(grad, dealiased=velocity.on_cube)), math.inf)
+        grad = SpectralField(grid, grid.from_cube(grad) if velocity.on_cube else grad)
+        return max(besov_norm(grad, BesovSpec(d / p, p, r), bank), sup)
+
+    if np.all(velocity.coeffs == velocity.coeffs[0]):
+        grad_strength = np.full(times.size, strength(0.0))  # steady
     else:
-        grad_strength = np.array([strength(Field(grid, v_at(float(t)))) for t in times])
+        grad_strength = np.array([strength(float(t)) for t in times])
     V = cumulative_trapezoid(grad_strength, times, initial=0.0)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
     f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)

@@ -280,10 +280,11 @@ class Horizon:
 def _free_evolution_traces(
     u0: Field | SpectralField, dt: float, t_max: float, p: float, bank: FilterBank
 ) -> tuple:
-    """Combined L~1(B^{d/p+1}) + L~2(B^{d/p}) running norms of e^{t Lap}u0."""
+    """Combined L~1(B^{d/p+1}) + L~2(B^{d/p}) running norms of e^{t Lap}u0 at
+    the multiples of dt up to t_max (within 1e-8 dt, as ``_n_steps`` allows)."""
     grid = u0.grid
     d = grid.d
-    n_steps = int(round(t_max / dt))
+    n_steps = math.floor(t_max / dt + 1e-8)
     times = np.arange(n_steps + 1) * dt
     hat0 = _coeffs(u0)
     mat = np.stack([_shell_lp_norms(hat0 * np.exp(-grid.k_sq * t), p, bank) for t in times], 1)

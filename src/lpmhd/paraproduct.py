@@ -75,13 +75,6 @@ class BonyParts:
         return self.t_u_v + self.t_v_u + self.r_u_v
 
 
-def _product_blocks(bank: FilterBank, f: Field) -> list:
-    """Shell samples Delta_j f with the dealias mask folded in."""
-    grid = bank.grid
-    hat = grid.fft(f.samples)
-    return list(grid.ifft(hat * (bank.phi * grid.dealias_mask)[:, None]))
-
-
 def _check_product_args(bank: FilterBank, u: Field, v: Field) -> None:
     if u.grid != bank.grid or v.grid != bank.grid:
         raise ValueError("fields and bank live on different grids")
@@ -95,26 +88,26 @@ def paraproduct(bank: FilterBank, u: Field, v: Field) -> Field:
 
     The sum runs over shells j_min+1 .. j_max; each term is dealiased and
     clipped to the sum-set annulus 2^j * (1/12, 10/3), outside which its
-    exact spectrum vanishes.
+    exact spectrum vanishes.  Factors, terms and sum are held on the 2/3-rule
+    cube (``grid.cube``).
     """
     _check_product_args(bank, u, v)
     grid = bank.grid
-    u_hat = grid.fft(u.samples)
-    v_hat = grid.fft(v.samples)
+    u_hat = grid.fft(u.samples, dealiased=True)
+    v_hat = grid.fft(v.samples, dealiased=True)
     c = max(u.components, v.components)
-    acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
-    rho = grid.k_mag
+    acc = np.zeros((c,) + grid.cube_shape, dtype=np.complex128)
+    rho = grid.to_cube(grid.k_mag)
     for j in range(bank.j_min + 1, bank.j_max + 1):
-        low = grid.ifft(u_hat * (bank.lowpass_multiplier(j - 1) * grid.dealias_mask))
-        high = grid.ifft(v_hat * (bank.block_multiplier(j) * grid.dealias_mask))
-        prod_hat = grid.fft(low * high)
+        low = grid.ifft(u_hat * grid.to_cube(bank.lowpass_multiplier(j - 1)), dealiased=True)
+        high = grid.ifft(v_hat * grid.to_cube(bank.block_multiplier(j)), dealiased=True)
         support = (rho > 2.0**j / 12.0) & (rho < (10.0 / 3.0) * 2.0**j)
-        acc += prod_hat * (grid.dealias_mask & support)
-    return Field(grid, grid.ifft(acc))
+        acc += grid.fft(low * high, dealiased=True) * support
+    return Field(grid, grid.ifft(acc, dealiased=True))
 
 
 def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
-    """Resonant part R(u, v) = sum_j (Delta_j u)(Delta~_j v).
+    """Resonant part R(u, v) = sum_j (Delta_j u)(Delta~_j v), on the 2/3-rule cube.
 
     Terms are grouped per diagonal so the accumulation order is invariant
     under swapping u and v; with commutative floating addition this makes
@@ -122,16 +115,17 @@ def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
     """
     _check_product_args(bank, u, v)
     grid = bank.grid
-    bu = _product_blocks(bank, u)
-    bv = _product_blocks(bank, v)
+    phi = grid.to_cube(bank.phi)[:, None]
+    bu, bv = (grid.ifft(grid.fft(f.samples, dealiased=True) * phi, dealiased=True)
+              for f in (u, v))
     c = max(u.components, v.components)
-    acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
+    acc = np.zeros((c,) + grid.cube_shape, dtype=np.complex128)
     for idx in range(bank.n_shells):
-        acc += grid.fft(bu[idx] * bv[idx]) * grid.dealias_mask
+        acc += grid.fft(bu[idx] * bv[idx], dealiased=True)
         if idx + 1 < bank.n_shells:
             cross = bu[idx] * bv[idx + 1] + bu[idx + 1] * bv[idx]
-            acc += grid.fft(cross) * grid.dealias_mask
-    return Field(grid, grid.ifft(acc))
+            acc += grid.fft(cross, dealiased=True)
+    return Field(grid, grid.ifft(acc, dealiased=True))
 
 
 def bony_decompose(bank: FilterBank, u: Field, v: Field) -> BonyParts:
@@ -144,28 +138,11 @@ def bony_decompose(bank: FilterBank, u: Field, v: Field) -> BonyParts:
 
 
 def _ratio_report(variant, indices, lhs, factors, seed=None) -> EstimateReport:
-    rhs = 1.0
-    for _, val in factors:
-        rhs *= val
-    if rhs == 0.0:
-        return EstimateReport(
-            variant=variant,
-            indices=indices,
-            lhs=lhs,
-            factors=factors,
-            ratio=0.0,
-            degenerate=True,
-            seed=seed,
-        )
-    return EstimateReport(
-        variant=variant,
-        indices=indices,
-        lhs=lhs,
-        factors=factors,
-        ratio=lhs / rhs,
-        degenerate=False,
-        seed=seed,
-    )
+    """lhs over the product of the factor values; a zero product is degenerate."""
+    rhs = math.prod(val for _, val in factors)
+    degenerate = rhs == 0.0
+    return EstimateReport(variant, indices, lhs, factors, 0.0 if degenerate else lhs / rhs,
+                          degenerate, seed)
 
 
 def product_law_ratio(
@@ -194,66 +171,37 @@ def product_law_ratio(
     d = bank.grid.d
     dp = d / p
     low = d * max(0.0, 2.0 / p - 1.0)
-    if variant == "T":
-        if not s2 <= dp:
-            raise ValueError(f"variant T requires s2 <= d/p: s2={s2}, d/p={dp}")
-    elif variant == "R":
-        if not s1 + s2 > low:
-            raise ValueError(
-                f"variant R requires s1+s2 > d*max(0, 2/p-1): "
-                f"s1+s2={s1 + s2}, bound={low}"
-            )
-    elif variant == "full":
-        if not (s1 <= dp and s2 <= dp):
-            raise ValueError(f"variant full requires s1, s2 <= d/p: "
-                             f"s1={s1}, s2={s2}, d/p={dp}")
-        if not s1 + s2 > low:
-            raise ValueError(
-                f"variant full requires s1+s2 > d*max(0, 2/p-1): "
-                f"s1+s2={s1 + s2}, bound={low}"
-            )
-    elif variant == "mixed":
-        if not (s1 <= dp and s2 < dp):
-            raise ValueError(f"variant mixed requires s1 <= d/p and s2 < d/p: "
-                             f"s1={s1}, s2={s2}, d/p={dp}")
-        if not s1 + s2 >= low:
-            raise ValueError(
-                f"variant mixed requires s1+s2 >= d*max(0, 2/p-1): "
-                f"s1+s2={s1 + s2}, bound={low}"
-            )
-    else:
+    sum_above = (s1 + s2 > low,
+                 f"s1+s2 > d*max(0, 2/p-1): s1+s2={s1 + s2}, bound={low}")
+    conditions = {
+        "T": [(s2 <= dp, f"s2 <= d/p: s2={s2}, d/p={dp}")],
+        "R": [sum_above],
+        "full": [(s1 <= dp and s2 <= dp, f"s1, s2 <= d/p: s1={s1}, s2={s2}, d/p={dp}"),
+                 sum_above],
+        "mixed": [(s1 <= dp and s2 < dp, f"s1 <= d/p and s2 < d/p: s1={s1}, s2={s2}, d/p={dp}"),
+                  (s1 + s2 >= low,
+                   f"s1+s2 >= d*max(0, 2/p-1): s1+s2={s1 + s2}, bound={low}")],
+    }
+    if variant not in conditions:
         raise ValueError(f"unknown variant {variant!r}")
+    for holds, condition in conditions[variant]:
+        if not holds:
+            raise ValueError(f"variant {variant} requires {condition}")
 
-    indices = {"s1": s1, "s2": s2, "p": p, "d": d}
-    s_out = s1 + s2 - dp
     if variant == "T":
         obj = paraproduct(bank, g, f)
-        lhs = besov_norm(obj, BesovSpec(s_out, p, 1.0), bank)
-        factors = [
-            ("f_B{s1}_p1", besov_norm(f, BesovSpec(s1, p, 1.0), bank)),
-            ("g_B{s2}_p1", besov_norm(g, BesovSpec(s2, p, 1.0), bank)),
-        ]
     elif variant == "R":
         obj = remainder(bank, f, g)
-        lhs = besov_norm(obj, BesovSpec(s_out, p, 1.0), bank)
-        factors = [
-            ("f_B{s1}_p1", besov_norm(f, BesovSpec(s1, p, 1.0), bank)),
-            ("g_B{s2}_p1", besov_norm(g, BesovSpec(s2, p, 1.0), bank)),
-        ]
-    elif variant == "full":
-        obj = dealiased_product(f, g)
-        lhs = besov_norm(obj, BesovSpec(s_out, p, 1.0), bank)
-        factors = [
-            ("f_B{s1}_p1", besov_norm(f, BesovSpec(s1, p, 1.0), bank)),
-            ("g_B{s2}_p1", besov_norm(g, BesovSpec(s2, p, 1.0), bank)),
-        ]
     else:
         obj = dealiased_product(f, g)
-        lhs = besov_norm(obj, BesovSpec(s_out, p, math.inf), bank)
-        factors = [
-            ("f_B{s1}_p1", besov_norm(f, BesovSpec(s1, p, 1.0), bank)),
-            ("g_B{s2}_pinf", besov_norm(g, BesovSpec(s2, p, math.inf), bank)),
-        ]
+    r = math.inf if variant == "mixed" else 1.0
+    lhs = besov_norm(obj, BesovSpec(s1 + s2 - dp, p, r), bank)
+    factors = [
+        ("f_B{s1}_p1", besov_norm(f, BesovSpec(s1, p, 1.0), bank)),
+        ("g_B{s2}_pinf" if variant == "mixed" else "g_B{s2}_p1",
+         besov_norm(g, BesovSpec(s2, p, r), bank)),
+    ]
+    indices = {"s1": s1, "s2": s2, "p": p, "d": d}
     return _ratio_report(variant, indices, lhs, factors, seed)
 
 
@@ -296,25 +244,9 @@ def _log_interpolation_from_matrix(
         float(_running_norm(mat, times, BesovSpec(s_j, p, r, q), bank)[-1])
         for s_j, r in ((s, 1.0), (s, math.inf), (s - eps, math.inf), (s + eps, math.inf))
     )
-    indices = {"s": s, "p": p, "q": q, "eps": eps}
     if denom == 0.0:
-        return EstimateReport(
-            variant="loginterp",
-            indices=indices,
-            lhs=lhs,
-            factors=[("sup_norm", 0.0), ("log_factor", 0.0)],
-            ratio=0.0,
-            degenerate=True,
-            seed=seed,
-        )
-    log_factor = math.log(math.e + (lo + hi) / denom)
-    rhs = (denom / eps) * log_factor
-    return EstimateReport(
-        variant="loginterp",
-        indices=indices,
-        lhs=lhs,
-        factors=[("sup_norm_over_eps", denom / eps), ("log_factor", log_factor)],
-        ratio=lhs / rhs,
-        degenerate=False,
-        seed=seed,
-    )
+        factors = [("sup_norm", 0.0), ("log_factor", 0.0)]
+    else:
+        log_factor = math.log(math.e + (lo + hi) / denom)
+        factors = [("sup_norm_over_eps", denom / eps), ("log_factor", log_factor)]
+    return _ratio_report("loginterp", {"s": s, "p": p, "q": q, "eps": eps}, lhs, factors, seed)

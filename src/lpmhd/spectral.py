@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -49,22 +49,14 @@ __all__ = [
     "FrequencyGrid",
     "Field",
     "SpectralField",
-    "TensorField",
     "make_grid",
     "to_spectral",
     "to_physical",
-    "spectral_derivative",
-    "gradient",
-    "jacobian",
     "divergence",
-    "laplacian",
     "leray_project",
-    "heat_semigroup",
     "lp_norm",
     "mean_mode",
-    "dealias",
     "dealiased_product",
-    "outer_product",
     "tensor_divergence",
 ]
 
@@ -319,27 +311,6 @@ class SpectralField:
         return self.coeffs.shape[0]
 
 
-@dataclass
-class TensorField:
-    """Rank-2 tensor samples M_ij(x), shape (d, d, N, ..., N)."""
-
-    grid: FrequencyGrid
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        d = self.grid.d
-        if self.entries.shape != (d, d) + self.grid.shape:
-            raise ValueError(
-                f"entries must have shape ({d},{d},...), got {self.entries.shape}"
-            )
-
-    def as_field(self) -> Field:
-        """Flatten to a d*d-component Field (row-major entry order)."""
-        d = self.grid.d
-        return Field(self.grid, self.entries.reshape((d * d,) + self.grid.shape))
-
-
 def _check_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
@@ -355,30 +326,6 @@ def to_physical(F: SpectralField) -> Field:
     return Field(F.grid, F.grid.ifft(F.coeffs))
 
 
-def spectral_derivative(F: SpectralField, axis: int) -> SpectralField:
-    """d/dx_axis as the multiplier i*k_axis (Nyquist planes zeroed)."""
-    if not 0 <= axis < F.grid.d:
-        raise ValueError(f"axis must be in [0,{F.grid.d}), got {axis}")
-    return SpectralField(F.grid, F.coeffs * F.grid.ik[axis])
-
-
-def gradient(f: Field) -> Field:
-    """Gradient of a scalar field as a d-component vector field."""
-    if f.components != 1:
-        raise ValueError("gradient expects a scalar field; see jacobian for vectors")
-    F = to_spectral(f)
-    return Field(f.grid, f.grid.ifft(F.coeffs[0] * f.grid.ik))
-
-
-def jacobian(f: Field) -> TensorField:
-    """Entries (i, j) -> d f_i / d x_j of a vector field."""
-    d = f.grid.d
-    if f.components != d:
-        raise ValueError(f"jacobian expects a {d}-component field, got {f.components}")
-    F = f.grid.fft(f.samples)
-    return TensorField(f.grid, f.grid.ifft(F[:, None] * f.grid.ik))
-
-
 def divergence(f: Field) -> Field:
     """Divergence of a vector field, as a scalar field."""
     d = f.grid.d
@@ -386,12 +333,6 @@ def divergence(f: Field) -> Field:
         raise ValueError(f"divergence expects a {d}-component field, got {f.components}")
     F = f.grid.fft(f.samples)
     return Field(f.grid, f.grid.ifft(np.sum(F * f.grid.ik, axis=0, keepdims=True)))
-
-
-def laplacian(f: Field) -> Field:
-    """Componentwise Laplacian via the -|k|^2 multiplier."""
-    F = f.grid.fft(f.samples)
-    return Field(f.grid, f.grid.ifft(F * (-f.grid.k_sq)))
 
 
 def leray_project(F: SpectralField) -> SpectralField:
@@ -418,13 +359,6 @@ def _leray(coeffs: np.ndarray, k_axes, k_sq: np.ndarray) -> np.ndarray:
     for a, k in enumerate(k_axes):
         out[a] -= k * dot
     return out
-
-
-def heat_semigroup(F: SpectralField, t: float) -> SpectralField:
-    """Apply e^{t Laplacian}, i.e. multiply by exp(-|k|^2 t); requires t >= 0."""
-    if t < 0:
-        raise ValueError(f"heat semigroup needs t >= 0, got {t}")
-    return SpectralField(F.grid, F.coeffs * np.exp(-F.grid.k_sq * t))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -486,11 +420,6 @@ def mean_mode(f: Field) -> np.ndarray:
     return f.samples.mean(axis=tuple(range(1, f.grid.d + 1)))
 
 
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero all modes with |m_i| > floor(N/3) on any axis."""
-    return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask)
-
-
 def _dealiased_samples(grid: FrequencyGrid, samples: np.ndarray) -> np.ndarray:
     return grid.ifft(grid.fft(samples, dealiased=True), dealiased=True)
 
@@ -508,20 +437,6 @@ def dealiased_product(f: Field, g: Field) -> Field:
     b = _dealiased_samples(g.grid, g.samples)
     prod = a * b
     return Field(f.grid, _dealiased_samples(f.grid, prod))
-
-
-def outer_product(a: Field, b: Field) -> TensorField:
-    """Dealiased outer product (a x b)_ij = a_i b_j of two vector fields."""
-    _check_same_grid(a, b)
-    d = a.grid.d
-    if a.components != d or b.components != d:
-        raise ValueError("outer product expects two vector fields")
-    am = _dealiased_samples(a.grid, a.samples)
-    bm = _dealiased_samples(b.grid, b.samples)
-    entries = np.einsum("i...,j...->ij...", am, bm)
-    flat = entries.reshape((d * d,) + a.grid.shape)
-    flat = _dealiased_samples(a.grid, flat)
-    return TensorField(a.grid, flat.reshape((d, d) + a.grid.shape))
 
 
 def tensor_divergence(a: Field, b: Field) -> Field:

@@ -1,7 +1,8 @@
-"""The transport marcher, the source assembly and the dealiased product
-helpers on the whole half spectrum, masking with ``grid.dealias_mask`` after
-every transform.  The package runs them on the 2/3-rule cube instead; these
-are the full-layout formulas its results must reproduce bit for bit.
+"""The transport marcher, the source assembly, the dealiased product
+helpers and the Bony paraproduct and remainder on the whole half spectrum,
+masking with ``grid.dealias_mask`` after every transform.  The package runs
+them on the 2/3-rule cube instead; these are the full-layout formulas its
+results must reproduce bit for bit.
 """
 
 import numpy as np
@@ -87,3 +88,32 @@ def tensor_divergence(a, b):
     for j in range(grid.d):
         out += grid.fft(am * bm[j]) * grid.dealias_mask * grid.ik[j]
     return grid.ifft(out)
+
+
+def paraproduct(bank, u, v):
+    """T_u v from masked shell transforms, each term masked and clipped, as samples."""
+    grid = bank.grid
+    u_hat, v_hat = grid.fft(u.samples), grid.fft(v.samples)
+    c = max(u.components, v.components)
+    acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
+    rho = grid.k_mag
+    for j in range(bank.j_min + 1, bank.j_max + 1):
+        low = grid.ifft(u_hat * (bank.lowpass_multiplier(j - 1) * grid.dealias_mask))
+        high = grid.ifft(v_hat * (bank.block_multiplier(j) * grid.dealias_mask))
+        support = (rho > 2.0**j / 12.0) & (rho < (10.0 / 3.0) * 2.0**j)
+        acc += grid.fft(low * high) * (grid.dealias_mask & support)
+    return grid.ifft(acc)
+
+
+def remainder(bank, u, v):
+    """R(u, v) from masked shell blocks, each diagonal's transform masked, as samples."""
+    grid = bank.grid
+    bu, bv = (list(grid.ifft(grid.fft(f.samples) * (bank.phi * grid.dealias_mask)[:, None]))
+              for f in (u, v))
+    c = max(u.components, v.components)
+    acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
+    for idx in range(bank.n_shells):
+        acc += grid.fft(bu[idx] * bv[idx]) * grid.dealias_mask
+        if idx + 1 < bank.n_shells:
+            acc += grid.fft(bu[idx] * bv[idx + 1] + bu[idx + 1] * bv[idx]) * grid.dealias_mask
+    return grid.ifft(acc)

@@ -8,6 +8,8 @@ sums and explicit shell weights.  The only inputs shared with the library
 are plain arrays: the shell multipliers phi_j and |k|^2 on the lattice.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
@@ -16,10 +18,10 @@ import shell_norm_oracle
 
 def free_evolution_traces(samples, phi, shells, k_sq, dt, t_max, p):
     """Running ||e^{t Lap}u0||_{L~1_t(B^{d/p+1}_{p,1})} + ||.||_{L~2_t(B^{d/p}_{p,1})}
-    on [0, t_i], for t_i = i*dt up to t_max; returns (times, values)."""
+    on [0, t_i], for every t_i = i*dt <= t_max; returns (times, values)."""
     d = samples.ndim - 1
     axes = tuple(range(1, samples.ndim))
-    times = np.arange(int(round(t_max / dt)) + 1) * dt
+    times = np.arange(math.floor(t_max / dt + 1e-8) + 1) * dt
     hat0 = np.fft.fftn(samples, axes=axes)
     snapshots = [np.fft.ifftn(hat0 * np.exp(-k_sq * t), axes=axes).real for t in times]
     mat = shell_norm_oracle.shell_matrix(snapshots, phi, p)

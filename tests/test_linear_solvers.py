@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import half_spectrum_oracle
-from lpmhd import linear_solvers
 from lpmhd import (
     Field,
     HeatProblem,
@@ -470,25 +469,33 @@ class TestTransportEstimate:
         assert ratios.shape == mon.times.shape
         assert np.all(ratios <= 1.0 + 1e-10)
 
-    def test_gradient_measured_once_for_steady_velocity(self, grid, bank, monkeypatch):
-        calls = []
-        original = linear_solvers.jacobian
-
-        def counted(v):
-            calls.append(v)
-            return original(v)
-
-        monkeypatch.setattr(linear_solvers, "jacobian", counted)
-        mon = self._shear_monitor(grid, bank)
-        assert len(calls) == 1
-        np.testing.assert_allclose(mon.V, mon.times * (mon.V[-1] / mon.times[-1]), rtol=1e-13)
-        calls.clear()
+    def test_gradient_measured_once_for_steady_velocity(self, grid, bank, count_transforms):
         x1, x2 = grid.coords()
+        f0 = Field(grid, np.cos(x1 + x2)[None])
+        counts = count_transforms()
+
+        def monitor(vel, T):
+            problem = TransportProblem(f0, vel, None, T, 2e-3)
+            sol = solve_transport(problem)
+            counts.clear()
+            return transport_estimate_report(sol, problem, 1.0, 2.0, 1.0, bank)
+
+        # v = (sin K x2, cos K x1): every mode of grad v sits at |k| = K, so
+        # |Delta_j grad v|_L2 = phi_j(K) K and |grad v|_Linf = K sqrt(2).
+        for K in (1, 4):
+            vel = _steady_velocity(grid, np.stack([np.sin(K * x2), np.cos(K * x1)]), 0.25)
+            besov = K * float(np.sum(2.0 ** np.array(bank.shells) * bank.phi[:, 0, K]))
+            strength = max(besov, K * math.sqrt(2.0))
+            cube = TimeSeriesField(grid, vel.times, grid.to_cube(vel.coeffs))
+            for series in (vel, cube):
+                mon = monitor(series, 0.25)
+                # f0's forward, and one inverse of the gradient for the whole run.
+                assert counts == Counter(fft=1, ifft=1)
+                np.testing.assert_allclose(mon.V, mon.times * strength, rtol=1e-13)
         v = Field(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]))
         vel = TimeSeriesField.from_snapshots(np.array([0.0, 0.02]), [v, 2.0 * v])
-        problem = TransportProblem(Field(grid, np.cos(x1 + x2)[None]), vel, None, 0.02, 2e-3)
-        mon = transport_estimate_report(solve_transport(problem), problem, 1.0, 2.0, 1.0, bank)
-        assert len(calls) == mon.times.size
+        mon = monitor(vel, 0.02)
+        assert counts == Counter(fft=1, ifft=mon.times.size)
         assert mon.V[-1] / mon.times[-1] > 1.3 * mon.V[1] / mon.times[1]
 
     def test_report_shape(self, grid, bank):

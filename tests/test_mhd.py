@@ -238,6 +238,19 @@ class TestHorizon:
         assert times.size == 26 and want[-1] > 0.0
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
+    @pytest.mark.parametrize("t_max", [0.0511, 0.0519])
+    def test_horizon_is_the_largest_multiple_of_dt_within_t_max(self, t_max):
+        # The cellular data stay under the threshold past t = 0.058, so the
+        # horizon is limited by t_max alone.
+        grid = make_grid(2, 32)
+        dt = 2e-3
+        h = select_time_horizon(taylor_green_data(grid).u0, 0.1, dt, t_max, 2.0,
+                                littlewood_paley.build_filter_bank(grid))
+        assert h.condition_met
+        assert h.T <= t_max
+        assert abs(h.T - round(h.T / dt) * dt) <= 1e-8 * dt
+        assert h.T > t_max - dt
+
     def test_threshold_monotone_in_eta(self, grid, bank):
         data = taylor_green_data(grid)
         t_small = select_time_horizon(data.u0, 0.05, 2e-3, 0.5, 2.0, bank).T

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import half_spectrum_oracle
 from lpmhd import (
     BesovSpec,
     Field,
     TimeSeriesField,
     bony_decompose,
+    build_filter_bank,
     dealiased_product,
     dyadic_block,
     decaying_series,
@@ -44,6 +46,26 @@ class TestBonyDecomposition:
         assert total.components == 2
         err = lp_norm(total - target, 2.0)
         assert err <= 1e-10 * lp_norm(target, 2.0)
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    @pytest.mark.parametrize("inputs", ["band-limited", "scalar x vector", "white noise"])
+    def test_cube_products_match_the_half_spectrum_formulas(self, d, n, inputs):
+        # White noise carries modes off the 2/3 cube; the products drop them.
+        grid = make_grid(d, n)
+        bank = build_filter_bank(grid)
+        rng = sample_rng(5, d)
+        if inputs == "white noise":
+            u, v = (Field(grid, rng.standard_normal((d,) + grid.shape)) for _ in range(2))
+        else:
+            u = interior_field(grid, bank, rng, components=1 if inputs == "scalar x vector" else d)
+            v = interior_field(grid, bank, rng, components=d)
+        for a, b in ((u, v), (v, u)):
+            np.testing.assert_array_equal(
+                paraproduct(bank, a, b).samples, half_spectrum_oracle.paraproduct(bank, a, b)
+            )
+            np.testing.assert_array_equal(
+                remainder(bank, a, b).samples, half_spectrum_oracle.remainder(bank, a, b)
+            )
 
     def test_remainder_swap_is_bit_exact(self, grid, bank):
         rng = sample_rng(4, 0)
