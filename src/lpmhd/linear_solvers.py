@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
     _coeffs,
+    _cumulative_trapezoid,
     _interpolate,
     besov_norm,
     chemin_lerner_norm,
@@ -410,7 +410,7 @@ def transport_estimate_report(
         grad_strength = np.full(times.size, strength(0.0))  # steady
     else:
         grad_strength = np.array([strength(float(t)) for t in times])
-    V = cumulative_trapezoid(grad_strength, times, initial=0.0)
+    V = _cumulative_trapezoid(grad_strength, times)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
     f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)
     if problem.source is None:
@@ -426,7 +426,7 @@ def transport_estimate_report(
     def rhs_at(c_val: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             damped = np.exp(-c_val * V) * g_norms
-            integral = cumulative_trapezoid(damped, times, initial=0.0)
+            integral = _cumulative_trapezoid(damped, times)
             return np.exp(c_val * V) * (f0_norm + integral)
 
     def holds(c_val: float) -> bool:

@@ -46,7 +46,6 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .spectral import Field, FrequencyGrid, SpectralField, _samples_lp_norm, lp_norm
 
@@ -458,6 +457,21 @@ def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.n
     return np.stack([_shell_lp_norms(hat, p, bank) for hat in hats], 1)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x along the last axis, 0 at x[0]:
+    scipy's ``cumulative_trapezoid(y, x, axis=-1, initial=0.0)`` step for
+    step, so bitwise equal to it."""
+    steps = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y over x along the last axis: scipy's
+    ``trapezoid(y, x)`` step for step.  np.sum adds pairwise, so this is not
+    the last entry of ``_cumulative_trapezoid``."""
+    return np.sum((x[1:] - x[:-1]) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+
+
 def _running_norm(
     mat: np.ndarray, times: np.ndarray, spec: BesovSpec, bank: FilterBank
 ) -> np.ndarray:
@@ -471,7 +485,7 @@ def _running_norm(
     elif times.size < 2:
         raise ValueError("finite q needs at least two snapshots")
     else:
-        acc = cumulative_trapezoid(mat**spec.q, times, axis=1, initial=0.0)
+        acc = _cumulative_trapezoid(mat**spec.q, times)
         per_shell = acc ** (1.0 / spec.q)
     weighted = per_shell * _shell_weights(bank, spec.s)[:, None]
     return np.asarray(_aggregate(weighted, spec.r, axis=0))
@@ -506,7 +520,7 @@ def lq_besov_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) ->
         return float(np.max(vals))
     if series.n_times < 2:
         raise ValueError("finite q needs at least two snapshots")
-    return float(trapezoid(vals**spec.q, series.times) ** (1.0 / spec.q))
+    return float(_trapezoid(vals**spec.q, series.times) ** (1.0 / spec.q))
 
 
 @dataclass

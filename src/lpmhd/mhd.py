@@ -36,13 +36,13 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
     _coeffs,
+    _cumulative_trapezoid,
     _running_norm,
     _shell_lp_norms,
     besov_norm,
@@ -658,7 +658,7 @@ def osgood_check(
         integrand = np.where(
             rho > 0.0, rho * np.log(math.e + c_t / np.where(rho > 0.0, rho, 1.0)), 0.0
         )
-    rhs = offset + a_t * cumulative_trapezoid(integrand, times, initial=0.0)
+    rhs = offset + a_t * _cumulative_trapezoid(integrand, times)
     margins = rhs - rho
     slack = 1e-15 * max(1.0, offset, float(np.max(rho, initial=0.0)))
     return OsgoodResult(

@@ -382,14 +382,15 @@ def _check_divergence_free(grid: FrequencyGrid, hats: np.ndarray, rtol: float,
                            message: str) -> np.ndarray:
     """Raise ValueError(f"{message} = <defect>") unless ||div f||_L2 <= rtol *
     max(1, ||f||_L2) for every (d, *spectral_shape) or (d, *cube_shape) field
-    f of ``hats``, both sides by Parseval with no transform; returns the
-    ||f||_L2 values."""
+    f of ``hats``, both sides by Parseval with no transform, one field at a
+    time so no temporary spans the stack; returns the ||f||_L2 values."""
     ik = grid.ik if hats.shape[-grid.d:] == grid.spectral_shape else grid.to_cube(grid.ik)
-    norms = _l2_norms(grid, hats)
-    div_norms = _l2_norms(grid, np.sum(ik * hats, axis=-grid.d - 1, keepdims=True))
-    bad = div_norms > rtol * np.maximum(1.0, norms)
-    if bad.any():
-        raise ValueError(f"{message} = {div_norms[bad][0]:.3e}")
+    norms = np.empty(hats.shape[: -grid.d - 1])
+    for index in np.ndindex(norms.shape):
+        norms[index] = _l2_norms(grid, hats[index])
+        div_norm = _l2_norms(grid, np.sum(ik * hats[index], axis=0, keepdims=True))
+        if div_norm > rtol * max(1.0, norms[index]):
+            raise ValueError(f"{message} = {div_norm:.3e}")
     return norms
 
 

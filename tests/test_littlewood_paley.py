@@ -386,6 +386,24 @@ class TestCheminLerner:
         monkeypatch.delattr(np, "trapezoid", raising=False)
         assert lq_besov_norm(series, spec, bank) == want
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 251])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_trapezoid_rules_match_scipy_bitwise(self, n, uniform, monkeypatch):
+        # Same arithmetic in the same order as scipy, on the declared NumPy
+        # floor: neither rule may reach for np.cumulative_sum or np.trapezoid.
+        from scipy.integrate import cumulative_trapezoid, trapezoid
+
+        monkeypatch.delattr(np, "cumulative_sum", raising=False)
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        rng = np.random.default_rng(n)
+        times = np.arange(n) * 2e-3 if uniform else np.cumsum(rng.random(n))
+        for y in (rng.standard_normal(n), rng.random((7, n)) ** 3):
+            want = cumulative_trapezoid(y, times, axis=-1, initial=0.0)
+            np.testing.assert_array_equal(littlewood_paley._cumulative_trapezoid(y, times), want)
+            got = littlewood_paley._trapezoid(y, times)
+            assert np.shape(got) == y.shape[:-1]
+            np.testing.assert_array_equal(got, trapezoid(y, times, axis=-1))
+
     @pytest.mark.parametrize("fn", [chemin_lerner_norm, chemin_lerner_trace])
     def test_norm_and_trace_share_their_errors(self, grid, bank, fn):
         f = Field(grid, np.zeros((1,) + grid.shape))

@@ -4,7 +4,10 @@ linger in either list."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,41 @@ def test_package_reexports_only_public_names():
         stray = [n for n in names if n not in module.__all__]
         assert not stray, f"lpmhd imports {stray} from {name}, which its __all__ omits"
         assert all(getattr(lpmhd, n) is getattr(module, n) for n in names)
+
+
+# Exercises every trapezoid call site (the running norms of run_iteration, the
+# transport report's V and rhs, osgood_check) and prints the scipy subpackages
+# beyond scipy.fft that the process loaded.  scipy.integrate alone brings in
+# the others and about 25 MB of resident memory.
+_FOOTPRINT_SCRIPT = """
+import sys
+import numpy as np
+import lpmhd, lpmhd.cli
+from lpmhd import IterationConfig, run_iteration, taylor_green_data
+from lpmhd.linear_solvers import TransportProblem, solve_transport, transport_estimate_report
+from lpmhd.littlewood_paley import TimeSeriesField
+from lpmhd.mhd import osgood_check
+from lpmhd.spectral import Field
+
+config = IterationConfig(N=16, t_max=0.01, max_iterations=1, tolerance=0.0)
+grid = config.grid()
+run_iteration(taylor_green_data(grid), config)
+x1, x2 = grid.coords()
+v = Field(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]))
+problem = TransportProblem(Field(grid, np.cos(x1)[None]),
+                           TimeSeriesField.from_snapshots(np.array([0.0, 0.01]), [v, v]),
+                           None, 0.01, 2e-3)
+transport_estimate_report(solve_transport(problem), problem, 1.0, 2.0, 1.0, config.bank(grid))
+osgood_check(np.array([0.0, 0.1, 0.2]), np.array([0.0, 1e-3, 2e-3]), 1.0, 1.0, 1e-6)
+banned = ("integrate", "optimize", "sparse", "linalg", "spatial")
+print(sorted(m for m in sys.modules if m.split(".")[:2] in [["scipy", b] for b in banned]))
+"""
+
+
+def test_runs_load_no_scipy_beyond_fft():
+    src = str(Path(lpmhd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
