@@ -40,6 +40,28 @@ def _step_series(grid, g, T, dt):
     return TimeSeriesField.from_snapshots(times, [Field(grid, g(t)) for t in times])
 
 
+def _traced_transport_peak(on_cube: bool) -> float:
+    """Traced peak of building and solving a 3-D N=16 transport problem
+    advected by a 30-snapshot velocity, on the cube or on the half spectrum,
+    in units of one snapshot's N^d samples."""
+    grid = make_grid(3, 16)
+    bank = build_filter_bank(grid)
+    times = np.arange(30) * 1e-3
+    snaps = [divergence_free_field(grid, bank, sample_rng(7, i)) for i in range(30)]
+    velocity = TimeSeriesField.from_snapshots(times, snaps)
+    if on_cube:
+        velocity = TimeSeriesField(grid, times, velocity.cube_coeffs())
+    assert velocity.on_cube == on_cube
+    f0 = Field(grid, np.random.default_rng(1).standard_normal((1,) + grid.shape))
+    tracemalloc.start()
+    try:
+        solve_transport(TransportProblem(f0, velocity, None, times[-1], 1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (grid.d * grid.N**grid.d * 8)
+
+
 class TestEtdPhi:
     def test_exact_values(self):
         np.testing.assert_allclose(etd_phi1(np.array([0.0])), [1.0], rtol=1e-15)
@@ -387,45 +409,16 @@ class TestTransportSolver:
         assert counts == Counter()
 
     def test_transport_holds_two_velocity_snapshots(self):
-        # Traced peak of building and solving a 3-D N=16 transport problem
-        # advected by a 30-snapshot cube velocity, in units of one snapshot's
-        # N^d samples.  Inverting every snapshot up front held all 30 (peak
-        # 103.8); inverting each when a step first reads it and keeping two
-        # brings it to 14.6.  The bound sits below 30.
-        grid = make_grid(3, 16)
-        bank = build_filter_bank(grid)
-        times = np.arange(30) * 1e-3
-        snaps = [divergence_free_field(grid, bank, sample_rng(7, i)) for i in range(30)]
-        velocity = TimeSeriesField(grid, times,
-                                   TimeSeriesField.from_snapshots(times, snaps).cube_coeffs())
-        f0 = Field(grid, np.random.default_rng(1).standard_normal((1,) + grid.shape))
-        tracemalloc.start()
-        try:
-            solve_transport(TransportProblem(f0, velocity, None, times[-1], 1e-3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (grid.d * grid.N**grid.d * 8) < 22.0
+        # Inverting every cube snapshot up front held all 30 (peak 103.8);
+        # inverting each when a step first reads it and keeping two brings it
+        # to 14.6.  The bound sits below 30.
+        assert _traced_transport_peak(on_cube=True) < 22.0
 
     def test_divergence_check_holds_one_half_spectrum_snapshot(self):
-        # The same problem with the velocity on the half spectrum.  Checking
-        # the whole stack at once peaked at 46.2 units in the construction;
-        # one field at a time leaves the solve's 12.7 as the peak.  The bound
-        # sits halfway.
-        grid = make_grid(3, 16)
-        bank = build_filter_bank(grid)
-        times = np.arange(30) * 1e-3
-        snaps = [divergence_free_field(grid, bank, sample_rng(7, i)) for i in range(30)]
-        velocity = TimeSeriesField.from_snapshots(times, snaps)
-        assert not velocity.on_cube
-        f0 = Field(grid, np.random.default_rng(1).standard_normal((1,) + grid.shape))
-        tracemalloc.start()
-        try:
-            solve_transport(TransportProblem(f0, velocity, None, times[-1], 1e-3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (grid.d * grid.N**grid.d * 8) < 29.4
+        # Checking the whole half-spectrum stack at once peaked at 46.2 in the
+        # construction; one field at a time leaves the solve's 12.7 as the
+        # peak.  The bound sits halfway.
+        assert _traced_transport_peak(on_cube=False) < 29.4
 
     def test_compressible_velocity_rejected(self, grid):
         x1, _ = grid.coords()

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 import shell_norm_oracle
 from lpmhd import littlewood_paley
@@ -391,8 +392,6 @@ class TestCheminLerner:
     def test_trapezoid_rules_match_scipy_bitwise(self, n, uniform, monkeypatch):
         # Same arithmetic in the same order as scipy, on the declared NumPy
         # floor: neither rule may reach for np.cumulative_sum or np.trapezoid.
-        from scipy.integrate import cumulative_trapezoid, trapezoid
-
         monkeypatch.delattr(np, "cumulative_sum", raising=False)
         monkeypatch.delattr(np, "trapezoid", raising=False)
         rng = np.random.default_rng(n)
