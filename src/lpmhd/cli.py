@@ -121,18 +121,21 @@ def _cmd_solve(args) -> int:
     T, dt = cfg.t_max, cfg.dt
     if args.problem == "heat":
         problem = HeatProblem(f0, None, T, dt)
-        solution = solve_heat(problem)
-        report = heat_estimate_report(
-            solution, problem, 1.0, 1.0, d / p - 1.0, p, 1.0, bank
-        )
     else:
         if args.velocity is None:
             raise ConfigError("transport solves need --velocity FILE")
         v = _read_field_checked(args.velocity, grid)
         velocity = TimeSeriesField.from_snapshots(np.array([0.0, T]), [v, v])
         problem = TransportProblem(f0, velocity, None, T, dt)
-        solution = solve_transport(problem)
-        report = transport_estimate_report(solution, problem, d / p, p, 1.0, bank).report()
+    try:
+        if args.problem == "heat":
+            solution = solve_heat(problem)
+            report = heat_estimate_report(solution, problem, 1.0, 1.0, d / p - 1.0, p, 1.0, bank)
+        else:
+            solution = solve_transport(problem)
+            report = transport_estimate_report(solution, problem, d / p, p, 1.0, bank).report()
+    except ValueError as exc:
+        return _run_failed(exc)
     # The estimate above saw every step; cadence thins only the files written.
     steps = sorted({*range(0, solution.n_times, cfg.cadence), solution.n_times - 1})
     paths = []
@@ -301,7 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     # ConfigError and FormatError are ValueErrors: all three are usage errors
-    # here; iterate and unique map a failure of the run itself to exit 1.
+    # here; solve, iterate and unique map a failure of the run itself to exit 1.
     try:
         return args.func(args)
     except ValueError as exc:

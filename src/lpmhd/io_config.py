@@ -52,7 +52,7 @@ FIELD_MAGIC = b"LPMHD001"
 
 # Config-file key -> (attribute, parser).  Key names are the file grammar
 # and the ``--key`` flags of the CLI; attribute names are the dataclass
-# fields.  ``j_min``, ``j_max`` and ``gauge_slack`` are Python-only.
+# fields.  ``j_min`` and ``j_max`` are Python-only.
 CONFIG_KEYS = {
     "d": ("d", int),
     "N": ("N", int),
@@ -262,13 +262,17 @@ def write_diagnostics(diag: IterationDiagnostics, path):
 def read_diagnostics(path) -> list:
     """Rows of a diagnostics CSV as dicts keyed by column name."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise FormatError(f"{path}: line 1: empty file, expected the header")
+    header = lines[0][1].split(",")
     if tuple(header) != DIAGNOSTIC_COLUMNS:
         raise FormatError(f"{path}: unexpected columns {header}")
     rows = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         cells = ln.split(",")
+        if len(cells) != len(header):
+            raise FormatError(f"{path}: line {no}: {len(cells)} cells, header has {len(header)}")
         row = {"n": int(cells[0])}
         for key, cell in zip(header[1:], cells[1:]):
             row[key] = float(cell)

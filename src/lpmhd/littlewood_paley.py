@@ -426,7 +426,7 @@ class TimeSeriesField:
 
     def field(self, i: int) -> Field:
         """Physical samples of snapshot i, for I/O and inspection."""
-        return Field(self.grid, self.grid.ifft(self.coeffs[i], dealiased=self.on_cube))
+        return Field(self.grid, self.grid.ifft(self.coeffs[i]))
 
     def sample_at(self, t: float) -> SpectralField:
         """Linear interpolation in time, on the half spectrum; exact at stored snapshots."""

@@ -94,15 +94,16 @@ __all__ = [
 ]
 
 
+_GAUGE_SLACK = 4.0  # scales the uniqueness gauge's perturbation allowance
+
+
 @dataclass
 class IterationConfig:
     """Grid, Besov index, stepping and smallness knobs for one iteration run.
 
     p is restricted to [1, 2d]; eta < 1 and C0 > 1 are the smallness and
     bound constants of the uniform estimates.  ``tolerance`` stops the
-    iteration once the successive-difference norm falls below it;
-    ``gauge_slack`` scales the perturbation allowance of the uniqueness
-    gauge and is not part of the run-config file grammar.
+    iteration once the successive-difference norm falls below it.
     """
 
     d: int = 2
@@ -118,7 +119,6 @@ class IterationConfig:
     seed: int = 0
     j_min: int | None = None
     j_max: int | None = None
-    gauge_slack: float = 4.0
 
     def __post_init__(self):
         if not (1.0 <= self.p <= 2.0 * self.d):
@@ -346,16 +346,6 @@ def compute_e0(data: MhdInitialData, p: float, bank: FilterBank) -> float:
     ) + besov_norm(SpectralField(grid, data.b0_hat), BesovSpec(d / p, p, 1.0), bank)
 
 
-def _heat_flow(hat: SpectralField, forcing: TimeSeriesField | None, T: float,
-               dt: float) -> TimeSeriesField:
-    """``solve_heat`` from ``hat`` under a cube forcing or none, gathered onto
-    the cube when ``hat`` is exactly zero off it, as every step then is."""
-    series = solve_heat(HeatProblem(hat, forcing, T, dt))
-    if np.any(hat.coeffs[:, ~hat.grid.dealias_mask]):
-        return series
-    return TimeSeriesField(hat.grid, series.times, hat.grid.to_cube(series.coeffs))
-
-
 def init_iterate(
     data: MhdInitialData,
     config: IterationConfig,
@@ -367,7 +357,7 @@ def init_iterate(
     grid = grid or data.grid
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
-    u_series, b_series = (_heat_flow(hat, None, T, config.dt)
+    u_series, b_series = (solve_heat(HeatProblem(hat, None, T, config.dt))
                           for hat in _truncated_coeffs(data, level, bank))
     return IterationState(
         n=0,
@@ -413,7 +403,7 @@ def _assemble_sources(
     u_cube, b_cube = u_series.cube_coeffs(), b_series.cube_coeffs()
     for n in range(u_series.n_times):
         pair = np.stack([u_cube[n], b_cube[n]])
-        um, bm = grid.ifft(pair, dealiased=True)
+        um, bm = grid.ifft(pair)
         for row, (i, j) in enumerate(zip(*upper)):
             np.multiply(bm[i], bm[j], out=prods[row])
             prods[row] -= um[i] * um[j]
@@ -444,7 +434,7 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
         TransportProblem(b_hat, state.u_series, source, state.T, config.dt)
     )
     del source
-    u_next = _heat_flow(u_hat, forcing, state.T, config.dt)
+    u_next = solve_heat(HeatProblem(u_hat, forcing, state.T, config.dt))
     return replace(state, n=n_next, u_series=u_next, b_series=b_next)
 
 
@@ -617,7 +607,7 @@ def system_residual(u_series: TimeSeriesField, b_series: TimeSeriesField) -> dic
     res_u, res_b = [], []
     for i in range(1, times.size - 1):
         dt2 = times[i + 1] - times[i - 1]
-        du_dt, db_dt = (grid.ifft(s.coeffs[i + 1] - s.coeffs[i - 1], dealiased=s.on_cube) / dt2
+        du_dt, db_dt = (grid.ifft(s.coeffs[i + 1] - s.coeffs[i - 1]) / dt2
                         for s in (u_series, b_series))
         u = u_series.field(i)
         b = b_series.field(i)
@@ -732,7 +722,7 @@ def _twin_report(
     db0_norm = norm(db_mat[:, :1], d / p - 1.0, math.inf, math.inf)
     scale = norm(u1_mat, d / p - 1.0, 1.0, math.inf) + b1_sup
     offset = (
-        config.gauge_slack * base.T * (du0_norm + a_t * db0_norm)
+        _GAUGE_SLACK * base.T * (du0_norm + a_t * db0_norm)
         + 1e-14 * base.T * (1.0 + scale)
     )
     verdict = osgood_check(times, rho, a_t, c_t, offset)

@@ -99,11 +99,11 @@ def paraproduct(bank: FilterBank, u: Field, v: Field) -> Field:
     acc = np.zeros((c,) + grid.cube_shape, dtype=np.complex128)
     rho = grid.to_cube(grid.k_mag)
     for j in range(bank.j_min + 1, bank.j_max + 1):
-        low = grid.ifft(u_hat * grid.to_cube(bank.lowpass_multiplier(j - 1)), dealiased=True)
-        high = grid.ifft(v_hat * grid.to_cube(bank.block_multiplier(j)), dealiased=True)
+        low = grid.ifft(u_hat * grid.to_cube(bank.lowpass_multiplier(j - 1)))
+        high = grid.ifft(v_hat * grid.to_cube(bank.block_multiplier(j)))
         support = (rho > 2.0**j / 12.0) & (rho < (10.0 / 3.0) * 2.0**j)
         acc += grid.fft(low * high, dealiased=True) * support
-    return Field(grid, grid.ifft(acc, dealiased=True))
+    return Field(grid, grid.ifft(acc))
 
 
 def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
@@ -116,8 +116,8 @@ def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
     _check_product_args(bank, u, v)
     grid = bank.grid
     phi = grid.to_cube(bank.phi)[:, None]
-    bu, bv = (grid.ifft(grid.fft(f.samples, dealiased=True) * phi, dealiased=True)
-              for f in (u, v))
+    hats = (grid.fft(f.samples, dealiased=True) for f in (u, v))
+    bu, bv = (grid.ifft(hat * phi) for hat in hats)
     c = max(u.components, v.components)
     acc = np.zeros((c,) + grid.cube_shape, dtype=np.complex128)
     for idx in range(bank.n_shells):
@@ -125,7 +125,7 @@ def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
         if idx + 1 < bank.n_shells:
             cross = bu[idx] * bv[idx + 1] + bu[idx + 1] * bv[idx]
             acc += grid.fft(cross, dealiased=True)
-    return Field(grid, grid.ifft(acc, dealiased=True))
+    return Field(grid, grid.ifft(acc))
 
 
 def bony_decompose(bank: FilterBank, u: Field, v: Field) -> BonyParts:

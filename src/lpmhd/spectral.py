@@ -29,10 +29,10 @@ Conventions fixed here, once, for the whole package:
 * pointwise products of band-limited data are dealiased with the 2/3
   rule: modes with |m_i| > floor(N/3) on any axis are zeroed in the
   factors and in the product.  What survives is the cube |m_a| <= N//3
-  (``grid.cube``); ``fft/ifft(..., dealiased=True)`` return and take only
-  its coefficients, bitwise equal to the full transforms gathered on it
-  and scattered from it, so dealiased arithmetic never touches the rest;
-  time series that vanish off the cube are stored on it.
+  (``grid.cube``); ``fft(..., dealiased=True)`` returns only its
+  coefficients and ``ifft`` takes them by their shape, bitwise equal to
+  the full transforms gathered on it and scattered from it, so dealiased
+  arithmetic never touches the rest; series that vanish off it live on it.
 """
 
 from __future__ import annotations
@@ -188,18 +188,21 @@ class FrequencyGrid:
             out = np.take(scipy.fft.fft(out, axis=axis, overwrite_x=True), rows, axis=axis)
         return out
 
-    def ifft(self, coeffs: np.ndarray, dealiased: bool = False) -> np.ndarray:
-        """Inverse of ``fft`` over the trailing d axes, as fresh real float64 samples.
+    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of ``fft`` over the trailing d axes, as fresh real float64
+        samples, for (..., *spectral_shape) or (..., *cube_shape) coefficients.
 
-        With ``dealiased``, ``coeffs`` holds only the cube's entries, and the
-        result is bitwise ``ifft(from_cube(coeffs))``: the axes are
-        transformed in ``irfftn``'s order (first to d-1-th, then the last),
-        each leading axis only on the lines that can be nonzero (columns
-        0..N//3, cube rows on the leading axes still to come), and the
-        1/N**d is one exact power-of-two scaling at the end.
+        A cube array's result is bitwise ``ifft(from_cube(coeffs))``: the
+        axes are transformed in ``irfftn``'s order (first to d-1-th, then the
+        last), each leading axis only on the lines that can be nonzero
+        (columns 0..N//3, cube rows on the leading axes still to come), and
+        the 1/N**d is one exact power-of-two scaling at the end.
         """
-        if not dealiased:
+        if coeffs.shape[-self.d:] == self.spectral_shape:
             return scipy.fft.irfftn(coeffs, s=self.shape, axes=self._spatial_axes)
+        if coeffs.shape[-self.d:] != self.cube_shape:
+            raise ValueError(f"coeffs must end in spectral_shape {self.spectral_shape} or "
+                             f"cube_shape {self.cube_shape}, got {coeffs.shape}")
         K, N = self.N // 3, self.N
         for a in range(self.d - 1):
             axis = a - self.d
@@ -422,7 +425,8 @@ def mean_mode(f: Field) -> np.ndarray:
 
 
 def _dealiased_samples(grid: FrequencyGrid, samples: np.ndarray) -> np.ndarray:
-    return grid.ifft(grid.fft(samples, dealiased=True), dealiased=True)
+    cube = grid.fft(samples, dealiased=True)
+    return grid.ifft(cube)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
@@ -453,4 +457,4 @@ def tensor_divergence(a: Field, b: Field) -> Field:
     bm = _dealiased_samples(grid, b.samples)
     ik = grid.to_cube(grid.ik)
     out = sum(grid.fft(am * bm[j], dealiased=True) * ik[j] for j in range(d))
-    return Field(grid, grid.ifft(out, dealiased=True))
+    return Field(grid, grid.ifft(out))

@@ -182,6 +182,34 @@ class TestSolveCommand:
         assert (out_dir / "transport_manifest.json").exists()
         assert (out_dir / "transport_estimate.csv").exists()
 
+    def test_cfl_failure_of_the_march_exit_1(self, capsys, tmp_path):
+        grid, _, path = _write_initial(tmp_path)
+        x2 = grid.coords()[1]
+        vpath = tmp_path / "v.field"
+        write_field(vpath, Field(grid, 200.0 * np.stack([np.sin(x2), np.zeros_like(x2)])))
+        out_dir = tmp_path / "out_cfl"
+        code = cli.main(["solve", "transport", "--initial", path, "--velocity", str(vpath),
+                         "--N", "32", "--T_max", "0.01", "--dt", "0.002",
+                         "--output_dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: CFL violation: dt*max|v|*N/L = 2.037 > 0.5" in err
+        assert not (out_dir / "transport_manifest.json").exists()
+
+    def test_problem_construction_errors_exit_2(self, capsys, tmp_path):
+        grid, _, path = _write_initial(tmp_path)
+        x1, x2 = grid.coords()
+        vpath = tmp_path / "v.field"
+        write_field(vpath, Field(grid, np.stack([np.sin(x1), np.zeros_like(x1)])))
+        code = cli.main(["solve", "transport", "--initial", path, "--velocity", str(vpath),
+                         "--N", "32", "--T_max", "0.01", "--dt", "0.002"])
+        assert code == 2
+        assert "velocity is not divergence-free" in capsys.readouterr().err
+        code = cli.main(["solve", "heat", "--initial", path, "--N", "32",
+                         "--T_max", "0.015", "--dt", "0.01"])
+        assert code == 2
+        assert "is not a multiple of dt" in capsys.readouterr().err
+
     def test_missing_initial_file_exit_2(self, capsys, tmp_path):
         code = cli.main(
             ["solve", "heat", "--initial", str(tmp_path / "absent.field"), "--N", "32"]

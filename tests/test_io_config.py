@@ -232,6 +232,20 @@ class TestDiagnosticsFormat:
         write_diagnostics(diag, path)
         assert read_diagnostics(path) == []
 
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        write_diagnostics(_fake_diagnostics(), path)
+        with open(path, "a") as fh:
+            fh.write("0,0.1\n")
+        with pytest.raises(FormatError, match=r"diag\.csv: line 4: 2 cells, header has 8"):
+            read_diagnostics(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        path.write_text("")
+        with pytest.raises(FormatError, match=r"diag\.csv: line 1: empty file"):
+            read_diagnostics(path)
+
 
 class TestUniquenessJson:
     def _report(self):

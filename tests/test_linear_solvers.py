@@ -11,6 +11,7 @@ import half_spectrum_oracle
 from lpmhd import (
     Field,
     HeatProblem,
+    SpectralField,
     TimeSeriesField,
     TransportProblem,
     build_filter_bank,
@@ -142,6 +143,30 @@ class TestHeatSolver:
         got, want = (solve_heat(HeatProblem(u0, g, 0.02, 2e-3)) for g in (cube, half))
         assert cube.on_cube and not got.on_cube
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_data_zero_off_the_cube_march_on_it(self, grid):
+        # One mode off the cube keeps the march on the half spectrum, and the
+        # cube march is that march gathered, to the bit: modes evolve apart.
+        rng = np.random.default_rng(23)
+        cube_u0 = grid.fft(rng.standard_normal((2,) + grid.shape), dealiased=True)
+        u0 = SpectralField(grid, grid.from_cube(cube_u0))
+        off = SpectralField(grid, u0.coeffs.copy())
+        off.coeffs[(0,) + (grid.N // 2,) * grid.d] = 1.0
+        times = np.linspace(0.0, 0.02, 4)
+        coeffs = np.stack([grid.fft(rng.standard_normal((2,) + grid.shape), dealiased=True)
+                           for _ in times])
+        for cube in (None, TimeSeriesField(grid, times, coeffs)):
+            half = None if cube is None else TimeSeriesField(grid, times, grid.from_cube(coeffs))
+            with pytest.MonkeyPatch.context() as mp:  # the cube march reads the stack itself
+                mp.delattr(TimeSeriesField, "sample_at")
+                got = solve_heat(HeatProblem(u0, cube, 0.02, 2e-3))
+            wants = [solve_heat(HeatProblem(off, g, 0.02, 2e-3)) for g in (cube, half)]
+            if half is not None:
+                wants.append(solve_heat(HeatProblem(u0, half, 0.02, 2e-3)))
+            assert got.on_cube and got.coeffs.shape[2:] == grid.cube_shape
+            for want in wants:
+                assert not want.on_cube
+                assert got.coeffs.tobytes() == grid.to_cube(want.coeffs).tobytes()
 
     def test_snapshots_stored_as_coefficients(self, grid, count_transforms):
         x1, x2 = grid.coords()

@@ -624,7 +624,7 @@ class TestUniquenessGauge:
         )
         scale = rep.solution_scale
         assert rep.offset == (
-            cfg.gauge_slack * base.T * (du0 + a_t * db0) + 1e-14 * base.T * (1.0 + scale)
+            mhd._GAUGE_SLACK * base.T * (du0 + a_t * db0) + 1e-14 * base.T * (1.0 + scale)
         )
 
     def test_zero_perturbation_twin_is_identical(self, grid):

@@ -120,9 +120,19 @@ class TestDealiasingCube:
         cube = hat[(Ellipsis,) + np.ix_(*grid.cube)]
         full = np.zeros_like(hat)
         full[(Ellipsis,) + np.ix_(*grid.cube)] = cube
-        got = grid.ifft(cube, dealiased=True)
+        got = grid.ifft(cube)
         assert got.dtype == np.float64 and got.flags.owndata
         np.testing.assert_array_equal(got, grid.ifft(full))
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
+    def test_inverse_rejects_a_trailing_shape_of_neither_layout(self, d, n):
+        grid = make_grid(d, n)
+        wider = grid.cube_shape[:-1] + (grid.cube_shape[-1] + 1,)
+        for tail in (grid.shape, wider):
+            with pytest.raises(ValueError) as info:
+                grid.ifft(np.zeros((2,) + tail, dtype=np.complex128))
+            assert str(grid.spectral_shape) in str(info.value)
+            assert str(grid.cube_shape) in str(info.value)
 
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
     def test_gather_and_scatter_round_trip(self, d, n):
