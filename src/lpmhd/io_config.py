@@ -260,7 +260,7 @@ def write_diagnostics(diag: IterationDiagnostics, path):
 
 
 def read_diagnostics(path) -> list:
-    """Rows of a diagnostics CSV as dicts keyed by column name."""
+    """Rows of a diagnostics CSV as dicts keyed by column name; FormatError if malformed."""
     with open(path) as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -273,10 +273,10 @@ def read_diagnostics(path) -> list:
         cells = ln.split(",")
         if len(cells) != len(header):
             raise FormatError(f"{path}: line {no}: {len(cells)} cells, header has {len(header)}")
-        row = {"n": int(cells[0])}
-        for key, cell in zip(header[1:], cells[1:]):
-            row[key] = float(cell)
-        rows.append(row)
+        try:
+            rows.append({"n": int(cells[0]), **dict(zip(header[1:], map(float, cells[1:])))})
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {no}: {exc}") from None
     return rows
 
 

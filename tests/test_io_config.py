@@ -190,6 +190,9 @@ def _fake_diagnostics():
     )
 
 
+_DIAGNOSTICS_HEADER = "n,T,E0,H1_lhs,H1_rhs,H2_lhs,H2_rhs,D_n\n"
+
+
 class TestDiagnosticsFormat:
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "diag.csv"
@@ -232,18 +235,15 @@ class TestDiagnosticsFormat:
         write_diagnostics(diag, path)
         assert read_diagnostics(path) == []
 
-    def test_short_row_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        (_DIAGNOSTICS_HEADER + "0,0.1\n", "line 2: 2 cells, header has 8"),
+        (_DIAGNOSTICS_HEADER + "x,0.02,0.1,0.5,1.6,0.01,0.1,0.125\n", "line 2: invalid literal"),
+    ], ids=["empty", "short_row", "non_numeric"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "diag.csv"
-        write_diagnostics(_fake_diagnostics(), path)
-        with open(path, "a") as fh:
-            fh.write("0,0.1\n")
-        with pytest.raises(FormatError, match=r"diag\.csv: line 4: 2 cells, header has 8"):
-            read_diagnostics(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "diag.csv"
-        path.write_text("")
-        with pytest.raises(FormatError, match=r"diag\.csv: line 1: empty file"):
+        path.write_text(text)
+        with pytest.raises(FormatError, match=r"diag\.csv: " + message):
             read_diagnostics(path)
 
 
