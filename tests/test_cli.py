@@ -198,7 +198,7 @@ class TestSolveCommand:
 
     def test_problem_construction_errors_exit_2(self, capsys, tmp_path):
         grid, _, path = _write_initial(tmp_path)
-        x1, x2 = grid.coords()
+        x1 = grid.coords()[0]
         vpath = tmp_path / "v.field"
         write_field(vpath, Field(grid, np.stack([np.sin(x1), np.zeros_like(x1)])))
         code = cli.main(["solve", "transport", "--initial", path, "--velocity", str(vpath),
