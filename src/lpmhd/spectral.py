@@ -4,13 +4,13 @@ constant-coefficient operators everything else is built from.
 Conventions fixed here, once, for the whole package:
 
 * the box is [0, L)^d sampled on a uniform N^d lattice, N a power of two;
-* FFTs run through ``scipy.fft`` over the trailing d axes, and only
+* FFTs run through ``numpy.fft`` over the trailing d axes, and only
   through ``FrequencyGrid.fft/ifft`` (the p != 2 shell norms invert each
-  shell by a dense DFT on its support cube instead, in
-  ``littlewood_paley``): the forward transform is the
-  unnormalized real-input ``rfftn`` and the inverse ``irfftn`` divides by
-  N**d, so samples and coefficients round-trip exactly up to floating
-  roundoff, and the inverse returns fresh real float64 samples;
+  shell by a dense DFT on its support cube instead, in ``littlewood_paley``):
+  the forward transform is the unnormalized real-input ``rfftn`` and the
+  inverse ``irfftn`` divides by N**d, both bitwise ``scipy.fft``'s, so
+  samples and coefficients round-trip exactly up to floating roundoff, and
+  the inverse returns fresh real float64 samples;
 * the Fourier layout of a field is the real-FFT half spectrum, of shape
   ``grid.spectral_shape = (N,)*(d-1) + (N//2+1,)``: wavenumbers are
   k = (2*pi/L) * m with integer m in [-N/2, N/2) in FFT order on the first
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "FrequencyGrid",
@@ -108,7 +107,6 @@ class FrequencyGrid:
         self.dealias_mask = mask
         self.parseval_weight = np.full(self.N // 2 + 1, 2.0)
         self.parseval_weight[[0, -1]] = 1.0
-        self._spatial_axes = tuple(range(-self.d, 0))
 
     @property
     def shape(self) -> tuple:
@@ -171,65 +169,67 @@ class FrequencyGrid:
             out[(Ellipsis,) + full] = cube_coeffs[(Ellipsis,) + part]
         return out
 
+    def _reframe(self, lines: np.ndarray, axis: int, rows: int, swap: bool = False) -> np.ndarray:
+        """Fresh array with ``rows`` rows along ``axis`` and K+1 columns that
+        takes the cube rows (the first K+1 and the last K) of the first K+1
+        columns of ``lines``, zero elsewhere: 2K+1 rows gather the cube, N rows
+        scatter it back.  ``swap`` stores axis -2 innermost, so that numpy.fft
+        transforms all its lines in one pocketfft call, not one per row."""
+        K, n = self.N // 3, lines.shape[axis]
+        shape = list(lines.shape)
+        shape[axis], shape[-1] = rows, K + 1
+        blank = np.zeros if rows > n else np.empty  # a gather writes every entry
+        out = blank(shape[:-2] + (shape[:-3:-1] if swap else shape[-2:]), complex)
+        out = out.swapaxes(-1, -2) if swap else out
+        head = (slice(None),) * (lines.ndim + axis)
+        for dst, src in ((slice(0, K + 1),) * 2, (slice(rows - K, rows), slice(n - K, n))):
+            out[head + (dst, ..., slice(0, K + 1))] = lines[head + (src, ..., slice(0, K + 1))]
+        return out
+
     def fft(self, samples: np.ndarray, dealiased: bool = False) -> np.ndarray:
         """Forward real transform over the trailing d axes; leading axes batch.
 
-        With ``dealiased`` only the cube's coefficients are returned, bitwise
-        equal to ``to_cube(fft(samples))``: the axes are transformed in
-        ``rfftn``'s order (last, then first to d-1-th) and each is cut to the
-        cube before the next, so later axes transform fewer lines.
-        """
-        if not dealiased:
-            return scipy.fft.rfftn(samples, axes=self._spatial_axes)
-        cols = self.cube[-1].size
-        out = np.ascontiguousarray(scipy.fft.rfft(samples, axis=-1)[..., :cols])
-        for a, rows in enumerate(self.cube[:-1]):
-            axis = a - self.d
-            out = np.take(scipy.fft.fft(out, axis=axis, overwrite_x=True), rows, axis=axis)
+        The axes go in ``scipy.fft.rfftn``'s order (the last, then the first
+        to d-1-th), so the result is bitwise scipy's.  ``dealiased`` returns
+        only the cube, bitwise ``to_cube(fft(samples))``: the array is cut to
+        it after each leading axis, so later axes transform fewer lines."""
+        K = self.N // 3
+        out = np.fft.rfft(samples, axis=-1)
+        if dealiased and self.d == 2:  # in 3-D this cut would cost one pocketfft call per row
+            out = out[..., : K + 1]
+        for axis in range(-self.d, -1):
+            np.fft.fft(out, axis=axis, out=out)
+            if dealiased:
+                out = self._reframe(out, axis, 2 * K + 1, swap=axis < -2)
         return out
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of ``fft`` over the trailing d axes, as fresh real float64
         samples, for (..., *spectral_shape) or (..., *cube_shape) coefficients.
 
-        A cube array's result is bitwise ``ifft(from_cube(coeffs))``: the
-        axes are transformed in ``irfftn``'s order (first to d-1-th, then the
-        last), each leading axis only on the lines that can be nonzero
-        (columns 0..N//3, cube rows on the leading axes still to come), and
-        the 1/N**d is one exact power-of-two scaling at the end.
-        """
-        if coeffs.shape[-self.d:] == self.spectral_shape:
-            return scipy.fft.irfftn(coeffs, s=self.shape, axes=self._spatial_axes)
-        if coeffs.shape[-self.d:] != self.cube_shape:
+        The axes go in ``scipy.fft.irfftn``'s order and 1/N**d is one exact
+        scaling at the end, so the result is bitwise scipy's.  A cube array's
+        is bitwise ``ifft(from_cube(coeffs))``: each leading axis is padded
+        from the 2K+1 cube rows to N just before its transform, and only the
+        K+1 columns that can be nonzero are transformed before ``irfft``."""
+        on_cube = coeffs.shape[-self.d:] == self.cube_shape
+        if not on_cube and coeffs.shape[-self.d:] != self.spectral_shape:
             raise ValueError(f"coeffs must end in spectral_shape {self.spectral_shape} or "
                              f"cube_shape {self.cube_shape}, got {coeffs.shape}")
-        K, N = self.N // 3, self.N
-        for a in range(self.d - 1):
-            axis = a - self.d
-            shape = list(coeffs.shape)
-            shape[axis] = N
-            if a == self.d - 2:
-                shape[-1] = N // 2 + 1
-            lines = np.zeros(shape, dtype=np.complex128)
-            cols = lines[..., : K + 1]
-            head = (slice(None),) * (coeffs.ndim + axis)
-            cols[head + (slice(0, K + 1),)] = coeffs[head + (slice(0, K + 1),)]
-            cols[head + (slice(N - K, N),)] = coeffs[head + (slice(K + 1, 2 * K + 1),)]
-            done = scipy.fft.ifft(cols, axis=axis, norm="forward", overwrite_x=True)
-            if not np.shares_memory(done, cols):  # overwrite_x permits, not promises, in place
-                cols[...] = done
-            coeffs = cols
-        samples = scipy.fft.irfft(lines, n=N, axis=-1, norm="forward")
-        samples *= 1.0 / N**self.d
+        lines = coeffs
+        for axis in range(-self.d, -1):
+            if on_cube:
+                lines = self._reframe(lines, axis, self.N)
+            # Only the caller's array is left as it is; every later one is ours.
+            lines = np.fft.ifft(lines, axis=axis, norm="forward",
+                                out=None if lines is coeffs else lines)
+        samples = np.fft.irfft(lines, n=self.N, axis=-1, norm="forward")
+        samples *= 1.0 / self.N**self.d
         return samples
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrequencyGrid)
-            and self.d == other.d
-            and self.N == other.N
-            and self.L == other.L
-        )
+        return (isinstance(other, FrequencyGrid)
+                and (self.d, self.N, self.L) == (other.d, other.N, other.L))
 
     def __hash__(self):
         return hash((self.d, self.N, self.L))
@@ -425,8 +425,7 @@ def mean_mode(f: Field) -> np.ndarray:
 
 
 def _dealiased_samples(grid: FrequencyGrid, samples: np.ndarray) -> np.ndarray:
-    cube = grid.fft(samples, dealiased=True)
-    return grid.ifft(cube)
+    return grid.ifft(grid.fft(samples, dealiased=True))
 
 
 def dealiased_product(f: Field, g: Field) -> Field:

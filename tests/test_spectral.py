@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import half_spectrum_oracle
 from lpmhd.spectral import (
@@ -42,6 +43,22 @@ class TestFrequencyGrid:
         assert out.flags.owndata
         expected = np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(1, d + 1)))
         assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("d, n, L", [(2, 64, 2.0 * math.pi), (3, 16, 2.0 * math.pi), (3, 32, 3.0)])
+    @pytest.mark.parametrize("lead", [(1,), (3,), (9,), (2, 3)])
+    def test_transforms_are_bitwise_scipys(self, d, n, L, lead):
+        # numpy.fft runs the pocketfft that scipy.fft runs, and the axes go in
+        # rfftn's order, so the bits agree; scipy is a test-only reference.
+        grid = make_grid(d, n, L)
+        samples = np.random.default_rng(n + len(lead)).standard_normal(lead + grid.shape)
+        axes = tuple(range(-d, 0))
+        hat = scipy.fft.rfftn(samples, axes=axes)
+        cube = grid.to_cube(hat)
+        np.testing.assert_array_equal(grid.fft(samples), hat)
+        np.testing.assert_array_equal(grid.fft(samples, dealiased=True), cube)
+        np.testing.assert_array_equal(grid.ifft(hat), scipy.fft.irfftn(hat, s=grid.shape, axes=axes))
+        np.testing.assert_array_equal(
+            grid.ifft(cube), scipy.fft.irfftn(grid.from_cube(cube), s=grid.shape, axes=axes))
 
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
     def test_derivative_multipliers_cached_with_nyquist_zeroed(self, d, n):
