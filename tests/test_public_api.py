@@ -44,10 +44,10 @@ def test_package_reexports_only_public_names():
         assert all(getattr(lpmhd, n) is getattr(module, n) for n in names)
 
 
-# Exercises every transform layout and every trapezoid call site (the running
-# norms of run_iteration, the transport report's V and rhs, osgood_check) and
-# prints every scipy module the process loaded.  The package runs on numpy
-# alone; scipy.fft would add about 27 MB of resident memory, scipy.integrate
+# Runs both transform layouts and every trapezoid call site (the running norms
+# of run_iteration, the transport report's V and rhs, osgood_check) and prints
+# every scipy module the process loaded.  The package runs on numpy
+# alone; scipy.fft would add about 23 MB of resident memory, scipy.integrate
 # about 25 MB more.
 _FOOTPRINT_SCRIPT = """
 import sys
