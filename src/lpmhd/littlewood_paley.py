@@ -38,7 +38,6 @@ the shell matrices of the time-mixed norms read it with no transform at p = 2.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,6 +234,7 @@ class FilterBank:
     def fingerprint(self) -> dict:
         """Deterministic summary of the bank, with a hash of the values on the
         full N^d lattice (phi is radial, so column m mirrors column |m|)."""
+        import hashlib  # here, so only writing filter_bank.json loads OpenSSL
         full = np.take(self.phi, np.abs(self.grid.m1d), axis=-1)
         digest = hashlib.sha256(np.ascontiguousarray(full).tobytes()).hexdigest()
         return {

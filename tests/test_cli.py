@@ -64,6 +64,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "unrecognized arguments: --threads" in err
 
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_2(self, capsys, suite, samples):
+        # Used to run the suite's fixed checks, then fail in a reduction
+        # over the empty corpus.
+        code = cli.main(["verify", suite, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: n_samples must be >= 1, got {samples}" in captured.err
+        assert captured.out == ""
+
     def test_unknown_suite_exit_2(self, capsys):
         code = cli.main(["verify", "nosuch"])
         assert code == 2

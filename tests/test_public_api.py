@@ -46,9 +46,10 @@ def test_package_reexports_only_public_names():
 
 # Runs both transform layouts and every trapezoid call site (the running norms
 # of run_iteration, the transport report's V and rhs, osgood_check) and prints
-# every scipy module the process loaded.  The package runs on numpy
-# alone; scipy.fft would add about 23 MB of resident memory, scipy.integrate
-# about 25 MB more.
+# every scipy module the process loaded, and OpenSSL's _hashlib.  The package
+# runs on numpy alone; scipy.fft would add about 23 MB of resident memory,
+# scipy.integrate about 25 MB more, and _hashlib (loaded by a module-level
+# ``import hashlib``) about 3.6 MB.
 _FOOTPRINT_SCRIPT = """
 import sys
 import numpy as np
@@ -69,7 +70,7 @@ problem = TransportProblem(Field(grid, np.cos(x1)[None]),
                            None, 0.01, 2e-3)
 transport_estimate_report(solve_transport(problem), problem, 1.0, 2.0, 1.0, config.bank(grid))
 osgood_check(np.array([0.0, 0.1, 0.2]), np.array([0.0, 1e-3, 2e-3]), 1.0, 1.0, 1e-6)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib")))
 """
 
 
