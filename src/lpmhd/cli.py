@@ -86,6 +86,9 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def _cmd_verify(args) -> int:
+    stray = [f"--{flag}" for flag in ("s1", "s2", "variant") if getattr(args, flag) is not None]
+    if stray and args.suite != "products":
+        raise ConfigError(f"only the products suite takes {', '.join(stray)}")
     cfg = _build_config(args)
     grid = cfg.grid()
     kwargs = dict(grid=grid, bank=cfg.bank(grid), seed=cfg.seed, n_samples=args.samples)

@@ -50,9 +50,8 @@ class FormatError(ValueError):
 FIELD_MAGIC = b"LPMHD001"
 
 
-# Config-file key -> (attribute, parser).  Key names are the file grammar
-# and the ``--key`` flags of the CLI; attribute names are the dataclass
-# fields.  ``j_min`` and ``j_max`` are Python-only.
+# Config-file key -> (attribute, parser).  Key names are the file grammar and
+# the ``--key`` flags of the CLI; attribute names are the dataclass fields.
 CONFIG_KEYS = {
     "d": ("d", int),
     "N": ("N", int),
@@ -86,7 +85,6 @@ class RunConfig(IterationConfig):
 
     def __post_init__(self):
         try:
-            self.grid()
             super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -249,16 +249,9 @@ class FilterBank:
         return f"FilterBank(j_min={self.j_min}, j_max={self.j_max}, grid={self.grid!r})"
 
 
-def build_filter_bank(
-    grid: FrequencyGrid, j_min: int | None = None, j_max: int | None = None
-) -> FilterBank:
-    """Construct the shell bank; omitted bounds fall back to ``default_band``."""
-    lo, hi = default_band(grid)
-    if j_min is None:
-        j_min = lo
-    if j_max is None:
-        j_max = hi
-    return FilterBank(grid, j_min, j_max)
+def build_filter_bank(grid: FrequencyGrid) -> FilterBank:
+    """The shell bank over the grid's ``default_band``."""
+    return FilterBank(grid, *default_band(grid))
 
 
 def _apply_multiplier(mult: np.ndarray, f):
@@ -298,10 +291,10 @@ class BesovSpec:
             raise ValueError(f"q must be >= 1, got {self.q}")
 
 
-def _aggregate(values: np.ndarray, r: float, axis: int = 0) -> np.ndarray:
+def _aggregate(values: np.ndarray, r: float) -> np.ndarray:
     if math.isinf(r):
-        return np.max(values, axis=axis)
-    return np.sum(values**r, axis=axis) ** (1.0 / r)
+        return np.max(values, axis=0)
+    return np.sum(values**r, axis=0) ** (1.0 / r)
 
 
 def _shell_weights(bank: FilterBank, s: float) -> np.ndarray:
@@ -488,7 +481,7 @@ def _running_norm(
         acc = _cumulative_trapezoid(mat**spec.q, times)
         per_shell = acc ** (1.0 / spec.q)
     weighted = per_shell * _shell_weights(bank, spec.s)[:, None]
-    return np.asarray(_aggregate(weighted, spec.r, axis=0))
+    return np.asarray(_aggregate(weighted, spec.r))
 
 
 def chemin_lerner_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) -> float:
@@ -515,7 +508,7 @@ def lq_besov_norm(series: TimeSeriesField, spec: BesovSpec, bank: FilterBank) ->
     if spec.q is None:
         raise ValueError("spec.q is required for a time-mixed norm")
     mat = shell_lp_matrix(series, spec.p, bank)
-    vals = _aggregate(mat * _shell_weights(bank, spec.s)[:, None], spec.r, axis=0)
+    vals = _aggregate(mat * _shell_weights(bank, spec.s)[:, None], spec.r)
     if math.isinf(spec.q):
         return float(np.max(vals))
     if series.n_times < 2:

@@ -117,10 +117,9 @@ class IterationConfig:
     max_iterations: int = 12
     tolerance: float = 1e-10
     seed: int = 0
-    j_min: int | None = None
-    j_max: int | None = None
 
     def __post_init__(self):
+        self.grid()
         if not (1.0 <= self.p <= 2.0 * self.d):
             raise ValueError(f"p must lie in [1, 2*d] = [1, {2 * self.d}], got {self.p}")
         if not (0.0 < self.eta < 1.0):
@@ -140,7 +139,7 @@ class IterationConfig:
         return make_grid(self.d, self.N, self.L)
 
     def bank(self, grid: FrequencyGrid | None = None) -> FilterBank:
-        return build_filter_bank(grid or self.grid(), self.j_min, self.j_max)
+        return build_filter_bank(grid or self.grid())
 
 
 @dataclass
@@ -333,9 +332,7 @@ class IterationState:
     data: MhdInitialData
     T: float
     e0: float
-    grid: FrequencyGrid
     bank: FilterBank
-    p: float
 
 
 def compute_e0(data: MhdInitialData, p: float, bank: FilterBank) -> float:
@@ -350,12 +347,10 @@ def init_iterate(
     data: MhdInitialData,
     config: IterationConfig,
     T: float,
-    grid: FrequencyGrid | None = None,
     bank: FilterBank | None = None,
 ) -> IterationState:
     """Iterate 0: free heat flow of the level-0 truncated data, each field on the cube if zero off it."""
-    grid = grid or data.grid
-    bank = bank or config.bank(grid)
+    bank = bank or config.bank(data.grid)
     level = _clamped_level(bank, max(0, bank.j_min))
     u_series, b_series = (solve_heat(HeatProblem(hat, None, T, config.dt))
                           for hat in _truncated_coeffs(data, level, bank))
@@ -366,9 +361,7 @@ def init_iterate(
         data=data,
         T=T,
         e0=compute_e0(data, config.p, bank),
-        grid=grid,
         bank=bank,
-        p=config.p,
     )
 
 
@@ -458,7 +451,7 @@ class BoundsReport:
 
 def check_uniform_bounds(state: IterationState, config: IterationConfig) -> BoundsReport:
     """Evaluate (H1) and (H2) for the current iterate from one shell matrix per field."""
-    d = state.grid.d
+    d = state.data.grid.d
     p = config.p
     bank = state.bank
     u_times, b_times = state.u_series.times, state.b_series.times
@@ -478,12 +471,11 @@ def check_uniform_bounds(state: IterationState, config: IterationConfig) -> Boun
     )
 
 
-def _difference_norm(state: IterationState, prev: IterationState) -> float:
+def _difference_norm(state: IterationState, prev: IterationState, p: float) -> float:
     """Successive-difference norm one derivative below the solution spaces:
     ||u^{n}-u^{n-1}|| in L~inf(B^{d/p-3/2}_{p,1}) plus
     ||B^{n}-B^{n-1}|| in L~inf(B^{d/p-1}_{p,1})."""
-    d = state.grid.d
-    p = state.p
+    d = state.data.grid.d
     bank = state.bank
     du = state.u_series - prev.u_series
     db = state.b_series - prev.b_series
@@ -569,13 +561,13 @@ def run_iteration(
         )
 
     t0 = time.perf_counter()
-    state = init_iterate(data, config, horizon.T, grid, bank)
+    state = init_iterate(data, config, horizon.T, bank)
     records = [record(state, t0)]
     converged = False
     for _ in range(config.max_iterations):
         t0 = time.perf_counter()
         prev, state = state, iterate_once(state, config)
-        d_n = _difference_norm(state, prev)
+        d_n = _difference_norm(state, prev, config.p)
         # Drop the older iterate before the next one is built: at most two stay alive.
         del prev
         records[-1].d_n = d_n

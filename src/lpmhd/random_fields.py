@@ -30,7 +30,7 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 def _masked_noise(
     grid: FrequencyGrid, mask: np.ndarray, rng: np.random.Generator,
-    components: int, normalize: bool,
+    components: int = 1, normalize: bool = True,
 ) -> Field:
     white = rng.standard_normal((components,) + grid.shape)
     hat = grid.fft(white) * mask
@@ -43,22 +43,16 @@ def _masked_noise(
     return out
 
 
-def ring_field(
-    grid: FrequencyGrid, lam: float, rng: np.random.Generator,
-    components: int = 1, normalize: bool = True,
-) -> Field:
-    """Random field with spectrum exactly inside the annulus lam * [3/4, 8/3]."""
+def ring_field(grid: FrequencyGrid, lam: float, rng: np.random.Generator) -> Field:
+    """Random unit-L2 scalar field with spectrum exactly in the annulus lam * [3/4, 8/3]."""
     mask = (grid.k_mag >= 0.75 * lam) & (grid.k_mag <= (8.0 / 3.0) * lam)
-    return _masked_noise(grid, mask, rng, components, normalize)
+    return _masked_noise(grid, mask, rng)
 
 
-def ball_field(
-    grid: FrequencyGrid, lam: float, rng: np.random.Generator,
-    components: int = 1, normalize: bool = True,
-) -> Field:
-    """Random mean-free field with spectrum exactly inside |k| <= lam."""
+def ball_field(grid: FrequencyGrid, lam: float, rng: np.random.Generator) -> Field:
+    """Random unit-L2 mean-free scalar field with spectrum exactly inside |k| <= lam."""
     mask = (grid.k_mag <= lam) & (grid.k_mag > 0.0)
-    return _masked_noise(grid, mask, rng, components, normalize)
+    return _masked_noise(grid, mask, rng)
 
 
 def interior_field(
@@ -73,35 +67,29 @@ def interior_field(
     return _masked_noise(grid, mask, rng, components, normalize)
 
 
-def divergence_free_field(
-    grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator,
-    normalize: bool = True,
-) -> Field:
-    """Random interior-band vector field, Leray-projected mode by mode.
+def divergence_free_field(grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator) -> Field:
+    """Random unit-L2 interior-band vector field, Leray-projected mode by mode.
 
     The projector acts within each mode, so the support mask survives it.
     """
     raw = interior_field(grid, bank, rng, components=grid.d, normalize=False)
     hat = leray_project(SpectralField(grid, grid.fft(raw.samples)))
     out = to_physical(hat)
-    if normalize:
-        scale = lp_norm(out, 2.0)
-        if scale == 0.0:
-            raise ValueError("projection annihilated every selected mode")
-        out = Field(grid, out.samples / scale)
-    return out
+    scale = lp_norm(out, 2.0)
+    if scale == 0.0:
+        raise ValueError("projection annihilated every selected mode")
+    return Field(grid, out.samples / scale)
 
 
 def decaying_series(
-    grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator,
-    times: np.ndarray, components: int = 1,
+    grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator, times: np.ndarray
 ) -> TimeSeriesField:
-    """Heat evolution of a random interior-band field, sampled at ``times``.
+    """Heat evolution of a random scalar interior-band field, sampled at ``times``.
 
     The multiplier e^{-|k|^2 t} is applied directly to the coefficient
     stack, which is the exact solution rather than a marched one.
     """
-    f0 = interior_field(grid, bank, rng, components=components)
+    f0 = interior_field(grid, bank, rng)
     times = np.asarray(times, dtype=np.float64)
     decay = np.exp(-np.multiply.outer(times, grid.k_sq))[:, None]
     return TimeSeriesField(grid, times, decay * grid.fft(f0.samples))

@@ -33,6 +33,7 @@ from .linear_solvers import (
     transport_estimate_report,
 )
 from .paraproduct import (
+    _ratio_report,
     bony_decompose,
     log_interpolation_ratio,
     product_law_ratio,
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 100
+_BONY_TOLERANCE = 1e-10  # largest relative reconstruction residual the bony suite accepts
 
 
 @dataclass
@@ -126,10 +128,14 @@ def run_bernstein_suite(
         return bernstein_ratios(f, lam, k_order, p, q, "ring", window=window)
 
     reports = [one(i) for i in range(n_samples)]
-    failures = []
     uppers = np.array([r.upper_ratio for r in reports])
     lowers = np.array([r.lower_ratio for r in reports])
+    failures, rows = [], []
     for r in reports:
+        # Two estimate rows per sample: the upper constant and the lower one (q = p).
+        at = {"k": r.k_order, "lam": r.lam, "p": r.p}
+        rows += [_ratio_report("bernstein", {**at, "q": r.q}, r.upper_ratio, [], seed),
+                 _ratio_report("bernstein_lower", at, r.lower_ratio, [], seed)]
         if r.in_window is False:
             failures.append(
                 f"lam={r.lam} k={r.k_order} p={r.p} q={r.q}: upper={r.upper_ratio:.6g} "
@@ -143,7 +149,7 @@ def run_bernstein_suite(
         "lower_max": float(lowers.max()),
         "lower_median": float(np.median(lowers)),
     }
-    return SuiteResult("bernstein", not failures, n_samples, failures, stats, reports)
+    return SuiteResult("bernstein", not failures, n_samples, failures, stats, rows)
 
 
 def run_bony_suite(
@@ -151,7 +157,6 @@ def run_bony_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    tolerance: float = 1e-10,
     baselines: dict | None = None,
 ) -> SuiteResult:
     """Reconstruction residual of the three-part product splitting over
@@ -168,9 +173,9 @@ def run_bony_suite(
 
     residuals = np.array([one(i) for i in range(n_samples)])
     failures = [
-        f"sample {i}: relative residual {r:.3e} > {tolerance:.0e}"
+        f"sample {i}: relative residual {r:.3e} > {_BONY_TOLERANCE:.0e}"
         for i, r in enumerate(residuals)
-        if r > tolerance
+        if r > _BONY_TOLERANCE
     ]
     stats = {"max_relative_residual": float(residuals.max())}
     return SuiteResult("bony", not failures, n_samples, failures, stats, [])

@@ -97,17 +97,32 @@ class TestVerifyCommand:
         assert "[FAIL] bony" in captured.out
         assert "synthetic failure" in captured.err
 
-    def test_report_csv_written(self, capsys, tmp_path):
+    # The products windows in baselines.json hold at the default 2-D N=64
+    # only; at N=32 its corpus leaves them.
+    @pytest.mark.parametrize("suite, n", [("bernstein", "32"), ("products", "64"),
+                                          ("loginterp", "32"), ("heat", "32"),
+                                          ("transport", "32")])
+    def test_report_csv_written(self, capsys, tmp_path, suite, n):
+        # The bernstein suite used to die writing its CSV, after its [pass] line.
         code = cli.main(
             [
-                "verify", "products", "--samples", "2",
+                "verify", suite, "--N", n, "--samples", "1",
                 "--output_dir", str(tmp_path),
             ]
         )
         assert code == 0
-        assert (tmp_path / "verify_products.csv").exists()
-        header = (tmp_path / "verify_products.csv").read_text().splitlines()[0]
-        assert header == "variant,indices,lhs,factors,ratio,degenerate,seed"
+        lines = (tmp_path / f"verify_{suite}.csv").read_text().splitlines()
+        assert lines[0] == "variant,indices,lhs,factors,ratio,degenerate,seed"
+        assert len(lines) > 1
+
+    @pytest.mark.parametrize("suite", ["bernstein", "bony", "loginterp", "heat", "transport"])
+    def test_products_flags_rejected_by_other_suites(self, capsys, suite):
+        # Used to exit 0 with the flags silently ignored.
+        code = cli.main(["verify", suite, "--variant", "T", "--s1", "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: only the products suite takes --s1, --variant" in captured.err
+        assert captured.out == ""
 
 
 class TestSolveCommand:

@@ -9,6 +9,7 @@ import shell_norm_oracle
 from lpmhd import littlewood_paley
 from lpmhd.littlewood_paley import (
     BesovSpec,
+    FilterBank,
     TimeSeriesField,
     bernstein_ratios,
     besov_norm,
@@ -39,9 +40,9 @@ class TestFilterBank:
 
     def test_band_validation(self, grid):
         with pytest.raises(ValueError):
-            build_filter_bank(grid, j_min=0, j_max=2)
+            FilterBank(grid, 0, 2)
         with pytest.raises(ValueError):
-            build_filter_bank(grid, j_min=-2, j_max=6)
+            FilterBank(grid, -2, 6)
 
     def test_shell_bookkeeping(self, bank):
         assert list(bank.shells) == list(range(bank.j_min, bank.j_max + 1))
@@ -83,7 +84,7 @@ class TestFilterBank:
     def test_fingerprint_stability(self, grid, bank):
         again = build_filter_bank(grid)
         assert bank.fingerprint() == again.fingerprint()
-        narrower = build_filter_bank(grid, j_min=-1, j_max=3)
+        narrower = FilterBank(grid, -1, 3)
         assert narrower.fingerprint() != bank.fingerprint()
 
 
@@ -143,7 +144,7 @@ class TestShellNormKernel:
     def _setup(d, c, n_times=3, seed=20, L=2.0 * math.pi, band_shift=0):
         grid = make_grid(d, 32 if d == 2 else 16, L)
         lo, hi = default_band(grid)
-        bank = build_filter_bank(grid, lo - band_shift, hi - band_shift)
+        bank = FilterBank(grid, lo - band_shift, hi - band_shift)
         rng = np.random.default_rng(seed + 10 * d + c)
         snaps = [Field(grid, rng.standard_normal((c,) + grid.shape)) for _ in range(n_times)]
         return grid, bank, TimeSeriesField.from_snapshots(np.linspace(0.0, 0.1, n_times), snaps)

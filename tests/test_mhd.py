@@ -75,16 +75,13 @@ class TestIterationConfig:
             (dict(t_max=1e-4), "T_max"),
             (dict(max_iterations=-1), "max_iterations"),
             (dict(tolerance=-1.0), "tolerance"),
+            (dict(d=4), "d must be 2 or 3"),
+            (dict(N=48), "N must be a power of two"),
         ],
     )
     def test_knob_validation(self, kw, msg):
         with pytest.raises(ValueError, match=msg):
             IterationConfig(**kw)
-
-    def test_band_override_reaches_bank(self):
-        cfg = IterationConfig(j_min=-1, j_max=2)
-        bank = cfg.bank()
-        assert bank.j_min == -1 and bank.j_max == 2
 
 
 class TestInitialData:
@@ -416,8 +413,8 @@ class TestIterationScheme:
                 for name, series in (("u_series", state.u_series), ("b_series", state.b_series))
             })
 
-        want = mhd._difference_norm(scattered(s1), scattered(s0))
-        assert want > 0.0 and mhd._difference_norm(s1, s0) == want
+        want = mhd._difference_norm(scattered(s1), scattered(s0), cfg.p)
+        assert want > 0.0 and mhd._difference_norm(s1, s0, cfg.p) == want
         for state in (s0, s1):
             got = system_residual(state.u_series, state.b_series)
             ref = system_residual(scattered(state).u_series, scattered(state).b_series)
@@ -439,9 +436,9 @@ class TestIterationScheme:
                                       for f in raw))
         tracemalloc.start()
         try:
-            state = init_iterate(data, cfg, 0.05, grid, bank)
+            state = init_iterate(data, cfg, 0.05, bank)
             tracemalloc.reset_peak()
-            mhd._difference_norm(iterate_once(state, cfg), state)
+            mhd._difference_norm(iterate_once(state, cfg), state, cfg.p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
