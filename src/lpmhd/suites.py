@@ -157,7 +157,6 @@ def run_bony_suite(
     bank: FilterBank | None = None,
     seed: int = 0,
     n_samples: int = DEFAULT_SAMPLES,
-    baselines: dict | None = None,
 ) -> SuiteResult:
     """Reconstruction residual of the three-part product splitting over
     random band-limited pairs."""
