@@ -532,7 +532,6 @@ class BernsteinReport:
     support: str
     upper_ratio: float
     lower_ratio: float | None
-    in_window: bool | None = None
 
 
 def bernstein_ratios(
@@ -542,14 +541,12 @@ def bernstein_ratios(
     p: float = 2.0,
     q: float = 2.0,
     support: str = "ring",
-    window: dict | None = None,
 ) -> BernsteinReport:
     """Measure the derivative-estimate constants of a band-limited field.
 
     ``support`` declares where the spectrum lives: "ring" for the annulus
     lam * [3/4, 8/3], "ball" for |k| <= lam.  The declaration is checked,
-    and violated support raises.  ``window`` may hold "upper"/"lower"
-    (lo, hi) pairs; the report then carries an in-window verdict.
+    and violated support raises.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -592,15 +589,6 @@ def bernstein_ratios(
     gain = k_order + grid.d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
     upper = deriv_sup(q) / (lam**gain * base)
     lower = deriv_sup(p) / (lam**k_order * base) if support == "ring" else None
-    verdict = None
-    if window is not None:
-        verdict = True
-        if "upper" in window:
-            lo, hi = window["upper"]
-            verdict = verdict and (lo <= upper <= hi)
-        if "lower" in window and lower is not None:
-            lo, hi = window["lower"]
-            verdict = verdict and (lo <= lower <= hi)
     return BernsteinReport(
         lam=float(lam),
         k_order=int(k_order),
@@ -609,5 +597,4 @@ def bernstein_ratios(
         support=support,
         upper_ratio=float(upper),
         lower_ratio=None if lower is None else float(lower),
-        in_window=verdict,
     )

@@ -350,7 +350,11 @@ def init_iterate(
     bank: FilterBank | None = None,
 ) -> IterationState:
     """Iterate 0: free heat flow of the level-0 truncated data, each field on the cube if zero off it."""
-    bank = bank or config.bank(data.grid)
+    grid = data.grid
+    if (grid.d, grid.N, grid.L) != (config.d, config.N, config.L):
+        raise ValueError(f"data on the grid d={grid.d}, N={grid.N}, L={grid.L:g}, but the config "
+                         f"asks for d={config.d}, N={config.N}, L={config.L:g}")
+    bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
     u_series, b_series = (solve_heat(HeatProblem(hat, None, T, config.dt))
                           for hat in _truncated_coeffs(data, level, bank))

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 100
+_DEFAULT_GRID = (2, 64, 2.0 * math.pi)  # (d, N, L) of the grid the windows were measured on
 _BONY_TOLERANCE = 1e-10  # largest relative reconstruction residual the bony suite accepts
 
 
@@ -86,20 +87,31 @@ def load_baselines() -> dict:
     return json.loads(text)
 
 
-def _default_geometry(grid: FrequencyGrid | None, bank: FilterBank | None, n_samples: int):
-    """The 2-D N=64 grid and its bank unless given; an empty corpus is
-    rejected here, before any suite does work."""
+def _inputs(grid: FrequencyGrid | None, bank: FilterBank | None, n_samples: int,
+            baselines: dict | None):
+    """The default grid, its bank and the committed windows unless given; an
+    empty corpus is rejected here, before any suite does work."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    grid = grid or make_grid(2, 64, 2.0 * math.pi)
+    grid = grid or make_grid(*_DEFAULT_GRID)
     bank = bank or build_filter_bank(grid)
-    return grid, bank
+    return grid, bank, load_baselines() if baselines is None else baselines
 
 
 def _window_check(value: float, window, label: str, failures: list):
     lo, hi = window
     if not (lo <= value <= hi):
         failures.append(f"{label} = {value:.6g} outside committed window [{lo}, {hi}]")
+
+
+def _corpus_max(values, window, label: str, failures: list) -> float:
+    """Largest value of a corpus, checked finite and against its window."""
+    if not np.all(np.isfinite(values)):
+        failures.append(f"{label}: non-finite value in corpus")
+        return math.nan
+    top = float(np.max(values))
+    _window_check(top, window, label, failures)
+    return top
 
 
 def run_bernstein_suite(
@@ -111,11 +123,9 @@ def run_bernstein_suite(
 ) -> SuiteResult:
     """Two-sided derivative-ratio measurements on exactly ring-supported
     fields, across shells, derivative orders, and (p, q) pairs."""
-    grid, bank = _default_geometry(grid, bank, n_samples)
-    baselines = baselines if baselines is not None else load_baselines()
-    window = baselines["bernstein"]
-    levels = [j for j in range(bank.j_min, bank.j_max + 1)
-              if (8.0 / 3.0) * 2.0**j <= grid.k_nyquist and 2.0**j >= grid.k_min]
+    grid, bank, baselines = _inputs(grid, bank, n_samples, baselines)
+    windows = baselines["bernstein"]
+    levels = [j for j in bank.shells if 2.0**j >= grid.k_min]
     pq_pairs = [(2.0, 2.0), (2.0, math.inf), (1.0, 2.0)]
     orders = [1, 2]
 
@@ -125,30 +135,23 @@ def run_bernstein_suite(
         p, q = pq_pairs[i % len(pq_pairs)]
         k_order = orders[i % len(orders)]
         f = ring_field(grid, lam, rng)
-        return bernstein_ratios(f, lam, k_order, p, q, "ring", window=window)
+        return bernstein_ratios(f, lam, k_order, p, q, "ring")
 
     reports = [one(i) for i in range(n_samples)]
-    uppers = np.array([r.upper_ratio for r in reports])
-    lowers = np.array([r.lower_ratio for r in reports])
-    failures, rows = [], []
+    rows = []
     for r in reports:
         # Two estimate rows per sample: the upper constant and the lower one (q = p).
         at = {"k": r.k_order, "lam": r.lam, "p": r.p}
         rows += [_ratio_report("bernstein", {**at, "q": r.q}, r.upper_ratio, [], seed),
                  _ratio_report("bernstein_lower", at, r.lower_ratio, [], seed)]
-        if r.in_window is False:
-            failures.append(
-                f"lam={r.lam} k={r.k_order} p={r.p} q={r.q}: upper={r.upper_ratio:.6g} "
-                f"lower={r.lower_ratio:.6g} outside window"
-            )
-    stats = {
-        "upper_min": float(uppers.min()),
-        "upper_max": float(uppers.max()),
-        "upper_median": float(np.median(uppers)),
-        "lower_min": float(lowers.min()),
-        "lower_max": float(lowers.max()),
-        "lower_median": float(np.median(lowers)),
-    }
+    failures, stats = [], {}
+    for side, ratios in (("upper", np.array([r.upper_ratio for r in reports])),
+                         ("lower", np.array([r.lower_ratio for r in reports]))):
+        stats[f"{side}_min"] = float(ratios.min())
+        stats[f"{side}_max"] = float(ratios.max())
+        stats[f"{side}_median"] = float(np.median(ratios))
+        for end in ("min", "max"):
+            _window_check(stats[f"{side}_{end}"], windows[side], f"{side} ratio {end}", failures)
     return SuiteResult("bernstein", not failures, n_samples, failures, stats, rows)
 
 
@@ -160,7 +163,7 @@ def run_bony_suite(
 ) -> SuiteResult:
     """Reconstruction residual of the three-part product splitting over
     random band-limited pairs."""
-    grid, bank = _default_geometry(grid, bank, n_samples)
+    grid, bank, _ = _inputs(grid, bank, n_samples, {})
 
     def one(i: int):
         rng = sample_rng(seed, i)
@@ -204,11 +207,13 @@ def run_products_suite(
     """Empirical constants of the paraproduct, remainder, and full product
     estimates over a random corpus, one distribution per variant.
 
-    Index overrides are validated by the checker itself; an inadmissible
-    pair raises with the violated condition named.
+    Index overrides are validated by the checker; an inadmissible pair raises
+    with the violated condition named, as does any grid but the default.
     """
-    grid, bank = _default_geometry(grid, bank, n_samples)
-    baselines = baselines if baselines is not None else load_baselines()
+    if grid is not None and (grid.d, grid.N, grid.L) != _DEFAULT_GRID:
+        raise ValueError(f"the products windows hold on the 2-D N=64, L=2*pi grid only, "
+                         f"got d={grid.d}, N={grid.N}, L={grid.L:g}")
+    grid, bank, baselines = _inputs(grid, bank, n_samples, baselines)
     windows = baselines["products"]
     failures = []
     stats = {}
@@ -228,11 +233,8 @@ def run_products_suite(
 
         reports = [one(i) for i in range(n_samples)]
         all_reports.extend(reports)
-        ratios = np.array([r.ratio for r in reports])
-        if not np.all(np.isfinite(ratios)):
-            failures.append(f"variant {variant}: non-finite ratio in corpus")
-            continue
-        r_max = float(ratios.max())
+        ratios = [r.ratio for r in reports]
+        r_max = _corpus_max(ratios, windows[variant], f"variant {variant} max ratio", failures)
         r_med = float(np.median(ratios))
         stats[f"{variant}_max"] = r_max
         stats[f"{variant}_median"] = r_med
@@ -240,7 +242,6 @@ def run_products_suite(
             failures.append(
                 f"variant {variant}: max/median = {r_max / r_med:.3g} >= 10"
             )
-        _window_check(r_max, windows[variant], f"variant {variant} max ratio", failures)
     return SuiteResult(
         "products", not failures, n_samples * len(variants), failures, stats, all_reports
     )
@@ -255,8 +256,7 @@ def run_loginterp_suite(
     baselines: dict | None = None,
 ) -> SuiteResult:
     """Logarithmic shell-summation bridge measured on decaying series."""
-    grid, bank = _default_geometry(grid, bank, n_samples)
-    baselines = baselines if baselines is not None else load_baselines()
+    grid, bank, baselines = _inputs(grid, bank, n_samples, baselines)
     window = baselines["loginterp"]["max_ratio"]
     times = np.linspace(0.0, 0.1, 11)
     eps_cycle = (0.25, 0.5, 1.0)
@@ -269,17 +269,11 @@ def run_loginterp_suite(
         return log_interpolation_ratio(series, s, p, 1.0, eps, bank, seed=seed)
 
     reports = [one(i) for i in range(n_samples)]
-    failures = []
-    ratios = []
-    for i, rep in enumerate(reports):
-        if rep.degenerate:
-            failures.append(f"sample {i}: unexpectedly degenerate")
-        elif not math.isfinite(rep.ratio):
-            failures.append(f"sample {i}: non-finite ratio")
-        else:
-            ratios.append(rep.ratio)
-    stats = {"max_ratio": float(np.max(ratios)), "median_ratio": float(np.median(ratios))}
-    _window_check(stats["max_ratio"], window, "max ratio", failures)
+    failures = [f"sample {i}: unexpectedly degenerate"
+                for i, rep in enumerate(reports) if rep.degenerate]
+    ratios = [rep.ratio for rep in reports]
+    stats = {"max_ratio": _corpus_max(ratios, window, "max ratio", failures),
+             "median_ratio": float(np.median(ratios))}
     return SuiteResult("loginterp", not failures, n_samples, failures, stats, reports)
 
 
@@ -292,12 +286,15 @@ def run_heat_suite(
 ) -> SuiteResult:
     """Deterministic exactness and order checks for the heat marcher, plus
     the smoothing-estimate ratio distribution over a random corpus."""
-    grid, bank = _default_geometry(grid, bank, n_samples)
-    baselines = baselines if baselines is not None else load_baselines()
+    grid, bank, baselines = _inputs(grid, bank, n_samples, baselines)
     window = baselines["heat"]["max_ratio"]
     failures = []
     stats = {}
-    d = grid.d
+
+    def estimate(prob: HeatProblem):
+        return heat_estimate_report(
+            solve_heat(prob), prob, 1.0, 1.0, grid.d / 2.0 - 1.0, 2.0, 1.0, bank
+        )
 
     # Single-mode decay is exact for the exponential integrator.
     axes = grid.coords()
@@ -336,22 +333,16 @@ def run_heat_suite(
     series_times = np.linspace(0.0, 0.1, 6)
     g_series = decaying_series(grid, bank, sample_rng(seed, 10_002), series_times)
     for label, forcing_used in (("homogeneous", None), ("forced", g_series)):
-        prob = HeatProblem(u0_rand, forcing_used, 0.1, 2e-3)
-        base_rep = heat_estimate_report(
-            solve_heat(prob), prob, 1.0, 1.0, d / 2.0 - 1.0, 2.0, 1.0, bank
-        )
+        base_rep = estimate(HeatProblem(u0_rand, forcing_used, 0.1, 2e-3))
         scaled_forcing = (
             None
             if forcing_used is None
             else TimeSeriesField(grid, forcing_used.times.copy(), 10.0 * forcing_used.coeffs)
         )
-        prob10 = HeatProblem(
-            Field(grid, 10.0 * u0_rand.samples), scaled_forcing, 0.1, 2e-3
+        scaled_rep = estimate(
+            HeatProblem(Field(grid, 10.0 * u0_rand.samples), scaled_forcing, 0.1, 2e-3)
         )
-        scaled_rep = heat_estimate_report(
-            solve_heat(prob10), prob10, 1.0, 1.0, d / 2.0 - 1.0, 2.0, 1.0, bank
-        )
-        del prob, prob10, scaled_forcing
+        del scaled_forcing
         rel = abs(scaled_rep.ratio - base_rep.ratio) / base_rep.ratio
         stats[f"scale_drift_{label}"] = rel
         if rel > 1e-12:
@@ -362,17 +353,10 @@ def run_heat_suite(
         rng = sample_rng(seed, i)
         u_init = interior_field(grid, bank, rng)
         g = decaying_series(grid, bank, rng, series_times)
-        prob = HeatProblem(u_init, g, 0.1, 2e-3)
-        return heat_estimate_report(
-            solve_heat(prob), prob, 1.0, 1.0, d / 2.0 - 1.0, 2.0, 1.0, bank
-        )
+        return estimate(HeatProblem(u_init, g, 0.1, 2e-3))
 
     reports = [one(i) for i in range(n_samples)]
-    ratios = np.array([r.ratio for r in reports])
-    stats["max_ratio"] = float(ratios.max())
-    if not np.all(np.isfinite(ratios)):
-        failures.append("non-finite smoothing-estimate ratio in corpus")
-    _window_check(stats["max_ratio"], window, "max ratio", failures)
+    stats["max_ratio"] = _corpus_max([r.ratio for r in reports], window, "max ratio", failures)
     return SuiteResult("heat", not failures, n_samples, failures, stats, reports)
 
 
@@ -400,8 +384,7 @@ def run_transport_suite(
     conservation over T=1 (which continues that estimate run from its last
     step), and the minimal-constant distribution over random
     divergence-free flows."""
-    grid, bank = _default_geometry(grid, bank, n_samples)
-    baselines = baselines if baselines is not None else load_baselines()
+    grid, bank, baselines = _inputs(grid, bank, n_samples, baselines)
     shear_window = baselines["transport"]["shear_minimal_c"]
     corpus_window = baselines["transport"]["max_minimal_c"]
     failures = []
@@ -456,11 +439,9 @@ def run_transport_suite(
         )
 
     monitors = [one(i) for i in range(n_samples)]
-    cs = np.array([m.minimal_c for m in monitors])
-    stats["max_minimal_c"] = float(cs.max())
-    if not np.all(np.isfinite(cs)):
-        failures.append("non-finite minimal constant in corpus")
-    _window_check(stats["max_minimal_c"], corpus_window, "max minimal C", failures)
+    stats["max_minimal_c"] = _corpus_max(
+        [m.minimal_c for m in monitors], corpus_window, "max minimal C", failures
+    )
     reports = [m.report() for m in monitors]
     return SuiteResult("transport", not failures, n_samples, failures, stats, reports)
 

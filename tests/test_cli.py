@@ -97,8 +97,8 @@ class TestVerifyCommand:
         assert "[FAIL] bony" in captured.out
         assert "synthetic failure" in captured.err
 
-    # The products windows in baselines.json hold at the default 2-D N=64
-    # only; at N=32 its corpus leaves them.
+    # The products suite runs on the default 2-D N=64 grid only, where its
+    # windows were measured.
     @pytest.mark.parametrize("suite, n", [("bernstein", "32"), ("products", "64"),
                                           ("loginterp", "32"), ("heat", "32"),
                                           ("transport", "32")])
@@ -114,6 +114,18 @@ class TestVerifyCommand:
         lines = (tmp_path / f"verify_{suite}.csv").read_text().splitlines()
         assert lines[0] == "variant,indices,lhs,factors,ratio,degenerate,seed"
         assert len(lines) > 1
+
+    def test_products_off_its_grid_exit_2(self, capsys, tmp_path):
+        # Used to run and exit 1: at N=32 the corpus leaves the windows that
+        # were measured at N=64.
+        code = cli.main(["verify", "products", "--N", "32", "--samples", "1",
+                         "--output_dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ("error: the products windows hold on the 2-D N=64, L=2*pi grid only, "
+                "got d=2, N=32, L=6.28319") in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "verify_products.csv").exists()
 
     @pytest.mark.parametrize("suite", ["bernstein", "bony", "loginterp", "heat", "transport"])
     def test_products_flags_rejected_by_other_suites(self, capsys, suite):

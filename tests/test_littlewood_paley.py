@@ -438,13 +438,6 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein_ratios(f, 4.0, 1, 2.0, 1.0, "ring")
 
-    def test_window_verdicts(self, grid):
-        f = ring_field(grid, 4.0, np.random.default_rng(14))
-        wide = {"upper": (0.0, 1e6), "lower": (0.0, 1e6)}
-        assert bernstein_ratios(f, 4.0, 1, 2.0, 2.0, "ring", window=wide).in_window
-        narrow = {"upper": (0.0, 1e-9)}
-        assert not bernstein_ratios(f, 4.0, 1, 2.0, 2.0, "ring", window=narrow).in_window
-
     def test_scale_relation_across_shells(self, grid):
         rng = np.random.default_rng(15)
         ratios = [

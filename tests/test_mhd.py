@@ -275,6 +275,15 @@ class TestIterationScheme:
             state.u_series.field(-1).samples, expected, atol=1e-13
         )
 
+    @pytest.mark.parametrize("N, L, got", [(32, 2.0 * math.pi, "N=32, L=6.28319"),
+                                           (64, 4.0 * math.pi, "N=64, L=12.5664")])
+    def test_data_off_the_config_grid_rejected(self, N, L, got):
+        # Used to run silently on the data's grid, the config's N or L ignored.
+        data = taylor_green_data(make_grid(2, N, L))
+        with pytest.raises(ValueError, match=f"data on the grid d=2, {got}, but the config "
+                                             f"asks for d=2, N=64, L=6.28319"):
+            run_iteration(data, _small_config())
+
     def test_iterate_advances_and_links(self, grid):
         cfg = _small_config()
         data = taylor_green_data(grid)

@@ -1,8 +1,12 @@
 """Tests of the verification suites' own construction: argument checks, the
-transport suite's shear continuation, and the memory each suite holds."""
+verdict against each committed window, the transport suite's shear
+continuation, and the memory each suite holds."""
 
+import copy
+import inspect
 import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -18,6 +22,51 @@ from lpmhd import (
     solve_transport,
 )
 from lpmhd import suites
+
+# The suites that judge against baselines.json, with the grid size each is
+# checked on: products holds its windows on N=64 only.
+_JUDGED = {"bernstein": 32, "products": 64, "loginterp": 32, "heat": 32, "transport": 32}
+
+# Every committed window, with the words its failure line carries.
+_WINDOWS = [
+    ("bernstein", "upper", "upper ratio"),
+    ("bernstein", "lower", "lower ratio"),
+    ("products", "T", "variant T max ratio"),
+    ("products", "R", "variant R max ratio"),
+    ("products", "full", "variant full max ratio"),
+    ("products", "mixed", "variant mixed max ratio"),
+    ("loginterp", "max_ratio", "max ratio"),
+    ("heat", "max_ratio", "max ratio"),
+    ("transport", "shear_minimal_c", "shear minimal C"),
+    ("transport", "max_minimal_c", "max minimal C"),
+]
+
+
+class _Recorder(Mapping):
+    """Read-only view of a windows dict that records the key path of every
+    window read; a key the dict lacks raises KeyError, as in a plain dict."""
+
+    def __init__(self, data, reads, path=()):
+        self._data, self._reads, self._path = data, reads, path
+
+    def __getitem__(self, key):
+        value = self._data[key]
+        if isinstance(value, dict):
+            return _Recorder(value, self._reads, self._path + (key,))
+        self._reads.add(self._path + (key,))
+        return value
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+def _run_judged(name, baselines):
+    grid = make_grid(2, _JUDGED[name], 2.0 * math.pi)
+    return suites.SUITES[name](grid, build_filter_bank(grid), seed=0, n_samples=1,
+                               baselines=baselines)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +118,45 @@ class TestSampleCount:
         monkeypatch.setattr(suites, "solve_transport", no_march)
         with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
             run_transport_suite(n_samples=n_samples)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Each judging suite run once on the committed windows, and the key
+    paths of the windows it read."""
+    reads = set()
+    results = {name: _run_judged(name, _Recorder(suites.load_baselines(), reads))
+               for name in _JUDGED}
+    return results, reads
+
+
+class TestVerdicts:
+    def test_judged_suites_are_those_that_take_baselines(self):
+        takes = {name for name, fn in suites.SUITES.items()
+                 if "baselines" in inspect.signature(fn).parameters}
+        assert takes == set(_JUDGED)
+
+    @pytest.mark.parametrize("name", sorted(_JUDGED))
+    def test_committed_windows_pass(self, recorded, name):
+        result = recorded[0][name]
+        assert result.passed, result.failures
+
+    def test_every_window_is_read_and_no_other(self, recorded):
+        # A window no suite reads is stale; a read of a missing one raises.
+        committed = suites.load_baselines()
+        windows = {(suite, key) for suite, keys in committed.items() for key in keys}
+        assert recorded[1] == windows
+        assert windows == {(suite, key) for suite, key, _ in _WINDOWS}
+
+    @pytest.mark.parametrize("suite, key, label", _WINDOWS)
+    def test_empty_window_fails_its_suite(self, suite, key, label):
+        baselines = copy.deepcopy(suites.load_baselines())
+        baselines[suite][key] = [1.0, 0.0]
+        result = _run_judged(suite, baselines)
+        assert result.passed is False
+        assert result.failures
+        assert all(f.startswith(label) and "outside committed window [1.0, 0.0]" in f
+                   for f in result.failures), result.failures
 
 
 class TestTransportSuite:
