@@ -90,11 +90,13 @@ def load_baselines() -> dict:
 def _inputs(grid: FrequencyGrid | None, bank: FilterBank | None, n_samples: int,
             baselines: dict | None):
     """The default grid, its bank and the committed windows unless given; an
-    empty corpus is rejected here, before any suite does work."""
+    empty corpus or a bank on another grid is rejected before any work."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = grid or make_grid(*_DEFAULT_GRID)
     bank = bank or build_filter_bank(grid)
+    if bank.grid != grid:
+        raise ValueError("grid and bank live on different grids")
     return grid, bank, load_baselines() if baselines is None else baselines
 
 
@@ -147,11 +149,10 @@ def run_bernstein_suite(
     failures, stats = [], {}
     for side, ratios in (("upper", np.array([r.upper_ratio for r in reports])),
                          ("lower", np.array([r.lower_ratio for r in reports]))):
-        stats[f"{side}_min"] = float(ratios.min())
-        stats[f"{side}_max"] = float(ratios.max())
+        for end, value in (("min", float(ratios.min())), ("max", float(ratios.max()))):
+            stats[f"{side}_{end}"] = value
+            _window_check(value, windows[side], f"{side} ratio {end}", failures)
         stats[f"{side}_median"] = float(np.median(ratios))
-        for end in ("min", "max"):
-            _window_check(stats[f"{side}_{end}"], windows[side], f"{side} ratio {end}", failures)
     return SuiteResult("bernstein", not failures, n_samples, failures, stats, rows)
 
 
@@ -211,8 +212,7 @@ def run_products_suite(
     with the violated condition named, as does any grid but the default.
     """
     if grid is not None and (grid.d, grid.N, grid.L) != _DEFAULT_GRID:
-        raise ValueError(f"the products windows hold on the 2-D N=64, L=2*pi grid only, "
-                         f"got d={grid.d}, N={grid.N}, L={grid.L:g}")
+        raise ValueError(f"products windows hold on the 2-D N=64, L=2*pi grid only; got {grid!r}")
     grid, bank, baselines = _inputs(grid, bank, n_samples, baselines)
     windows = baselines["products"]
     failures = []

@@ -122,8 +122,8 @@ class TestVerifyCommand:
                          "--output_dir", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 2
-        assert ("error: the products windows hold on the 2-D N=64, L=2*pi grid only, "
-                "got d=2, N=32, L=6.28319") in captured.err
+        assert ("error: products windows hold on the 2-D N=64, L=2*pi grid only; "
+                "got FrequencyGrid(d=2, N=32, L=6.283185307179586)") in captured.err
         assert captured.out == ""
         assert not (tmp_path / "verify_products.csv").exists()
 

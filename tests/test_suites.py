@@ -2,7 +2,6 @@
 verdict against each committed window, the transport suite's shear
 continuation, and the memory each suite holds."""
 
-import copy
 import inspect
 import math
 import tracemalloc
@@ -150,13 +149,23 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("suite, key, label", _WINDOWS)
     def test_empty_window_fails_its_suite(self, suite, key, label):
-        baselines = copy.deepcopy(suites.load_baselines())
+        baselines = suites.load_baselines()
         baselines[suite][key] = [1.0, 0.0]
         result = _run_judged(suite, baselines)
         assert result.passed is False
         assert result.failures
         assert all(f.startswith(label) and "outside committed window [1.0, 0.0]" in f
                    for f in result.failures), result.failures
+
+
+class TestInputs:
+    @pytest.mark.parametrize("name", sorted(suites.SUITES))
+    def test_bank_on_another_grid_rejected(self, grid, name):
+        # The bernstein suite used to run silently at the bank's shells,
+        # which on a coarser grid can pass its Nyquist radius.
+        bank = build_filter_bank(make_grid(2, 32, 2.0 * math.pi))
+        with pytest.raises(ValueError, match="grid and bank live on different grids"):
+            suites.SUITES[name](grid, bank, n_samples=1)
 
 
 class TestTransportSuite:
