@@ -24,8 +24,8 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
-    _coeffs,
     _cumulative_trapezoid,
+    _gather_cube,
     _interpolate,
     besov_norm,
     chemin_lerner_norm,
@@ -78,6 +78,7 @@ def _check_series(name: str, series: TimeSeriesField, grid: FrequencyGrid, T: fl
 class HeatProblem:
     """Initial data, forcing, horizon and step for d_t u - Lap u = G.
 
+    ``u0`` must vanish off the 2/3-rule cube, where construction gathers it.
     ``forcing`` is None (G = 0) or a TimeSeriesField on the grid of ``u0``,
     with its component count, covering [0, T]; the marcher samples it at the
     step times, linearly interpolated between its snapshots.
@@ -96,6 +97,7 @@ class HeatProblem:
         self.n_steps = _n_steps(self.T, self.dt)
         if self.forcing is not None:
             _check_series("forcing", self.forcing, self.grid, self.T, self.u0.components)
+        self.u0_cube = _gather_cube(self.u0)
 
     @property
     def grid(self) -> FrequencyGrid:
@@ -125,7 +127,8 @@ def etd_phi2(z: np.ndarray) -> np.ndarray:
 
 def _snapshot_stack(problem, first: np.ndarray) -> tuple:
     """The times n*dt of all n_steps + 1 steps and their coefficient stack,
-    ``first`` at step 0 and zeros after it."""
+    ``first`` at step 0 and zeros after it.  Marchers call this first, so the
+    stack reuses the block the last one freed before their own arrays split it."""
     times = np.arange(problem.n_steps + 1) * problem.dt
     stack = np.zeros((times.size,) + first.shape, dtype=np.complex128)
     stack[0] = first
@@ -140,29 +143,19 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
         u_next = e^z u + dt*(phi1(z) G_n + phi2(z) (G_{n+1} - G_n)),
 
     which integrates the linear part exactly and the Duhamel term exactly
-    for forcing linear in t.  Every step is stored, straight into the
-    series' coefficient stack.  When u0 is exactly zero off the 2/3-rule
-    cube and the forcing is None or a cube series, every step is too: the
-    march then runs on the cube, reading the forcing stack as it is, and
-    returns a cube series.  Otherwise it runs on the half spectrum.
+    for forcing linear in t.  The march runs on the 2/3-rule cube, where
+    u0 and the forcing live, and every step is stored, straight into the
+    series' coefficient stack.
     """
-    grid, dt, forcing = problem.grid, problem.dt, problem.forcing
-    uhat, z = _coeffs(problem.u0), -grid.k_sq * dt
-    on_cube = not np.any(uhat[:, ~grid.dealias_mask]) and (forcing is None or forcing.on_cube)
-    if on_cube:
-        uhat, z = grid.to_cube(uhat), grid.to_cube(z)
-
-    def g_at(t: float) -> np.ndarray:
-        return (_interpolate(forcing.times, forcing.coeffs, t) if on_cube
-                else forcing.sample_at(t).coeffs)
-
-    decay, phi1, phi2 = np.exp(z), etd_phi1(z), etd_phi2(z)
-    g_n = None if forcing is None else g_at(0.0)
+    grid, dt, forcing, uhat = problem.grid, problem.dt, problem.forcing, problem.u0_cube
     times, stack = _snapshot_stack(problem, uhat)
+    z = grid.to_cube(-grid.k_sq * dt)
+    decay, phi1, phi2 = np.exp(z), etd_phi1(z), etd_phi2(z)
+    g_n = None if forcing is None else _interpolate(forcing.times, forcing.coeffs, 0.0)
     for n in range(1, problem.n_steps + 1):
         uhat = decay * uhat
         if forcing is not None:
-            g_next = g_at(n * dt)
+            g_next = _interpolate(forcing.times, forcing.coeffs, n * dt)
             uhat = uhat + dt * (phi1 * g_n + phi2 * (g_next - g_n))
             g_n = g_next
         stack[n] = uhat
@@ -224,9 +217,10 @@ class TransportProblem:
 
     The velocity is a divergence-free TimeSeriesField covering [0, T], and
     f0 and the source live on its grid; construction checks the divergence
-    defect (<= 1e-8 relative, by Parseval on the stored layout, with no
-    transform).  The advective CFL number dt*max|v|*N/L <= 0.5 is checked
-    by ``solve_transport`` on each snapshot it reads.
+    defect (<= 1e-8 relative, by Parseval on the cube, with no transform)
+    and gathers f0 onto the cube as ``HeatProblem`` does u0.
+    The advective CFL number dt*max|v|*N/L <= 0.5 is checked by
+    ``solve_transport`` on each snapshot it reads.
     """
 
     f0: object
@@ -249,6 +243,7 @@ class TransportProblem:
             _check_series("source", self.source, grid, self.T, self.f0.components)
         _check_divergence_free(grid, self.velocity.coeffs, 1e-8,
                                "velocity is not divergence-free: |div v|_L2")
+        self.f0_cube = _gather_cube(self.f0)
 
     @property
     def grid(self) -> FrequencyGrid:
@@ -257,10 +252,10 @@ class TransportProblem:
 
 def _velocity_reader(problem: TransportProblem):
     """v(t) -> velocity samples at t, interpolated as ``_interpolate`` does.
-    Each snapshot is inverted when first read (the pruned inverse for a cube
-    series) and its CFL number checked; the two latest are kept.  On a
-    violation every snapshot is inverted to report the max, as one batched
-    check over the whole series would."""
+    Each snapshot is inverted when first read (the pruned cube inverse) and
+    its CFL number checked; the two latest are kept.  On a violation every
+    snapshot is inverted to report the max, as one batched check over the
+    whole series would."""
     grid, velocity, dt = problem.grid, problem.velocity, problem.dt
 
     def samples(i: int) -> np.ndarray:
@@ -309,19 +304,15 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     the solution is returned as the cube series of every step.
     """
     grid = problem.grid
+    fhat = problem.f0_cube
+    times, stack = _snapshot_stack(problem, fhat)
     ik = grid.to_cube(grid.ik)
-    fhat = grid.to_cube(_coeffs(problem.f0))
     dt = problem.dt
     source = problem.source
-    source_cube = None if source is None else source.cube_coeffs()
     v_at = _velocity_reader(problem)
+    g_at = ((lambda t: None) if source is None
+            else functools.partial(_interpolate, source.times, source.coeffs))
 
-    def g_at(t: float) -> np.ndarray | None:
-        if source is None:
-            return None
-        return _interpolate(source.times, source_cube, t)
-
-    times, stack = _snapshot_stack(problem, fhat)
     for n in range(problem.n_steps):
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
@@ -402,14 +393,14 @@ def transport_estimate_report(
     times = solution.times
 
     velocity = problem.velocity
-    ik = grid.to_cube(grid.ik) if velocity.on_cube else grid.ik
+    ik = grid.to_cube(grid.ik)
 
     def strength(t: float) -> float:
         """max(||grad v||_{B^{d/p}_{p,r}}, ||grad v||_Linf) at t, from ik (x) v^."""
         v_hat = _interpolate(velocity.times, velocity.coeffs, t)
         grad = (v_hat[:, None] * ik).reshape((d * d,) + v_hat.shape[1:])
         sup = lp_norm(Field(grid, grid.ifft(grad)), math.inf)
-        grad = SpectralField(grid, grid.from_cube(grad) if velocity.on_cube else grad)
+        grad = SpectralField(grid, grid.from_cube(grad))
         return max(besov_norm(grad, BesovSpec(d / p, p, r), bank), sup)
 
     if np.all(velocity.coeffs == velocity.coeffs[0]):

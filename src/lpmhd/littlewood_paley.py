@@ -31,9 +31,9 @@ the 1/N^d.  At 3-D N=32 the default shells have K = 1, 2, 5, 10 (the lowest
 holds no lattice point and is exactly 0), so the work is a few small BLAS
 products instead of a full N^d inverse per shell.
 
-A ``TimeSeriesField`` is one stacked coefficient array, on the half
-spectrum or, for series that vanish off the 2/3-rule cube, on ``grid.cube``;
-the shell matrices of the time-mixed norms read it with no transform at p = 2.
+A ``TimeSeriesField`` is one stacked coefficient array on the 2/3-rule cube
+``grid.cube``, which holds every shell of the bank; the shell matrices of the
+time-mixed norms read it with no transform at p = 2.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _denominator(rho: np.ndarray) -> np.ndarray:
 def default_band(grid: FrequencyGrid) -> tuple:
     """Widest shell range (j_min, j_max) resolved by the grid.
 
-    j_max is the last shell whose annulus fits under the Nyquist radius;
-    j_min sits low enough that shell j_min contains no lattice point, which
-    makes S_{j_min} exactly the mean mode.
+    j_max is the last shell whose annulus (8/3) 2^j fits inside the radius
+    k_min N/3 of the 2/3-rule cube; j_min sits low enough that shell j_min
+    contains no lattice point, which makes S_{j_min} exactly the mean mode.
     """
-    j_max = math.floor(math.log2(3.0 * grid.k_nyquist / 8.0) + 1e-12)
+    j_max = math.floor(math.log2(grid.k_min * grid.N / 8.0) + 1e-12)
     j_min = math.floor(math.log2(3.0 * grid.k_min / 8.0) + 1e-12)
     return min(j_min, j_max - 3), j_max
 
@@ -130,8 +130,8 @@ def _shell_cube(grid: FrequencyGrid, phi: np.ndarray) -> _ShellCube | None:
         return None
     K = max(int(np.max(np.abs(m.reshape(-1)[at]))) for m, at in zip(grid.m_axes, support))
     N = grid.N
-    # phi vanishes at |k| >= (8/3) 2^j_max, which the bank keeps at or below Nyquist.
-    assert K < N // 2, f"shell support reaches m = {K} at N = {N}"
+    # phi vanishes at |k| >= (8/3) 2^j_max, which the bank keeps inside the cube.
+    assert K <= N // 3, f"shell support reaches m = {K} at N = {N}"
     fft_rows = np.concatenate([np.arange(K + 1), np.arange(N - K, N)])
     cube = np.ix_(*([fft_rows] * (grid.d - 1) + [np.arange(K + 1)]))
     index = np.arange(math.prod(grid.spectral_shape)).reshape(grid.spectral_shape)[cube]
@@ -166,10 +166,10 @@ class FilterBank:
             raise ValueError(
                 f"need j_max - j_min >= 3, got j_min={j_min}, j_max={j_max}"
             )
-        if ANNULUS_HI * 2.0**j_max > grid.k_nyquist * (1.0 + 1e-12):
-            raise ValueError(
-                f"top shell exceeds Nyquist: (8/3)*2^{j_max} > pi*N/L = {grid.k_nyquist:g}"
-            )
+        radius = grid.k_min * grid.N / 3.0
+        if ANNULUS_HI * 2.0**j_max > radius * (1.0 + 1e-12):
+            raise ValueError(f"top shell exceeds the 2/3-rule cube: "
+                             f"(8/3)*2^{j_max} > k_min*N/3 = {radius:g}")
         self.grid = grid
         self.j_min = int(j_min)
         self.j_max = int(j_max)
@@ -330,6 +330,24 @@ def _coeffs(f) -> np.ndarray:
     raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
 
 
+def _gather_cube(f) -> np.ndarray:
+    """The cube entries of a Field's or SpectralField's coefficients.  Raises
+    ValueError naming the largest coefficient off the cube unless it is at
+    most 1e-13 of the largest one, the roundoff of a field that vanishes there."""
+    grid, hat = f.grid, _coeffs(f)
+    if not np.all(np.isfinite(hat)):
+        raise ValueError("field samples must be finite")
+    mag = np.abs(hat)
+    off = np.where(grid.dealias_mask, 0.0, mag)
+    worst = np.unravel_index(np.argmax(off), off.shape)
+    if off[worst] > 1e-13 * np.max(mag):
+        m = tuple(int(m_a.reshape(-1)[i]) for m_a, i in zip(grid.m_axes, worst[1:]))
+        raise ValueError(f"field must vanish off the 2/3-rule cube |m_a| <= {grid.N // 3}: "
+                         f"component {worst[0]} has |coefficient| {off[worst]:.3e} at m = {m}, "
+                         f"{off[worst] / np.max(mag):.2e} of the largest")
+    return grid.to_cube(hat)
+
+
 def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     """Homogeneous Besov norm; the mean mode belongs to no shell and drops out."""
     hat = _coeffs(f)
@@ -358,9 +376,8 @@ def _interpolate(times: np.ndarray, stack, t: float) -> np.ndarray:
 @dataclass
 class TimeSeriesField:
     """One field on a strictly increasing time axis from t = 0, held as the
-    stacked coefficients of its snapshots: (n_times, c, *grid.spectral_shape)
-    on the half spectrum, or (n_times, c, *grid.cube_shape) for a field that
-    vanishes off the 2/3-rule cube.  Finiteness is checked once, here."""
+    stacked coefficients of its snapshots on the 2/3-rule cube, shape
+    (n_times, c, *grid.cube_shape).  Finiteness is checked once, here."""
 
     grid: FrequencyGrid
     times: np.ndarray
@@ -371,10 +388,9 @@ class TimeSeriesField:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if self.times.ndim != 1 or self.times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        if self.coeffs.ndim != self.grid.d + 2 or self.coeffs.shape[2:] not in (
-                self.grid.spectral_shape, self.grid.cube_shape):
-            raise ValueError(f"coeffs must have shape (n_times, c, *spectral_shape) or "
-                             f"(n_times, c, *cube_shape), got {self.coeffs.shape}")
+        if self.coeffs.ndim != self.grid.d + 2 or self.coeffs.shape[2:] != self.grid.cube_shape:
+            raise ValueError(f"coeffs must have shape (n_times, c, *cube_shape), "
+                             f"got {self.coeffs.shape}")
         if self.coeffs.shape[0] != self.times.size:
             raise ValueError("times and snapshots disagree in length")
         if self.times[0] != 0.0:
@@ -386,11 +402,11 @@ class TimeSeriesField:
 
     @classmethod
     def from_snapshots(cls, times, snapshots) -> "TimeSeriesField":
-        """The series of a list of ``Field``s and/or ``SpectralField``s on one grid."""
+        """The series of ``Field``/``SpectralField`` snapshots on one grid (``_gather_cube``)."""
         grid = snapshots[0].grid
         if any(snap.grid != grid for snap in snapshots):
             raise ValueError("snapshots must share one grid")
-        return cls(grid, times, np.stack([_coeffs(snap) for snap in snapshots]))
+        return cls(grid, times, np.stack([_gather_cube(snap) for snap in snapshots]))
 
     @property
     def components(self) -> int:
@@ -404,19 +420,6 @@ class TimeSeriesField:
     def T(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def on_cube(self) -> bool:
-        """Whether the coefficients are held on ``grid.cube``."""
-        return self.coeffs.shape[2:] == self.grid.cube_shape
-
-    def half_spectrum(self) -> np.ndarray:
-        """The coefficient stack on the half spectrum: a cube stack is scattered into zeros."""
-        return self.grid.from_cube(self.coeffs) if self.on_cube else self.coeffs
-
-    def cube_coeffs(self) -> np.ndarray:
-        """The coefficient stack on the cube: a half-spectrum stack is gathered onto it."""
-        return self.coeffs if self.on_cube else self.grid.to_cube(self.coeffs)
-
     def field(self, i: int) -> Field:
         """Physical samples of snapshot i, for I/O and inspection."""
         return Field(self.grid, self.grid.ifft(self.coeffs[i]))
@@ -424,30 +427,27 @@ class TimeSeriesField:
     def sample_at(self, t: float) -> SpectralField:
         """Linear interpolation in time, on the half spectrum; exact at stored snapshots."""
         hat = _interpolate(self.times, self.coeffs, t)
-        return SpectralField(self.grid, self.grid.from_cube(hat) if self.on_cube else hat)
+        return SpectralField(self.grid, self.grid.from_cube(hat))
 
     def __sub__(self, other: "TimeSeriesField") -> "TimeSeriesField":
-        """Snapshot-wise difference: on the cube if both series are, else on the half spectrum."""
+        """Snapshot-wise difference."""
         if self.grid != other.grid:
             raise ValueError("series live on different grids")
         if self.n_times != other.n_times or not np.allclose(
             self.times, other.times, rtol=0.0, atol=1e-12
         ):
             raise ValueError("series have different time axes")
-        same = self.on_cube == other.on_cube
-        diff = self.coeffs - other.coeffs if same else self.half_spectrum() - other.half_spectrum()
-        return TimeSeriesField(self.grid, self.times.copy(), diff)
+        return TimeSeriesField(self.grid, self.times.copy(), self.coeffs - other.coeffs)
 
 
 def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.ndarray:
     """||Delta_j f(t_i)||_Lp as an (n_shells, n_times) matrix."""
     if series.grid != bank.grid:
         raise ValueError("series and bank live on different grids")
-    hats = series.coeffs
-    if series.on_cube:  # each snapshot scattered into one zeroed half-spectrum buffer
-        buffer = np.zeros((series.components,) + bank.grid.spectral_shape, dtype=np.complex128)
-        hats = (bank.grid.from_cube(hat, out=buffer) for hat in series.coeffs)
-    return np.stack([_shell_lp_norms(hat, p, bank) for hat in hats], 1)
+    # Each snapshot is scattered into one zeroed half-spectrum buffer.
+    buffer = np.zeros((series.components,) + bank.grid.spectral_shape, dtype=np.complex128)
+    return np.stack([_shell_lp_norms(bank.grid.from_cube(hat, out=buffer), p, bank)
+                     for hat in series.coeffs], 1)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -343,17 +343,23 @@ def compute_e0(data: MhdInitialData, p: float, bank: FilterBank) -> float:
     ) + besov_norm(SpectralField(grid, data.b0_hat), BesovSpec(d / p, p, 1.0), bank)
 
 
+def _checked_grid(data: MhdInitialData, config: IterationConfig) -> FrequencyGrid:
+    """The data's grid; raises ValueError unless it is the config's."""
+    grid = data.grid
+    if (grid.d, grid.N, grid.L) != (config.d, config.N, config.L):
+        raise ValueError(f"data on the grid d={grid.d}, N={grid.N}, L={grid.L:g}, but the config "
+                         f"asks for d={config.d}, N={config.N}, L={config.L:g}")
+    return grid
+
+
 def init_iterate(
     data: MhdInitialData,
     config: IterationConfig,
     T: float,
     bank: FilterBank | None = None,
 ) -> IterationState:
-    """Iterate 0: free heat flow of the level-0 truncated data, each field on the cube if zero off it."""
-    grid = data.grid
-    if (grid.d, grid.N, grid.L) != (config.d, config.N, config.L):
-        raise ValueError(f"data on the grid d={grid.d}, N={grid.N}, L={grid.L:g}, but the config "
-                         f"asks for d={config.d}, N={config.N}, L={config.L:g}")
+    """Iterate 0: free heat flow of the level-0 truncated data."""
+    grid = _checked_grid(data, config)
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
     u_series, b_series = (solve_heat(HeatProblem(hat, None, T, config.dt))
@@ -397,10 +403,8 @@ def _assemble_sources(
     prods = np.empty((n_sym + d * d,) + grid.shape)
     forcing = np.empty((u_series.n_times, d) + grid.cube_shape, dtype=np.complex128)
     source = np.empty_like(forcing)
-    u_cube, b_cube = u_series.cube_coeffs(), b_series.cube_coeffs()
     for n in range(u_series.n_times):
-        pair = np.stack([u_cube[n], b_cube[n]])
-        um, bm = grid.ifft(pair)
+        um, bm = grid.ifft(np.stack([u_series.coeffs[n], b_series.coeffs[n]]))
         for row, (i, j) in enumerate(zip(*upper)):
             np.multiply(bm[i], bm[j], out=prods[row])
             prods[row] -= um[i] * um[j]
@@ -417,8 +421,7 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
     """Advance the scheme one index:
 
     u^{n+1}: heat solve from level-(n+1) truncated u0 under the
-             Leray-projected tensor forcing of iterate n, on the cube when
-             the truncated u0 is zero off it,
+             Leray-projected tensor forcing of iterate n,
     B^{n+1}: transport solve advected by u^n from level-(n+1) truncated B0
              with the stretching source (B^n.grad)u^n.
     The transport runs first, so its peak holds no u^{n+1}.
@@ -549,7 +552,7 @@ def run_iteration(
     iterates n+1 and n (nan on the last row).  Non-convergence is reported
     through the flags, never raised.
     """
-    grid = data.grid
+    grid = _checked_grid(data, config)
     bank = config.bank(grid)
     u0 = SpectralField(grid, data.u0_hat)
     if T_override is None:

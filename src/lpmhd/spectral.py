@@ -159,14 +159,14 @@ class FrequencyGrid:
             out[(Ellipsis,) + part] = coeffs[(Ellipsis,) + full]
         return out
 
-    def from_cube(self, cube_coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Scatter cube entries into ``out`` (default: fresh zeros of the
-        half-spectrum shape); entries of ``out`` off the cube are left as they are."""
+    def from_cube(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Scatter (..., *cube_shape) entries into ``out`` (default: fresh zeros
+        of the half-spectrum shape); entries of ``out`` off the cube are left as they are."""
         if out is None:
-            lead = cube_coeffs.shape[: cube_coeffs.ndim - self.d]
+            lead = coeffs.shape[: coeffs.ndim - self.d]
             out = np.zeros(lead + self.spectral_shape, dtype=np.complex128)
         for full, part in self._cube_blocks:
-            out[(Ellipsis,) + full] = cube_coeffs[(Ellipsis,) + part]
+            out[(Ellipsis,) + full] = coeffs[(Ellipsis,) + part]
         return out
 
     def _reframe(self, lines: np.ndarray, axis: int, rows: int, swap: bool = False) -> np.ndarray:
@@ -212,13 +212,13 @@ class FrequencyGrid:
         is bitwise ``ifft(from_cube(coeffs))``: each leading axis is padded
         from the 2K+1 cube rows to N just before its transform, and only the
         K+1 columns that can be nonzero are transformed before ``irfft``."""
-        on_cube = coeffs.shape[-self.d:] == self.cube_shape
-        if not on_cube and coeffs.shape[-self.d:] != self.spectral_shape:
+        pruned = coeffs.shape[-self.d:] == self.cube_shape
+        if not pruned and coeffs.shape[-self.d:] != self.spectral_shape:
             raise ValueError(f"coeffs must end in spectral_shape {self.spectral_shape} or "
                              f"cube_shape {self.cube_shape}, got {coeffs.shape}")
         lines = coeffs
         for axis in range(-self.d, -1):
-            if on_cube:
+            if pruned:
                 lines = self._reframe(lines, axis, self.N)
             # Only the caller's array is left as it is; every later one is ours.
             lines = np.fft.ifft(lines, axis=axis, norm="forward",

@@ -2,12 +2,13 @@
 helpers and the Bony paraproduct and remainder on the whole half spectrum,
 masking with ``grid.dealias_mask`` after every transform.  The package runs
 them on the 2/3-rule cube instead; these are the full-layout formulas its
-results must reproduce bit for bit.
+results must reproduce bit for bit.  Series come in on the cube and are
+scattered onto the half spectrum before use; stacks go out on it.
 """
 
 import numpy as np
 
-from lpmhd import SpectralField, TimeSeriesField, leray_project
+from lpmhd import SpectralField, leray_project
 from lpmhd.littlewood_paley import _coeffs, _interpolate
 
 
@@ -21,12 +22,13 @@ def _advection_rhs(grid, fhat, v_samples, g_hat):
 
 
 def solve_transport(problem):
-    """RK4 on the masked half spectrum, every step stored."""
+    """RK4 on the masked half spectrum; the stack of every step."""
     grid = problem.grid
     fhat = _coeffs(problem.f0) * grid.dealias_mask
     dt = problem.dt
     velocity, source = problem.velocity, problem.source
-    velocity_samples = grid.ifft(velocity.half_spectrum())
+    velocity_samples = grid.ifft(grid.from_cube(velocity.coeffs))
+    source_hats = None if source is None else grid.from_cube(source.coeffs)
 
     def v_at(t):
         return _interpolate(velocity.times, velocity_samples, t)
@@ -34,7 +36,7 @@ def solve_transport(problem):
     def g_at(t):
         if source is None:
             return None
-        return _interpolate(source.times, source.coeffs, t) * grid.dealias_mask
+        return _interpolate(source.times, source_hats, t) * grid.dealias_mask
 
     times = np.arange(problem.n_steps + 1) * dt
     stack = np.empty((times.size,) + fhat.shape, dtype=np.complex128)
@@ -49,25 +51,25 @@ def solve_transport(problem):
         k4 = _advection_rhs(grid, fhat + dt * k3, v1, g1)
         fhat = fhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         stack[n + 1] = fhat
-    return TimeSeriesField(grid, times, stack)
+    return stack
 
 
 def assemble_sources(u_series, b_series):
-    """P div(B (x) B - u (x) u) and div(u (x) B) from all 2 d^2 products."""
+    """P div(B (x) B - u (x) u) and div(u (x) B) from all 2 d^2 products, as stacks."""
     grid = u_series.grid
     mask = grid.dealias_mask
-    forcing = np.empty_like(u_series.coeffs)
-    source = np.empty_like(u_series.coeffs)
+    u_hats, b_hats = grid.from_cube(u_series.coeffs), grid.from_cube(b_series.coeffs)
+    forcing = np.empty_like(u_hats)
+    source = np.empty_like(u_hats)
     for i in range(u_series.n_times):
-        um, bm = grid.ifft(np.stack([u_series.coeffs[i], b_series.coeffs[i]]) * mask)
+        um, bm = grid.ifft(np.stack([u_hats[i], b_hats[i]]) * mask)
         bb_uu = np.einsum("i...,j...->ij...", bm, bm) - np.einsum("i...,j...->ij...", um, um)
         ub = np.einsum("i...,j...->ij...", um, bm)
         prod_hat = grid.fft(np.stack([bb_uu, ub])) * mask
         div_hat = sum(prod_hat[:, :, j] * grid.ik[j] for j in range(grid.d))
         forcing[i] = leray_project(SpectralField(grid, div_hat[0])).coeffs
         source[i] = div_hat[1]
-    times = u_series.times
-    return TimeSeriesField(grid, times.copy(), forcing), TimeSeriesField(grid, times.copy(), source)
+    return forcing, source
 
 
 def _dealiased_samples(grid, samples):

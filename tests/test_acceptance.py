@@ -278,7 +278,7 @@ def test_11_magnetic_shear_exact_oracle():
         want = low_pass(bank, min(iterates, bank.j_max + 1), to_spectral(data.b0)).coeffs
         scale = float(np.max(np.abs(want)))
         worst_u = max(worst_u, float(np.max(np.abs(final.u_series.coeffs))))
-        worst_b = max(worst_b, float(np.max(np.abs(final.b_series.half_spectrum() - want))) / scale)
+        worst_b = max(worst_b, float(np.max(np.abs(grid.from_cube(final.b_series.coeffs) - want))) / scale)
         later = [r.d_n for r in diag.records[1:-1]]
         worst_d = max(worst_d, max(later) / diag.e0)
         assert final.n == iterates and diag.T == t_max and len(later) == iterates - 1

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, driven in process."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lpmhd import (
     SuiteResult,
     build_filter_bank,
     interior_field,
+    leray_project,
     lp_norm,
     make_grid,
     read_diagnostics,
@@ -17,6 +19,8 @@ from lpmhd import (
     read_uniqueness_report,
     sample_rng,
     taylor_green_data,
+    to_physical,
+    to_spectral,
     write_field,
 )
 from lpmhd import cli, mhd
@@ -248,6 +252,26 @@ class TestSolveCommand:
         assert code == 2
         assert "is not a multiple of dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["heat", "transport"])
+    def test_data_off_the_cube_exit_2(self, capsys, tmp_path, problem):
+        # White noise fills every mode, but series and marches hold only the
+        # 2/3-rule cube |m_a| <= 10: the file is refused before any work.
+        grid, _, path = _write_initial(tmp_path)
+        white = Field(grid, np.random.default_rng(0).standard_normal((2,) + grid.shape))
+        white = to_physical(leray_project(to_spectral(white)))  # divergence-free
+        wpath = tmp_path / "white.field"
+        write_field(wpath, Field(grid, white.samples[:1]) if problem == "heat" else white)
+        flags = (["--initial", str(wpath)] if problem == "heat"
+                 else ["--initial", path, "--velocity", str(wpath)])
+        out_dir = tmp_path / "out_white"
+        code = cli.main(["solve", problem, *flags, "--N", "32", "--T_max", "0.01",
+                         "--dt", "0.002", "--output_dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(r"error: field must vanish off the 2/3-rule cube \|m_a\| <= 10: "
+                         r"component \d has \|coefficient\| \S+ at m = \(-?\d+, \d+\), ", err)
+        assert not (out_dir / f"{problem}_manifest.json").exists()
+
     def test_missing_initial_file_exit_2(self, capsys, tmp_path):
         code = cli.main(
             ["solve", "heat", "--initial", str(tmp_path / "absent.field"), "--N", "32"]
@@ -463,6 +487,19 @@ class TestNormsCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "at least two" in err
+
+    def test_mixed_norm_of_white_noise_files(self, capsys, tmp_path):
+        # Any field file is accepted: every shell lies in the 2/3 cube, so
+        # its series drops nothing the norm reads.  The value is pinned.
+        grid = make_grid(2, 32, 2.0 * np.pi)
+        f = Field(grid, np.random.default_rng(0).standard_normal((1, 32, 32)))
+        paths = [str(tmp_path / name) for name in ("a.field", "b.field")]
+        for path in paths:
+            write_field(path, f)
+        code = cli.main(["norms", *paths, "--N", "32", "--q", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "series: mixed(q=1) over dt=0.002 spacing = 0.00434558174919468\n" in out
 
     def test_grid_mismatch_reported(self, capsys, tmp_path):
         _, _, p1 = _write_initial(tmp_path, n=16, name="a.field")

@@ -28,6 +28,7 @@ from lpmhd import (
     to_spectral,
     transport_estimate_report,
 )
+from lpmhd.spectral import _dealiased_samples
 
 
 def _steady_velocity(grid, samples, T):
@@ -41,19 +42,16 @@ def _step_series(grid, g, T, dt):
     return TimeSeriesField.from_snapshots(times, [Field(grid, g(t)) for t in times])
 
 
-def _traced_transport_peak(on_cube: bool) -> float:
+def _traced_transport_peak() -> float:
     """Traced peak of building and solving a 3-D N=16 transport problem
-    advected by a 30-snapshot velocity, on the cube or on the half spectrum,
-    in units of one snapshot's N^d samples."""
+    advected by a 30-snapshot velocity, in units of one snapshot's N^d samples."""
     grid = make_grid(3, 16)
     bank = build_filter_bank(grid)
     times = np.arange(30) * 1e-3
     snaps = [divergence_free_field(grid, bank, sample_rng(7, i)) for i in range(30)]
     velocity = TimeSeriesField.from_snapshots(times, snaps)
-    if on_cube:
-        velocity = TimeSeriesField(grid, times, velocity.cube_coeffs())
-    assert velocity.on_cube == on_cube
-    f0 = Field(grid, np.random.default_rng(1).standard_normal((1,) + grid.shape))
+    f0 = Field(grid, _dealiased_samples(grid, np.random.default_rng(1).standard_normal(
+        (1,) + grid.shape)))
     tracemalloc.start()
     try:
         solve_transport(TransportProblem(f0, velocity, None, times[-1], 1e-3))
@@ -132,49 +130,13 @@ class TestHeatSolver:
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
 
-    def test_cube_forcing_reads_like_its_scattered_copy(self, grid):
-        rng = np.random.default_rng(22)
-        times = np.linspace(0.0, 0.02, 3)
-        coeffs = np.stack([grid.fft(rng.standard_normal((2,) + grid.shape), dealiased=True)
-                           for _ in times])
-        cube = TimeSeriesField(grid, times, coeffs)
-        half = TimeSeriesField(grid, times, grid.from_cube(coeffs))
-        u0 = Field(grid, rng.standard_normal((2,) + grid.shape))
-        got, want = (solve_heat(HeatProblem(u0, g, 0.02, 2e-3)) for g in (cube, half))
-        assert cube.on_cube and not got.on_cube
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
-
-    def test_data_zero_off_the_cube_march_on_it(self, grid):
-        # One mode off the cube keeps the march on the half spectrum, and the
-        # cube march is that march gathered, to the bit: modes evolve apart.
-        rng = np.random.default_rng(23)
-        cube_u0 = grid.fft(rng.standard_normal((2,) + grid.shape), dealiased=True)
-        u0 = SpectralField(grid, grid.from_cube(cube_u0))
-        off = SpectralField(grid, u0.coeffs.copy())
-        off.coeffs[(0,) + (grid.N // 2,) * grid.d] = 1.0
-        times = np.linspace(0.0, 0.02, 4)
-        coeffs = np.stack([grid.fft(rng.standard_normal((2,) + grid.shape), dealiased=True)
-                           for _ in times])
-        for cube in (None, TimeSeriesField(grid, times, coeffs)):
-            half = None if cube is None else TimeSeriesField(grid, times, grid.from_cube(coeffs))
-            with pytest.MonkeyPatch.context() as mp:  # the cube march reads the stack itself
-                mp.delattr(TimeSeriesField, "sample_at")
-                got = solve_heat(HeatProblem(u0, cube, 0.02, 2e-3))
-            wants = [solve_heat(HeatProblem(off, g, 0.02, 2e-3)) for g in (cube, half)]
-            if half is not None:
-                wants.append(solve_heat(HeatProblem(u0, half, 0.02, 2e-3)))
-            assert got.on_cube and got.coeffs.shape[2:] == grid.cube_shape
-            for want in wants:
-                assert not want.on_cube
-                assert got.coeffs.tobytes() == grid.to_cube(want.coeffs).tobytes()
-
     def test_snapshots_stored_as_coefficients(self, grid, count_transforms):
         x1, x2 = grid.coords()
         u0 = Field(grid, np.cos(2.0 * x1 + x2)[None])
         counts = count_transforms()
         sol = solve_heat(HeatProblem(u0, None, 0.02, 2e-3))
         assert counts == Counter(fft=1)
-        assert sol.coeffs.shape == (11, 1) + grid.spectral_shape
+        assert sol.coeffs.shape == (11, 1) + grid.cube_shape
 
     def test_spectral_initial_data(self, grid):
         rng = sample_rng(21, 0)
@@ -331,11 +293,12 @@ class TestTransportSolver:
         T, dt = 0.01, 2e-3
         vel = _steady_velocity(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]), T)
         src = TimeSeriesField.from_snapshots(np.array([0.0, T]), [g, g])
-        problem = TransportProblem(f0, vel, src, T, dt)
         counts = count_transforms()
+        problem = TransportProblem(f0, vel, src, T, dt)
         sol = solve_transport(problem)
         n = problem.n_steps
-        # f0 in, then 4 RK stages per step; snapshots are stored as coefficients.
+        # f0 in at construction, then 4 RK stages per step; snapshots are
+        # stored as coefficients.
         # Each velocity snapshot is inverted once, when a step first reads it.
         assert counts == Counter(fft=1 + 4 * n, ifft=4 * n + vel.n_times)
         assert sol.n_times == n + 1
@@ -350,7 +313,7 @@ class TestTransportSolver:
         rng = np.random.default_rng(d)
 
         def noise():
-            return Field(grid, rng.standard_normal((d,) + grid.shape))
+            return Field(grid, _dealiased_samples(grid, rng.standard_normal((d,) + grid.shape)))
 
         vel = TimeSeriesField.from_snapshots(
             times, [divergence_free_field(grid, bank, sample_rng(9, i)) for i in range(times.size)]
@@ -362,31 +325,10 @@ class TestTransportSolver:
         sol = solve_transport(problem)
         want = half_spectrum_oracle.solve_transport(problem)
         assert sol.coeffs.shape == (problem.n_steps + 1, d) + grid.cube_shape
-        np.testing.assert_array_equal(grid.from_cube(sol.coeffs), want.coeffs)
-        # White-noise data and source: every step of the full-layout formula is
-        # exactly 0 off the 2/3 cube, so the cube stack loses nothing.
-        assert np.all(want.coeffs[..., ~grid.dealias_mask] == 0.0)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_cube_velocity_and_source_read_like_their_scattered_copies(self, d):
-        grid = make_grid(d, 32 if d == 2 else 16)
-        bank = build_filter_bank(grid)
-        T, dt = 0.01, 2e-3
-        times = np.linspace(0.0, T, 3)
-        rng = np.random.default_rng(d + 30)
-
-        def pair(snapshots):
-            coeffs = np.stack([grid.fft(s.samples, dealiased=True) for s in snapshots])
-            return (TimeSeriesField(grid, times, coeffs),
-                    TimeSeriesField(grid, times, grid.from_cube(coeffs)))
-
-        vel = pair([divergence_free_field(grid, bank, sample_rng(31, i)) for i in range(3)])
-        src = pair([Field(grid, rng.standard_normal((1,) + grid.shape)) for _ in times])
-        f0 = Field(grid, rng.standard_normal((1,) + grid.shape))
-        got, want = (solve_transport(TransportProblem(f0, v, g, T, dt))
-                     for v, g in zip(vel, src))
-        assert got.on_cube and want.on_cube
-        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        np.testing.assert_array_equal(grid.from_cube(sol.coeffs), want)
+        # Every step of the full-layout formula is exactly 0 off the 2/3
+        # cube, so the cube stack loses nothing.
+        assert np.all(want[..., ~grid.dealias_mask] == 0.0)
 
     def test_spectral_source_matches_physical_source(self, grid):
         x1, _ = grid.coords()
@@ -426,24 +368,17 @@ class TestTransportSolver:
         times = np.linspace(0.0, 0.1, 6)
         snaps = [divergence_free_field(grid, bank, sample_rng(5, i)) for i in range(times.size)]
         velocity = TimeSeriesField.from_snapshots(times, snaps)
-        cube = TimeSeriesField(grid, times, velocity.cube_coeffs())
         counts = count_transforms()
-        for series in (velocity, cube):
-            TransportProblem(f0, series, None, 0.1, 2e-3)
-        # Parseval on the stored layout; only the march inverts the velocity.
-        assert counts == Counter()
+        TransportProblem(f0, velocity, None, 0.1, 2e-3)
+        # Parseval on the cube; only the march inverts the velocity, and the
+        # one forward transform gathers f0.
+        assert counts == Counter(fft=1)
 
     def test_transport_holds_two_velocity_snapshots(self):
         # Inverting every cube snapshot up front held all 30 (peak 103.8);
         # inverting each when a step first reads it and keeping two brings it
         # to 14.6.  The bound sits below 30.
-        assert _traced_transport_peak(on_cube=True) < 22.0
-
-    def test_divergence_check_holds_one_half_spectrum_snapshot(self):
-        # Checking the whole half-spectrum stack at once peaked at 46.2 in the
-        # construction; one field at a time leaves the solve's 12.7 as the
-        # peak.  The bound sits halfway.
-        assert _traced_transport_peak(on_cube=False) < 29.4
+        assert _traced_transport_peak() < 22.0
 
     def test_compressible_velocity_rejected(self, grid):
         x1, _ = grid.coords()
@@ -524,12 +459,10 @@ class TestTransportEstimate:
             vel = _steady_velocity(grid, np.stack([np.sin(K * x2), np.cos(K * x1)]), 0.25)
             besov = K * float(np.sum(2.0 ** np.array(bank.shells) * bank.phi[:, 0, K]))
             strength = max(besov, K * math.sqrt(2.0))
-            cube = TimeSeriesField(grid, vel.times, grid.to_cube(vel.coeffs))
-            for series in (vel, cube):
-                mon = monitor(series, 0.25)
-                # f0's forward, and one inverse of the gradient for the whole run.
-                assert counts == Counter(fft=1, ifft=1)
-                np.testing.assert_allclose(mon.V, mon.times * strength, rtol=1e-13)
+            mon = monitor(vel, 0.25)
+            # f0's forward, and one inverse of the gradient for the whole run.
+            assert counts == Counter(fft=1, ifft=1)
+            np.testing.assert_allclose(mon.V, mon.times * strength, rtol=1e-13)
         v = Field(grid, np.stack([np.sin(x2), np.zeros(grid.shape)]))
         vel = TimeSeriesField.from_snapshots(np.array([0.0, 0.02]), [v, 2.0 * v])
         mon = monitor(vel, 0.02)

@@ -23,12 +23,52 @@ from lpmhd.littlewood_paley import (
     shell_lp_matrix,
 )
 from lpmhd.random_fields import ball_field, decaying_series, interior_field, ring_field
-from lpmhd.spectral import Field, SpectralField, lp_norm, make_grid, to_spectral
+from lpmhd.spectral import (
+    Field,
+    SpectralField,
+    _dealiased_samples,
+    lp_norm,
+    make_grid,
+    to_spectral,
+)
 
 
 class TestFilterBank:
     def test_default_band(self, grid):
         assert default_band(grid) == (-2, 3)
+
+    @staticmethod
+    def _nyquist_band(grid):
+        """The band whose top annulus fits under the Nyquist radius pi N / L."""
+        j_max = math.floor(math.log2(3.0 * grid.k_nyquist / 8.0) + 1e-12)
+        j_min = math.floor(math.log2(3.0 * grid.k_min / 8.0) + 1e-12)
+        return min(j_min, j_max - 3), j_max
+
+    @pytest.mark.parametrize("a", [-2, -1, 0, 1, 2])
+    def test_band_ends_where_the_nyquist_band_did_on_dyadic_boxes(self, a):
+        # At L = 2 pi 2^a the cube radius k_min N/3 and the Nyquist radius
+        # leave the same last shell.
+        for d, sizes in ((2, (8, 16, 32, 64, 128, 256)), (3, (8, 16, 32))):
+            for N in sizes:
+                grid = make_grid(d, N, 2.0 * math.pi * 2.0**a)
+                assert default_band(grid) == self._nyquist_band(grid)
+
+    @pytest.mark.parametrize("ratio", [1.25, 1.5, 3.0, 5.0, 6.0, 12.0])
+    def test_band_ends_one_shell_lower_where_the_cube_is_tighter(self, ratio):
+        # L/(2 pi) with odd part in (1, 1.5]: the Nyquist band's top shell
+        # reaches past the cube radius.
+        for N in (16, 32, 64):
+            grid = make_grid(2, N, 2.0 * math.pi * ratio)
+            j_max = default_band(grid)[1]
+            assert j_max == self._nyquist_band(grid)[1] - 1
+            assert (8.0 / 3.0) * 2.0**j_max <= grid.k_min * N / 3.0
+            assert (8.0 / 3.0) * 2.0 ** (j_max + 1) > grid.k_min * N / 3.0
+
+    def test_every_shell_lives_on_the_cube(self):
+        for L in (2.0 * math.pi, 3.0 * math.pi, 3.0, 24.0 * math.pi):
+            grid = make_grid(2, 32, L)
+            bank = build_filter_bank(grid)
+            assert not bank.phi[:, ~grid.dealias_mask].any()
 
     def test_partition_exact_on_interior(self, bank):
         assert bank.partition_defect() == 0.0
@@ -43,6 +83,13 @@ class TestFilterBank:
             FilterBank(grid, 0, 2)
         with pytest.raises(ValueError):
             FilterBank(grid, -2, 6)
+        # At L = 3 pi, N = 64 the Nyquist band's top shell j = 3 reaches
+        # (8/3) 8 = 21.3, past the cube radius (2/3) 64 / 3 = 14.2.
+        wide = make_grid(2, 64, 3.0 * math.pi)
+        assert self._nyquist_band(wide) == (-2, 3) and default_band(wide) == (-2, 2)
+        with pytest.raises(ValueError, match=r"top shell exceeds the 2/3-rule cube: "
+                                             r"\(8/3\)\*2\^3 > k_min\*N/3 = 14\.2222"):
+            FilterBank(wide, -2, 3)
 
     def test_shell_bookkeeping(self, bank):
         assert list(bank.shells) == list(range(bank.j_min, bank.j_max + 1))
@@ -146,7 +193,8 @@ class TestShellNormKernel:
         lo, hi = default_band(grid)
         bank = FilterBank(grid, lo - band_shift, hi - band_shift)
         rng = np.random.default_rng(seed + 10 * d + c)
-        snaps = [Field(grid, rng.standard_normal((c,) + grid.shape)) for _ in range(n_times)]
+        snaps = [Field(grid, _dealiased_samples(grid, rng.standard_normal((c,) + grid.shape)))
+                 for _ in range(n_times)]
         return grid, bank, TimeSeriesField.from_snapshots(np.linspace(0.0, 0.1, n_times), snaps)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -227,7 +275,8 @@ class TestTimeSeries:
     def _series(self, grid, n=5, seed=6):
         rng = np.random.default_rng(seed)
         times = np.linspace(0.0, 0.4, n)
-        snaps = [Field(grid, rng.standard_normal((1,) + grid.shape)) for _ in range(n)]
+        snaps = [Field(grid, _dealiased_samples(grid, rng.standard_normal((1,) + grid.shape)))
+                 for _ in range(n)]
         return TimeSeriesField.from_snapshots(times, snaps)
 
     def test_validation(self, grid):
@@ -239,75 +288,47 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeriesField.from_snapshots(np.array([0.0, 0.1, 0.2]), [f, f.copy()])
 
-    def test_accepts_the_half_spectrum_and_the_cube(self, grid):
+    def test_accepts_only_the_cube(self, grid):
         times = np.array([0.0, 0.1])
-        half = TimeSeriesField(grid, times, np.zeros((2, 2) + grid.spectral_shape))
-        cube = TimeSeriesField(grid, times, np.zeros((2, 2) + grid.cube_shape))
-        assert not half.on_cube and cube.on_cube
-        assert half.half_spectrum() is half.coeffs
-        assert cube.half_spectrum().shape == (2, 2) + grid.spectral_shape
+        assert TimeSeriesField(grid, times, np.zeros((2, 2) + grid.cube_shape)).components == 2
         wider = grid.cube_shape[:-1] + (grid.cube_shape[-1] + 1,)
-        for shape in ((2, 2) + wider, (2, 2) + grid.shape, (2,) + grid.cube_shape,
-                      (2, 1, 2) + grid.cube_shape):
+        for shape in ((2, 2) + grid.spectral_shape, (2, 2) + wider, (2, 2) + grid.shape,
+                      (2,) + grid.cube_shape, (2, 1, 2) + grid.cube_shape):
             with pytest.raises(ValueError, match="cube_shape"):
                 TimeSeriesField(grid, times, np.zeros(shape))
 
-    @staticmethod
-    def _cube_pair(d, seed=12):
-        """A series held on the cube and its copy scattered onto the half spectrum."""
-        grid = make_grid(d, 32 if d == 2 else 16)
-        rng = np.random.default_rng(seed)
-        times = np.linspace(0.0, 0.3, 4)
-        coeffs = np.stack([grid.fft(rng.standard_normal((d,) + grid.shape), dealiased=True)
-                           for _ in times])
-        cube = TimeSeriesField(grid, times, coeffs)
-        return grid, cube, TimeSeriesField(grid, times, grid.from_cube(coeffs))
-
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
-    def test_cube_shell_matrix_is_bitwise_the_scattered_one(self, d, p):
-        grid, cube, half = self._cube_pair(d)
-        bank = build_filter_bank(grid)
-        np.testing.assert_array_equal(shell_lp_matrix(cube, p, bank),
-                                      shell_lp_matrix(half, p, bank))
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_cube_snapshots_read_bitwise_like_the_scattered_ones(self, d):
-        grid, cube, half = self._cube_pair(d)
-        for i in range(cube.n_times):
-            assert cube.field(i).samples.tobytes() == half.field(i).samples.tobytes()
-        for t in (0.0, 0.05, cube.times[2], cube.T):
-            got = cube.sample_at(t)
-            assert got.coeffs.shape == (d,) + grid.spectral_shape
-            np.testing.assert_array_equal(got.coeffs, half.sample_at(t).coeffs)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_mixed_layout_differences_land_on_the_half_spectrum(self, d):
-        grid, cube, half = self._cube_pair(d)
-        _, other_cube, other_half = self._cube_pair(d, seed=13)
-        want = half - other_half
-        assert not want.on_cube
-        both = cube - other_cube
-        assert both.on_cube
-        np.testing.assert_array_equal(grid.from_cube(both.coeffs), want.coeffs)
-        for got, ref in ((cube - other_half, want), (half - other_cube, want),
-                         (cube - half, half - half)):
-            assert not got.on_cube
-            np.testing.assert_array_equal(got.coeffs, ref.coeffs)
+    def test_snapshots_off_the_cube_rejected(self, grid):
+        times = np.array([0.0, 0.1])
+        white = Field(grid, np.random.default_rng(3).standard_normal((2,) + grid.shape))
+        with pytest.raises(ValueError, match=r"vanish off the 2/3-rule cube \|m_a\| <= 21: "
+                                             r"component \d has \|coefficient\| .* at m = \("):
+            TimeSeriesField.from_snapshots(times, [white, white])
+        # One coefficient just past the cube, at 1e-12 of the largest, is named.
+        hat = grid.fft(_dealiased_samples(grid, white.samples))
+        hat[1, 22, 5] = 1e-12 * np.max(np.abs(hat))
+        with pytest.raises(ValueError, match=r"component 1 .* at m = \(22, 5\), 1\.00e-12 of"):
+            TimeSeriesField.from_snapshots(times, [SpectralField(grid, hat)] * 2)
+        # Roundoff off the cube, up to 1e-13 of the largest, is dropped.
+        hat[1, 22, 5] = 1e-13 * np.max(np.abs(hat))
+        series = TimeSeriesField.from_snapshots(times, [SpectralField(grid, hat)] * 2)
+        np.testing.assert_array_equal(series.coeffs[0], grid.to_cube(hat))
+        hat[0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeSeriesField.from_snapshots(times, [SpectralField(grid, hat)] * 2)
 
     def test_sample_at_interpolates(self, grid):
         series = self._series(grid)
         t = 0.5 * (series.times[1] + series.times[2])
         mid = series.sample_at(t)
-        expected = 0.5 * (series.coeffs[1] + series.coeffs[2])
+        expected = grid.from_cube(0.5 * (series.coeffs[1] + series.coeffs[2]))
         np.testing.assert_allclose(mid.coeffs, expected, atol=1e-13)
 
     def test_sample_at_endpoints(self, grid):
         series = self._series(grid)
         np.testing.assert_array_equal(series.sample_at(0.0).coeffs,
-                                      series.coeffs[0])
+                                      grid.from_cube(series.coeffs[0]))
         np.testing.assert_array_equal(series.sample_at(series.times[-1]).coeffs,
-                                      series.coeffs[-1])
+                                      grid.from_cube(series.coeffs[-1]))
 
     def test_subtraction_needs_matching_times(self, grid):
         a = self._series(grid, n=5)
@@ -323,7 +344,8 @@ class TestTimeSeries:
         counts = count_transforms()
         mid = spectral.sample_at(t)
         assert isinstance(mid, SpectralField)
-        assert np.shares_memory(spectral.sample_at(series.times[3]).coeffs, spectral.coeffs[3])
+        np.testing.assert_array_equal(spectral.sample_at(series.times[3]).coeffs,
+                                      grid.from_cube(spectral.coeffs[3]))
         diff = spectral - spectral
         assert counts == Counter()
         scale = np.max(np.abs(mid.coeffs))

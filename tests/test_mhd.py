@@ -46,6 +46,7 @@ from lpmhd import (
 from lpmhd import littlewood_paley, mhd
 from lpmhd.mhd import compute_e0
 from lpmhd.random_fields import divergence_free_field, sample_rng
+from lpmhd.spectral import _dealiased_samples
 
 
 def _small_config(**kw):
@@ -277,12 +278,24 @@ class TestIterationScheme:
 
     @pytest.mark.parametrize("N, L, got", [(32, 2.0 * math.pi, "N=32, L=6.28319"),
                                            (64, 4.0 * math.pi, "N=64, L=12.5664")])
-    def test_data_off_the_config_grid_rejected(self, N, L, got):
-        # Used to run silently on the data's grid, the config's N or L ignored.
+    def test_data_off_the_config_grid_rejected(self, N, L, got, monkeypatch):
+        # Used to run silently on the data's grid, the config's N or L
+        # ignored; later, only after selecting the horizon on the data's grid.
+        calls = Counter()
+        original = mhd.select_time_horizon
+
+        def spy(*args):
+            calls["select_time_horizon"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(mhd, "select_time_horizon", spy)
         data = taylor_green_data(make_grid(2, N, L))
         with pytest.raises(ValueError, match=f"data on the grid d=2, {got}, but the config "
                                              f"asks for d=2, N=64, L=6.28319"):
             run_iteration(data, _small_config())
+        with pytest.raises(ValueError, match=f"data on the grid d=2, {got}"):
+            run_iteration(data, IterationConfig(N=64))
+        assert calls == Counter()
 
     def test_iterate_advances_and_links(self, grid):
         cfg = _small_config()
@@ -402,33 +415,26 @@ class TestIterationScheme:
         assert len(series_refs) == 5
         assert series_refs[-1]() is diag.final_state.u_series
 
-    @pytest.mark.parametrize("L, data_on_cube", [(2.0 * math.pi, True), (24.0 * math.pi, False)])
-    def test_b_series_live_on_the_cube(self, L, data_on_cube):
-        # At L = 24 pi the bank reaches the Nyquist radius and the truncated
-        # data of white noise leave the cube, so B^0 and every u^n stay on the
-        # half spectrum; B^n, n >= 1, comes from the cube transport marcher.
+    @pytest.mark.parametrize("L, band", [(2.0 * math.pi, (-2, 2)), (24.0 * math.pi, (-5, -2))])
+    def test_b_series_live_on_the_cube(self, L, band):
+        # The band ends inside the cube, so white-noise data truncated at
+        # any level vanish off it: every u^n and B^n is a cube series, and
+        # B^n(0) is S_n B0 to the bit.  At L = 24 pi the band that ended at
+        # the Nyquist radius, (-5, -1), put 47% of S_0 B0's L2 norm off the cube.
         cfg = _small_config(N=32, L=L)
         grid, rng = cfg.grid(), np.random.default_rng(14)
+        bank = cfg.bank(grid)
+        assert (bank.j_min, bank.j_max) == band
         data = prepare_initial_data(
             *(Field(grid, 0.05 * rng.standard_normal((2,) + grid.shape)) for _ in range(2)))
-        s0 = init_iterate(data, cfg, 0.01)
-        s1 = iterate_once(s0, cfg)
-        assert s0.b_series.on_cube == data_on_cube and s1.b_series.on_cube
-        assert s0.u_series.on_cube == s1.u_series.on_cube == data_on_cube
-
-        def scattered(state):
-            return replace(state, **{
-                name: TimeSeriesField(grid, series.times, series.half_spectrum())
-                for name, series in (("u_series", state.u_series), ("b_series", state.b_series))
-            })
-
-        want = mhd._difference_norm(scattered(s1), scattered(s0), cfg.p)
-        assert want > 0.0 and mhd._difference_norm(s1, s0, cfg.p) == want
-        for state in (s0, s1):
-            got = system_residual(state.u_series, state.b_series)
-            ref = system_residual(scattered(state).u_series, scattered(state).b_series)
-            for key in ("u", "b"):
-                np.testing.assert_array_equal(got[key], ref[key])
+        state = init_iterate(data, cfg, 0.01)
+        for n in range(3):
+            for series in (state.u_series, state.b_series):
+                assert series.coeffs.shape == (series.n_times, 2) + grid.cube_shape
+            mult = bank.lowpass_multiplier(mhd._clamped_level(bank, max(n, bank.j_min)))
+            np.testing.assert_array_equal(state.b_series.coeffs[0],
+                                          grid.to_cube(data.b0_hat * mult))
+            state = iterate_once(state, cfg)
 
     def test_iterate_peak_memory_in_half_spectrum_series(self):
         # Traced peak of one 3-D N=16, p=3 iterate and its D_n, counting the
@@ -502,7 +508,8 @@ class TestSourceAssembly:
         times = np.linspace(0.0, 0.01, n_times)
 
         def series():
-            snaps = [Field(grid, 0.3 * rng.standard_normal((d,) + grid.shape)) for _ in times]
+            snaps = [Field(grid, _dealiased_samples(grid, 0.3 * rng.standard_normal(
+                (d,) + grid.shape))) for _ in times]
             return TimeSeriesField.from_snapshots(times, snaps)
 
         return grid, series(), series()
@@ -534,9 +541,9 @@ class TestSourceAssembly:
         got = mhd._assemble_sources(u, b)
         want = half_spectrum_oracle.assemble_sources(u, b)
         for g, w in zip(got, want):
-            assert g.on_cube and g.coeffs.shape == (u.n_times, d) + grid.cube_shape
-            np.testing.assert_array_equal(grid.from_cube(g.coeffs), w.coeffs)
-            assert np.all(w.coeffs[..., ~grid.dealias_mask] == 0.0)
+            assert g.coeffs.shape == (u.n_times, d) + grid.cube_shape
+            np.testing.assert_array_equal(grid.from_cube(g.coeffs), w)
+            assert np.all(w[..., ~grid.dealias_mask] == 0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_forward_transforms_only_distinct_tensor_entries(self, d, monkeypatch):

@@ -184,16 +184,18 @@ class TestTransportSuite:
         assert peak < 811.6
 
     def test_stats_are_unchanged(self, traced_transport):
-        # translation_error and both minimal constants are bitwise the values
-        # of the separate [0, 1] shear march; l2_drift moves at roundoff only.
+        # translation_error is bitwise the value of the separate [0, 1] shear
+        # march; l2_drift moves at roundoff only.  Both minimal constants are
+        # pinned for velocities held on the 2/3 cube, which drops the
+        # roundoff the half spectrum kept off it (1.5e-15 and 1.2e-16 relative).
         result, _, _ = traced_transport
         assert result.passed
         assert list(result.stats) == [
             "translation_error", "l2_drift", "shear_minimal_c", "max_minimal_c",
         ]
         assert result.stats["translation_error"] == float.fromhex("0x1.2c3f000000000p-40")
-        assert result.stats["shear_minimal_c"] == float.fromhex("0x1.db930cc56715cp-3")
-        assert result.stats["max_minimal_c"] == float.fromhex("0x1.e890e5f8a5405p-3")
+        assert result.stats["shear_minimal_c"] == float.fromhex("0x1.db930cc567168p-3")
+        assert result.stats["max_minimal_c"] == float.fromhex("0x1.e890e5f8a5406p-3")
         assert result.stats["l2_drift"] <= 1e-15
 
     def test_continuation_matches_one_march(self, small_grid):
