@@ -22,6 +22,7 @@ timing goes to a sidecar log only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -209,8 +210,8 @@ def _cmd_iterate(args) -> int:
 def _cmd_unique(args) -> int:
     cfg = _build_config(args)
     icfg = cfg.iteration()
-    if args.perturbation < 0.0:
-        raise ConfigError(f"perturbation must be >= 0, got {args.perturbation}")
+    if not 0.0 <= args.perturbation < math.inf:
+        raise ConfigError(f"perturbation must be finite and >= 0, got {args.perturbation}")
     data = _load_initial_data(args, cfg)
     try:
         report = twin_run_uniqueness(data, icfg, args.perturbation)

@@ -32,7 +32,14 @@ from .littlewood_paley import (
     chemin_lerner_trace,
 )
 from .paraproduct import EstimateReport, _ratio_report
-from .spectral import Field, FrequencyGrid, SpectralField, _check_divergence_free, lp_norm
+from .spectral import (
+    Field,
+    FrequencyGrid,
+    SpectralField,
+    _check_divergence_free,
+    _one_batch,
+    lp_norm,
+)
 
 __all__ = [
     "HeatProblem",
@@ -284,11 +291,16 @@ def _advection_rhs(
 ) -> np.ndarray:
     """Right side -F[v.grad f] + g_hat of one RK stage on the dealiasing cube
     (``fhat``, ``ik`` and ``g_hat`` hold cube entries): one batched inverse
-    for the d derivatives, one forward for the product."""
-    grads = grid.ifft(ik[:, None] * fhat)
-    adv = v_samples[0] * grads[0]
-    for a in range(1, grid.d):
-        adv += v_samples[a] * grads[a]
+    for the d derivatives, or one per derivative when the batch would not
+    fit ``spectral._one_batch``, and one forward for the product."""
+    if _one_batch(grid, grid.d * fhat.shape[0]):
+        grads = iter(grid.ifft(ik[:, None] * fhat))
+    else:
+        grads = (grid.ifft(ik_a * fhat) for ik_a in ik)
+    adv = next(grads) * v_samples[0]
+    for v_a, grad in zip(v_samples[1:], grads):
+        grad *= v_a
+        adv += grad
     out = -grid.fft(adv, dealiased=True)
     if g_hat is not None:
         out = out + g_hat

@@ -182,7 +182,6 @@ class FilterBank:
         for j in self.shells:
             shells.append(np.where(rho > 0.0, _bump(rho * 2.0 ** (-j)) / den_safe, 0.0))
         self.phi = np.stack(shells)
-        self.phi_sq = (self.phi**2 * grid.parseval_weight).reshape(self.n_shells, -1)
         self.mean_indicator = (rho == 0.0).astype(np.float64)
         self._lowpass_cache: dict = {}
 
@@ -193,6 +192,11 @@ class FilterBank:
     @property
     def n_shells(self) -> int:
         return self.j_max - self.j_min + 1
+
+    @cached_property
+    def phi_sq(self) -> np.ndarray:
+        """phi_j^2 times the Parseval weight, one flat row per shell: the p = 2 kernel's matrix."""
+        return (self.phi**2 * self.grid.parseval_weight).reshape(self.n_shells, -1)
 
     @cached_property
     def _cubes(self) -> list:

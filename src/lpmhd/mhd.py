@@ -58,6 +58,7 @@ from .spectral import (
     SpectralField,
     _check_divergence_free,
     _leray,
+    _one_batch,
     leray_project,
     lp_norm,
     make_grid,
@@ -119,6 +120,10 @@ class IterationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("L", self.L), ("dt", self.dt), ("T_max", self.t_max),
+                            ("C0", self.c0), ("tolerance", self.tolerance)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         self.grid()
         if not (1.0 <= self.p <= 2.0 * self.d):
             raise ValueError(f"p must lie in [1, 2*d] = [1, {2 * self.d}], got {self.p}")
@@ -217,8 +222,8 @@ def perturb_initial_data(
     normalized before scaling, and applied to both fields.  size = 0
     returns data bit-identical to the input.
     """
-    if size < 0.0:
-        raise ValueError(f"perturbation size must be >= 0, got {size}")
+    if not 0.0 <= size < math.inf:
+        raise ValueError(f"perturbation size must be finite and >= 0, got {size}")
     grid = data.grid
     rng = np.random.default_rng(seed)
     # The draw fills the full N^d lattice in C order, non-Hermitian on purpose.
@@ -249,9 +254,10 @@ def _clamped_level(bank: FilterBank, n: int) -> int:
     return min(n, bank.j_max + 1)
 
 
-def _truncated_coeffs(data: MhdInitialData, level: int, bank: FilterBank):
-    mult = bank.lowpass_multiplier(level)
-    return tuple(SpectralField(data.grid, hat * mult) for hat in (data.u0_hat, data.b0_hat))
+def _truncated(grid: FrequencyGrid, hat: np.ndarray, level: int,
+               bank: FilterBank) -> SpectralField:
+    """S_level of one field's half-spectrum coefficients ``hat`` on ``grid``."""
+    return SpectralField(grid, hat * bank.lowpass_multiplier(level))
 
 
 def truncate_initial_data(data: MhdInitialData, n: int, bank: FilterBank) -> MhdInitialData:
@@ -262,7 +268,7 @@ def truncate_initial_data(data: MhdInitialData, n: int, bank: FilterBank) -> Mhd
     """
     if not bank.j_min <= n <= bank.j_max + 1:
         raise ValueError(f"level {n} outside the dyadic band [{bank.j_min}, {bank.j_max + 1}]")
-    u_hat, b_hat = _truncated_coeffs(data, n, bank)
+    u_hat, b_hat = (_truncated(data.grid, hat, n, bank) for hat in (data.u0_hat, data.b0_hat))
     return MhdInitialData(to_physical(u_hat), to_physical(b_hat))
 
 
@@ -362,8 +368,9 @@ def init_iterate(
     grid = _checked_grid(data, config)
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
-    u_series, b_series = (solve_heat(HeatProblem(hat, None, T, config.dt))
-                          for hat in _truncated_coeffs(data, level, bank))
+    u_series, b_series = (
+        solve_heat(HeatProblem(_truncated(grid, hat, level, bank), None, T, config.dt))
+        for hat in (data.u0_hat, data.b0_hat))
     return IterationState(
         n=0,
         u_series=u_series,
@@ -384,9 +391,11 @@ def _assemble_sources(
     Everything happens on the 2/3-rule cube (``grid.cube``).  Per snapshot:
     one dealiased inverse of the stacked (u, B) coefficients and one
     dealiased forward of the products, of which the symmetric B (x) B -
-    u (x) u contributes only its d(d+1)/2 distinct entries; the contraction
-    with i*k_j and the Leray projection run on the cube, straight into the
-    two preallocated cube stacks.
+    u (x) u contributes only its d(d+1)/2 distinct entries; when those
+    rows would not fit ``spectral._one_batch``, the symmetric rows and the
+    u (x) B rows go forward as two batches through one buffer.  The
+    contraction with i*k_j and the Leray projection run on the cube,
+    straight into the two preallocated cube stacks.
     """
     grid = u_series.grid
     d = grid.d
@@ -395,12 +404,16 @@ def _assemble_sources(
     k_sq = grid.to_cube(grid.k_sq)
     upper = np.triu_indices(d)
     n_sym = upper[0].size
+    n_rows = n_sym + d * d
     # entry[t, i, j]: the row of the transformed products holding entry (i, j)
     # of tensor t, B (x) B - u (x) u (symmetric) or u (x) B.
     entry = np.empty((2, d, d), dtype=np.intp)
     entry[0][upper] = entry[0].T[upper] = np.arange(n_sym)
     entry[1] = n_sym + np.arange(d * d).reshape(d, d)
-    prods = np.empty((n_sym + d * d,) + grid.shape)
+    whole = _one_batch(grid, n_rows)
+    # Split, the buffer holds the n_sym symmetric rows, then the d*d >= n_sym u (x) B rows.
+    prods = np.empty((n_rows if whole else d * d,) + grid.shape)
+    hat = np.empty((n_rows,) + grid.cube_shape, dtype=np.complex128)
     forcing = np.empty((u_series.n_times, d) + grid.cube_shape, dtype=np.complex128)
     source = np.empty_like(forcing)
     for n in range(u_series.n_times):
@@ -408,8 +421,13 @@ def _assemble_sources(
         for row, (i, j) in enumerate(zip(*upper)):
             np.multiply(bm[i], bm[j], out=prods[row])
             prods[row] -= um[i] * um[j]
-        np.multiply(um[:, None], bm[None], out=prods[n_sym:].reshape((d, d) + grid.shape))
-        tensors = grid.fft(prods, dealiased=True)[entry]
+        lo = 0  # the row of ``hat`` that the buffer's first row stands for
+        if not whole:
+            hat[:n_sym] = grid.fft(prods[:n_sym], dealiased=True)
+            lo = n_sym
+        np.multiply(um[:, None], bm[None], out=prods[n_sym - lo:].reshape((d, d) + grid.shape))
+        hat[lo:] = grid.fft(prods[: n_rows - lo], dealiased=True)
+        tensors = hat[entry]
         div_hat = sum(tensors[:, :, j] * ik[j] for j in range(d))
         forcing[n] = _leray(div_hat[0], k_axes, k_sq)
         source[n] = div_hat[1]
@@ -424,17 +442,18 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
              Leray-projected tensor forcing of iterate n,
     B^{n+1}: transport solve advected by u^n from level-(n+1) truncated B0
              with the stretching source (B^n.grad)u^n.
-    The transport runs first, so its peak holds no u^{n+1}.
+    The transport runs first, so its peak holds no u^{n+1}, and each
+    truncated datum is built just before its own solver.
     """
     n_next = state.n + 1
-    level = _clamped_level(state.bank, max(n_next, state.bank.j_min))
-    u_hat, b_hat = _truncated_coeffs(state.data, level, state.bank)
+    bank, data, T = state.bank, state.data, state.T
+    level = _clamped_level(bank, max(n_next, bank.j_min))
     forcing, source = _assemble_sources(state.u_series, state.b_series)
-    b_next = solve_transport(
-        TransportProblem(b_hat, state.u_series, source, state.T, config.dt)
-    )
+    b_next = solve_transport(TransportProblem(
+        _truncated(data.grid, data.b0_hat, level, bank), state.u_series, source, T, config.dt))
     del source
-    u_next = solve_heat(HeatProblem(u_hat, forcing, state.T, config.dt))
+    u_next = solve_heat(HeatProblem(
+        _truncated(data.grid, data.u0_hat, level, bank), forcing, T, config.dt))
     return replace(state, n=n_next, u_series=u_next, b_series=b_next)
 
 

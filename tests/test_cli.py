@@ -334,6 +334,16 @@ class TestIterateCommand:
         assert code == 2
         assert "cadence" in err
 
+    @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--T_max", "nan"),
+                                             ("--T_max", "inf"), ("--tolerance", "nan"),
+                                             ("--C0", "inf")])
+    def test_non_finite_setting_exit_2(self, capsys, tmp_path, flag, value):
+        code = cli.main(["iterate", *self._FLAGS, flag, value, "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{flag[2:]} must be finite, got {value}" in err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     def test_bad_config_file_exit_2(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n")
@@ -468,6 +478,15 @@ class TestUniqueCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert ">= 0" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_perturbation_exit_2(self, capsys, tmp_path, value):
+        code = cli.main(["unique", "--perturbation", value, *self._FLAGS,
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"perturbation must be finite and >= 0, got {value}" in err
+        assert not (tmp_path / "uniqueness.json").exists()
 
 
 class TestNormsCommand:

@@ -28,6 +28,7 @@ from lpmhd import (
     to_spectral,
     transport_estimate_report,
 )
+from lpmhd import spectral
 from lpmhd.spectral import _dealiased_samples
 
 
@@ -302,6 +303,33 @@ class TestTransportSolver:
         # Each velocity snapshot is inverted once, when a step first reads it.
         assert counts == Counter(fft=1 + 4 * n, ifft=4 * n + vel.n_times)
         assert sol.n_times == n + 1
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_split_batches_are_bitwise_the_whole_one(self, d, n, monkeypatch, count_transforms):
+        grid = make_grid(d, n)
+        bank = build_filter_bank(grid)
+        T, dt = 0.01, 2e-3
+        times = np.linspace(0.0, T, 3)
+        rng = np.random.default_rng(d)
+
+        def noise():
+            return Field(grid, _dealiased_samples(grid, rng.standard_normal((d,) + grid.shape)))
+
+        vel = TimeSeriesField.from_snapshots(
+            times, [divergence_free_field(grid, bank, sample_rng(9, i)) for i in range(times.size)]
+        )
+        source = TimeSeriesField.from_snapshots(times, [noise() for _ in times])
+        problem = TransportProblem(noise(), vel, source, T, dt)
+        stages = 4 * problem.n_steps
+        counts = count_transforms()
+        whole = solve_transport(problem)
+        assert counts == Counter(fft=stages, ifft=stages + vel.n_times)
+        monkeypatch.setattr(spectral, "_BATCH_SAMPLES", 0)
+        counts.clear()
+        split = solve_transport(problem)
+        np.testing.assert_array_equal(split.coeffs, whole.coeffs)
+        # Per RK stage: one inverse per derivative direction and one forward.
+        assert counts == Counter(fft=stages, ifft=d * stages + vel.n_times)
 
     @pytest.mark.parametrize("d, n, L", [(2, 64, 3.0), (3, 16, 2.0 * math.pi)])
     @pytest.mark.parametrize("with_source", [False, True])
