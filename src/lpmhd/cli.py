@@ -13,8 +13,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 an assertion or monitor failed or a run
 on valid input failed numerically (say a CFL violation), 2 usage or
-configuration error.  Each ``--key`` flag comes from the run-config
-key table ``io_config.CONFIG_KEYS`` and overrides the config file.
+configuration error.  A subcommand takes a ``--key`` flag for each key of
+the run-config table ``io_config.CONFIG_KEYS`` that it reads, and exits 2
+on any other; flags override the config file, which may set every key.
 Identical config and seed reproduce byte-identical data files; wallclock
 timing goes to a sidecar log only.
 """
@@ -60,25 +61,27 @@ from .suites import SUITES
 
 __all__ = ["main", "entry"]
 
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, keys):
     parser.add_argument("--config", metavar="FILE", help="run-config file")
-    for key, (attr, caster) in CONFIG_KEYS.items():
+    for key in keys:
+        attr, caster = CONFIG_KEYS[key]
         parser.add_argument(f"--{key}", dest=attr, type=caster, default=None,
                             help=f"override config key {key}")
 
 
 def _build_config(args) -> RunConfig:
-    overrides = {attr: getattr(args, attr) for attr, _ in CONFIG_KEYS.values()
-                 if getattr(args, attr) is not None}
-    if args.config is None:
-        return RunConfig(**overrides)
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    # Validate once, after the flags win over the file.
-    return RunConfig(**{**_config_values(text), **overrides})
+    values = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                values = _config_values(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+    values.update({attr: getattr(args, attr) for attr, _ in CONFIG_KEYS.values()
+                   if getattr(args, attr, None) is not None})  # the flags win over the file
+    if not hasattr(args, "t_max"):  # nothing is marched: T_max takes the one value every dt admits
+        values["t_max"] = values.get("dt", RunConfig.dt)
+    return RunConfig(**values)  # validated once
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -90,6 +93,8 @@ def _cmd_verify(args) -> int:
     stray = [f"--{flag}" for flag in ("s1", "s2", "variant") if getattr(args, flag) is not None]
     if stray and args.suite != "products":
         raise ConfigError(f"only the products suite takes {', '.join(stray)}")
+    if args.p is not None and args.suite not in ("products", "loginterp"):
+        raise ConfigError("only the products and loginterp suites take --p")
     cfg = _build_config(args)
     grid = cfg.grid()
     kwargs = dict(grid=grid, bank=cfg.bank(grid), seed=cfg.seed, n_samples=args.samples)
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="products suite: second regularity index")
     p_verify.add_argument("--variant", choices=("T", "R", "full", "mixed"),
                           default=None, help="products suite: single variant")
-    _add_config_flags(p_verify)
+    _add_config_flags(p_verify, ("d", "N", "L", "p", "seed", "output_dir"))
     p_verify.set_defaults(func=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="march one linear problem")
@@ -274,13 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="initial field file")
     p_solve.add_argument("--velocity", metavar="FILE",
                          help="steady advecting velocity (transport only)")
-    _add_config_flags(p_solve)
+    _add_config_flags(p_solve, ("d", "N", "L", "p", "dt", "T_max", "cadence", "seed",
+                                "output_dir"))
     p_solve.set_defaults(func=_cmd_solve)
 
     p_iter = sub.add_parser("iterate", help="run the coupled iteration")
     p_iter.add_argument("--u0", metavar="FILE", help="initial velocity field file")
     p_iter.add_argument("--B0", metavar="FILE", help="initial magnetic field file")
-    _add_config_flags(p_iter)
+    _add_config_flags(p_iter, [key for key in CONFIG_KEYS if key not in ("seed", "cadence")])
     p_iter.set_defaults(func=_cmd_iterate)
 
     p_uni = sub.add_parser("unique", help="twin-run uniqueness gauge")
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="L2 size of the data perturbation")
     p_uni.add_argument("--u0", metavar="FILE", help="initial velocity field file")
     p_uni.add_argument("--B0", metavar="FILE", help="initial magnetic field file")
-    _add_config_flags(p_uni)
+    _add_config_flags(p_uni, [key for key in CONFIG_KEYS if key != "cadence"])
     p_uni.set_defaults(func=_cmd_unique)
 
     p_norms = sub.add_parser("norms", help="print norms of stored fields")
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norms.add_argument("--r", type=float, default=1.0, help="shell summation index")
     p_norms.add_argument("--q", type=float, default=None,
                          help="also print the time-mixed norm at this q")
-    _add_config_flags(p_norms)
+    _add_config_flags(p_norms, ("d", "N", "L", "p", "dt"))
     p_norms.set_defaults(func=_cmd_norms)
     return parser
 

@@ -24,6 +24,7 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _cube_besov_norm,
     _cumulative_trapezoid,
     _gather_cube,
     _interpolate,
@@ -412,8 +413,7 @@ def transport_estimate_report(
         v_hat = _interpolate(velocity.times, velocity.coeffs, t)
         grad = (v_hat[:, None] * ik).reshape((d * d,) + v_hat.shape[1:])
         sup = lp_norm(Field(grid, grid.ifft(grad)), math.inf)
-        grad = SpectralField(grid, grid.from_cube(grad))
-        return max(besov_norm(grad, BesovSpec(d / p, p, r), bank), sup)
+        return max(_cube_besov_norm(grad, BesovSpec(d / p, p, r), bank), sup)
 
     if np.all(velocity.coeffs == velocity.coeffs[0]):
         grad_strength = np.full(times.size, strength(0.0))  # steady
@@ -422,15 +422,11 @@ def transport_estimate_report(
     V = _cumulative_trapezoid(grad_strength, times)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
     f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)
-    if problem.source is None:
-        g_norms = np.zeros(times.size)
-    else:
-        g_norms = np.array(
-            [
-                besov_norm(problem.source.sample_at(float(t)), BesovSpec(s, p, r), bank)
-                for t in times
-            ]
-        )
+    source = problem.source
+    g_norms = np.zeros(times.size) if source is None else np.array([
+        _cube_besov_norm(_interpolate(source.times, source.coeffs, t), BesovSpec(s, p, r), bank)
+        for t in times.tolist()
+    ])
 
     def rhs_at(c_val: float) -> np.ndarray:
         with np.errstate(over="ignore"):

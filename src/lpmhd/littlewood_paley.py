@@ -19,21 +19,20 @@ Low-pass j:           S_j       = 1_{k=0} + sum_{j' <= j-1} phi_j'
 Besov norm:           || 2^(js) ||Delta_j f||_Lp ||_{l^r over j}
 Chemin-Lerner norm:   time L^q per shell first, then the l^r shell sum.
 
-Every shell norm comes from one kernel, ``_shell_lp_norms``.  At p = 2 it
-runs no transform: by Parseval ||Delta_j f||_L2 = sqrt(phi_j^2 w . |f^|^2) / N^d
-on the half spectrum, w the column weight ``grid.parseval_weight``.  Other p
-need the samples of each shell, and those come from a dense DFT restricted
-to the cube |m_a| <= K_j that holds the shell's support (``_ShellCube``):
-gather the cube's (2K+1)^(d-1) x (K+1) coefficients times phi_j, one
-complex matrix product per leading axis against exp(2 pi i n m / N), and one
-real product along the last axis that applies the half-spectrum weights and
-the 1/N^d.  At 3-D N=32 the default shells have K = 1, 2, 5, 10 (the lowest
-holds no lattice point and is exactly 0), so the work is a few small BLAS
-products instead of a full N^d inverse per shell.
-
-A ``TimeSeriesField`` is one stacked coefficient array on the 2/3-rule cube
-``grid.cube``, which holds every shell of the bank; the shell matrices of the
-time-mixed norms read it with no transform at p = 2.
+Every shell norm comes from one kernel, ``_shell_lp_norms``, which reads
+coefficients on the 2/3-rule cube ``grid.cube``: it holds every shell of the
+bank.  At p = 2 the kernel runs no transform: by Parseval ||Delta_j f||_L2 =
+sqrt(phi_j^2 w . |f^|^2) / N^d, w the column weight ``grid.parseval_weight``.
+Other p need the samples of each shell, and those come from a dense DFT
+restricted to the cube |m_a| <= K_j that holds the shell's support
+(``_ShellCube``): gather its (2K+1)^(d-1) x (K+1) coefficients times phi_j,
+one complex matrix product per leading axis against exp(2 pi i n m / N), and
+one real product along the last axis that applies the half-spectrum weights
+and the 1/N^d.  At 3-D N=32 the default shells have K = 1, 2, 5, 10 (the
+lowest holds no lattice point and is exactly 0), so the work is a few small
+BLAS products instead of a full N^d inverse per shell.  A ``TimeSeriesField``
+is one stacked coefficient array on the same cube, so the shell matrices of
+the time-mixed norms read its snapshots as they are stored.
 """
 
 from __future__ import annotations
@@ -116,27 +115,25 @@ class _ShellCube(NamedTuple):
     support: rows m in [-K, K] (FFT order) on the first d-1 axes, columns
     0..K on the last."""
 
-    index: np.ndarray  # flat half-spectrum positions of the cube, (2K+1,)*(d-1) + (K+1,)
+    index: np.ndarray  # flat positions in grid.cube_shape, (2K+1,)*(d-1) + (K+1,)
     phi: np.ndarray  # phi_j on the cube, same shape
     rows: np.ndarray  # exp(2 pi i (n m mod N) / N), (N, 2K+1) complex
     cols: np.ndarray  # (2(K+1), N) real: w_m cos and -w_m sin rows, interleaved, over N^d
 
 
 def _shell_cube(grid: FrequencyGrid, phi: np.ndarray) -> _ShellCube | None:
-    """The cube plan of one shell multiplier on the half spectrum; None when
-    the shell holds no lattice point."""
+    """The plan of one shell multiplier on the 2/3-rule cube; None when the
+    shell holds no lattice point."""
     support = np.nonzero(phi)
     if support[0].size == 0:
         return None
-    K = max(int(np.max(np.abs(m.reshape(-1)[at]))) for m, at in zip(grid.m_axes, support))
-    N = grid.N
-    # phi vanishes at |k| >= (8/3) 2^j_max, which the bank keeps inside the cube.
-    assert K <= N // 3, f"shell support reaches m = {K} at N = {N}"
-    fft_rows = np.concatenate([np.arange(K + 1), np.arange(N - K, N)])
-    cube = np.ix_(*([fft_rows] * (grid.d - 1) + [np.arange(K + 1)]))
-    index = np.arange(math.prod(grid.spectral_shape)).reshape(grid.spectral_shape)[cube]
-    n = np.arange(N)
-    row_phase = np.outer(n, grid.m1d[fft_rows]) % N
+    m = grid.m1d[grid.cube[0]]  # m of the cube's rows; its first K+1 are its columns' m
+    K = max(int(np.max(np.abs(m[at]))) for at in support)
+    rows = np.flatnonzero(np.abs(m) <= K)
+    cube = np.ix_(*([rows] * (grid.d - 1) + [np.arange(K + 1)]))
+    index = np.arange(math.prod(grid.cube_shape)).reshape(grid.cube_shape)[cube]
+    N, n = grid.N, np.arange(grid.N)
+    row_phase = np.outer(n, m[rows]) % N
     col_phase = 2.0 * math.pi * (np.outer(np.arange(K + 1), n) % N) / N
     weight = grid.parseval_weight[: K + 1, None] / float(N) ** grid.d
     cols = np.empty((2 * (K + 1), N))
@@ -146,7 +143,7 @@ def _shell_cube(grid: FrequencyGrid, phi: np.ndarray) -> _ShellCube | None:
 
 
 def _cube_samples(hat: np.ndarray, cube: _ShellCube) -> np.ndarray:
-    """Real samples (c, N^d) of the shell of ``cube`` from (c, *spectral_shape)
+    """Real samples (c, N^d) of the shell of ``cube`` from (c, *cube_shape)
     coefficients; equal to ``grid.ifft(hat * phi_j)`` to roundoff."""
     c = hat.shape[0]
     x = np.take(hat.reshape(c, -1), cube.index, axis=1) * cube.phi
@@ -195,13 +192,14 @@ class FilterBank:
 
     @cached_property
     def phi_sq(self) -> np.ndarray:
-        """phi_j^2 times the Parseval weight, one flat row per shell: the p = 2 kernel's matrix."""
-        return (self.phi**2 * self.grid.parseval_weight).reshape(self.n_shells, -1)
+        """phi_j^2 times the Parseval weight on the cube, one row per shell: the p = 2 matrix."""
+        weight = self.grid.parseval_weight[: self.grid.cube_shape[-1]]
+        return (self.grid.to_cube(self.phi) ** 2 * weight).reshape(self.n_shells, -1)
 
     @cached_property
     def _cubes(self) -> list:
         """Per shell, the ``_ShellCube`` of its support (None for an empty shell)."""
-        return [_shell_cube(self.grid, phi) for phi in self.phi]
+        return [_shell_cube(self.grid, phi) for phi in self.grid.to_cube(self.phi)]
 
     def index(self, j: int) -> int:
         if not self.j_min <= j <= self.j_max:
@@ -307,15 +305,12 @@ def _shell_weights(bank: FilterBank, s: float) -> np.ndarray:
 
 def _shell_lp_norms(hat: np.ndarray, p: float, bank: FilterBank) -> np.ndarray:
     """||Delta_j f||_Lp for every shell j (|f(x)|_2 pointwise, as in ``lp_norm``)
-    from the (c, *spectral_shape) coefficients of one field; raises if not finite."""
+    from the (c, *cube_shape) coefficients of one field; raises if not finite."""
     grid = bank.grid
     if p == 2.0:
         power = np.sum(hat.real**2 + hat.imag**2, axis=0).reshape(-1)
         vals = np.sqrt(bank.phi_sq @ power) / float(grid.N) ** grid.d
     else:
-        # The cubes skip most modes, so a non-finite one must be caught here.
-        if not np.all(np.isfinite(hat)):
-            raise ValueError("field samples must be finite")
         vals = np.array([
             0.0 if cube is None else _samples_lp_norm(_cube_samples(hat, cube), p)
             for cube in bank._cubes
@@ -326,12 +321,14 @@ def _shell_lp_norms(hat: np.ndarray, p: float, bank: FilterBank) -> np.ndarray:
 
 
 def _coeffs(f) -> np.ndarray:
-    """Fourier coefficients of a Field (one forward transform) or a SpectralField (as is)."""
-    if isinstance(f, SpectralField):
-        return f.coeffs
-    if isinstance(f, Field):
-        return f.grid.fft(f.samples)
-    raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
+    """Fourier coefficients of a Field (one forward transform) or a
+    SpectralField (as is); raises ValueError unless all are finite."""
+    if not isinstance(f, (Field, SpectralField)):
+        raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
+    hat = f.coeffs if isinstance(f, SpectralField) else f.grid.fft(f.samples)
+    if not np.all(np.isfinite(hat)):
+        raise ValueError("field samples must be finite")
+    return hat
 
 
 def _gather_cube(f) -> np.ndarray:
@@ -339,8 +336,6 @@ def _gather_cube(f) -> np.ndarray:
     ValueError naming the largest coefficient off the cube unless it is at
     most 1e-13 of the largest one, the roundoff of a field that vanishes there."""
     grid, hat = f.grid, _coeffs(f)
-    if not np.all(np.isfinite(hat)):
-        raise ValueError("field samples must be finite")
     mag = np.abs(hat)
     off = np.where(grid.dealias_mask, 0.0, mag)
     worst = np.unravel_index(np.argmax(off), off.shape)
@@ -352,13 +347,18 @@ def _gather_cube(f) -> np.ndarray:
     return grid.to_cube(hat)
 
 
+def _cube_besov_norm(hat: np.ndarray, spec: BesovSpec, bank: FilterBank) -> float:
+    """``besov_norm`` of the field with (c, *cube_shape) coefficients ``hat``."""
+    vals = _shell_lp_norms(hat, spec.p, bank)
+    return float(_aggregate(vals * _shell_weights(bank, spec.s), spec.r))
+
+
 def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     """Homogeneous Besov norm; the mean mode belongs to no shell and drops out."""
     hat = _coeffs(f)
     if f.grid != bank.grid:
         raise ValueError("field and bank live on different grids")
-    vals = _shell_lp_norms(hat, spec.p, bank)
-    return float(_aggregate(vals * _shell_weights(bank, spec.s), spec.r))
+    return _cube_besov_norm(f.grid.to_cube(hat), spec, bank)
 
 
 def _interpolate(times: np.ndarray, stack, t: float) -> np.ndarray:
@@ -448,10 +448,7 @@ def shell_lp_matrix(series: TimeSeriesField, p: float, bank: FilterBank) -> np.n
     """||Delta_j f(t_i)||_Lp as an (n_shells, n_times) matrix."""
     if series.grid != bank.grid:
         raise ValueError("series and bank live on different grids")
-    # Each snapshot is scattered into one zeroed half-spectrum buffer.
-    buffer = np.zeros((series.components,) + bank.grid.spectral_shape, dtype=np.complex128)
-    return np.stack([_shell_lp_norms(bank.grid.from_cube(hat, out=buffer), p, bank)
-                     for hat in series.coeffs], 1)
+    return np.stack([_shell_lp_norms(hat, p, bank) for hat in series.coeffs], 1)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -96,6 +96,7 @@ __all__ = [
 
 
 _GAUGE_SLACK = 4.0  # scales the uniqueness gauge's perturbation allowance
+_MAX_STEPS = 10**6  # most steps T_max/dt a run may march: the horizon search stores each time
 
 
 @dataclass
@@ -133,8 +134,9 @@ class IterationConfig:
             raise ValueError(f"C0 must be > 1, got {self.c0}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_max < self.dt:
-            raise ValueError(f"T_max must be >= dt, got T_max={self.t_max}, dt={self.dt}")
+        if not self.dt <= self.t_max <= _MAX_STEPS * self.dt:
+            raise ValueError(f"T_max must lie in [dt, {_MAX_STEPS} dt], "
+                             f"got T_max={self.t_max}, dt={self.dt}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.tolerance < 0.0:
@@ -291,8 +293,8 @@ def _free_evolution_traces(
     d = grid.d
     n_steps = math.floor(t_max / dt + 1e-8)
     times = np.arange(n_steps + 1) * dt
-    hat0 = _coeffs(u0)
-    mat = np.stack([_shell_lp_norms(hat0 * np.exp(-grid.k_sq * t), p, bank) for t in times], 1)
+    hat0, k_sq = grid.to_cube(_coeffs(u0)), grid.to_cube(grid.k_sq)
+    mat = np.stack([_shell_lp_norms(hat0 * np.exp(-k_sq * t), p, bank) for t in times], 1)
     l1 = _running_norm(mat, times, BesovSpec(d / p + 1.0, p, 1.0, 1.0), bank)
     l2 = _running_norm(mat, times, BesovSpec(d / p, p, 1.0, 2.0), bank)
     return times, l1 + l2

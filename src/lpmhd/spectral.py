@@ -15,7 +15,7 @@ Conventions fixed here, once, for the whole package:
   ``grid.spectral_shape = (N,)*(d-1) + (N//2+1,)``: wavenumbers are
   k = (2*pi/L) * m with integer m in [-N/2, N/2) in FFT order on the first
   d-1 axes and m = 0..N/2 on the last.  The unstored modes m_last < 0 are
-  the conjugates of stored ones, and every cached multiplier lives on
+  the conjugates of stored ones, and every multiplier the grid caches lives on
   ``spectral_shape``;
 * Parseval on the half spectrum weights last-axis columns 0 and N/2 by 1
   and every other column by 2 (``grid.parseval_weight``): each of those
@@ -171,12 +171,10 @@ class FrequencyGrid:
             out[(Ellipsis,) + part] = coeffs[(Ellipsis,) + full]
         return out
 
-    def from_cube(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Scatter (..., *cube_shape) entries into ``out`` (default: fresh zeros
-        of the half-spectrum shape); entries of ``out`` off the cube are left as they are."""
-        if out is None:
-            lead = coeffs.shape[: coeffs.ndim - self.d]
-            out = np.zeros(lead + self.spectral_shape, dtype=np.complex128)
+    def from_cube(self, coeffs: np.ndarray) -> np.ndarray:
+        """The half-spectrum array, zero off the cube, of (..., *cube_shape) entries."""
+        lead = coeffs.shape[: coeffs.ndim - self.d]
+        out = np.zeros(lead + self.spectral_shape, dtype=np.complex128)
         for full, part in self._cube_blocks:
             out[(Ellipsis,) + full] = coeffs[(Ellipsis,) + part]
         return out

@@ -140,6 +140,16 @@ class TestVerifyCommand:
         assert "error: only the products suite takes --s1, --variant" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("suite", ["bernstein", "bony", "heat", "transport"])
+    def test_p_rejected_by_suites_that_fix_it(self, capsys, tmp_path, suite):
+        # verify transport --p 3 used to run at p = 2.
+        code = cli.main(["verify", suite, "--p", "3", "--samples", "1",
+                         "--output_dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: only the products and loginterp suites take --p" in captured.err
+        assert captured.out == ""
+
 
 class TestSolveCommand:
     def test_heat_solve_writes_verified_snapshots(self, capsys, tmp_path):
@@ -344,6 +354,17 @@ class TestIterateCommand:
         assert f"{flag[2:]} must be finite, got {value}" in err
         assert not (tmp_path / "diagnostics.csv").exists()
 
+    def test_too_many_steps_exit_2(self, capsys, tmp_path):
+        # Used to die with an _ArrayMemoryError traceback and exit 1, as the
+        # horizon search allocated T_max/dt + 1 times before its first norm.
+        code = cli.main(["iterate", "--T_max", "1e9", "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("error: T_max must lie in [dt, 1000000 dt], "
+                "got T_max=1000000000.0, dt=0.002") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     def test_bad_config_file_exit_2(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n")
@@ -520,6 +541,15 @@ class TestNormsCommand:
         assert code == 0
         assert "series: mixed(q=1) over dt=0.002 spacing = 0.00434558174919468\n" in out
 
+    @pytest.mark.parametrize("dt", ["1e-8", "0.6"])
+    def test_any_positive_spacing(self, capsys, tmp_path, dt):
+        # norms reads no T_max: dt = 1e-8 used to fail the step cap and dt = 0.6
+        # the check T_max >= dt, both against the default T_max = 0.5.
+        _, _, p1 = _write_initial(tmp_path, n=16, name="a.field")
+        code = cli.main(["norms", p1, p1, "--N", "16", "--dt", dt, "--q", "1"])
+        assert code == 0
+        assert f"series: mixed(q=1) over dt={float(dt):g} spacing" in capsys.readouterr().out
+
     def test_grid_mismatch_reported(self, capsys, tmp_path):
         _, _, p1 = _write_initial(tmp_path, n=16, name="a.field")
         code = cli.main(["norms", p1, "--N", "32"])
@@ -547,6 +577,23 @@ _NON_DEFAULT = {
 }
 
 
+# The config keys each subcommand reads, and the rest of a command line that
+# parses; a subcommand has no flag for any other key.
+_READS = {
+    "verify": ({"d", "N", "L", "seed", "output_dir", "p"}, ["verify", "bony"]),
+    "solve": ({"d", "N", "L", "p", "dt", "T_max", "cadence", "seed", "output_dir"},
+              ["solve", "heat", "--initial", "f0.field"]),
+    "iterate": (set(CONFIG_KEYS) - {"seed", "cadence"}, ["iterate"]),
+    "unique": (set(CONFIG_KEYS) - {"cadence"}, ["unique", "--perturbation", "0"]),
+    "norms": ({"d", "N", "L", "p", "dt"}, ["norms", "f0.field"]),
+}
+
+
+def _argv_reading(key):
+    """A command line, short of its flags, whose subcommand reads ``key``."""
+    return _READS["solve" if key == "cadence" else "unique"][1]
+
+
 class TestConfigKeyTable:
     def test_table_is_the_file_grammar(self):
         assert set(CONFIG_KEYS) == set(_NON_DEFAULT)
@@ -560,19 +607,36 @@ class TestConfigKeyTable:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key} = {raw}\n")
         parser = cli.build_parser()
-        from_flag = cli._build_config(parser.parse_args(["verify", "bony", f"--{key}", raw]))
-        from_file = cli._build_config(
-            parser.parse_args(["verify", "bony", "--config", str(cfg_file)])
-        )
+        argv = _argv_reading(key)
+        from_flag = cli._build_config(parser.parse_args([*argv, f"--{key}", raw]))
+        from_file = cli._build_config(parser.parse_args([*argv, "--config", str(cfg_file)]))
         assert from_flag == from_file
         assert getattr(from_flag, attr) == expected
         assert from_flag != RunConfig()
+
+    @pytest.mark.parametrize("command", sorted(_READS))
+    def test_subcommand_flags_are_the_keys_it_reads(self, capsys, tmp_path, command):
+        # verify heat --dt 0.5 used to exit 0 with the same CSV as without the flag.
+        keys, argv = _READS[command]
+        parser = cli.build_parser()
+        # A config file may still set every key: one file can serve every command.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{key} = {raw}\n" for key, (raw, _) in _NON_DEFAULT.items()
+                                    if raw is not None))
+        cli._build_config(parser.parse_args([*argv, "--config", str(cfg_file)]))
+        for key in CONFIG_KEYS:
+            flag = [f"--{key}", _NON_DEFAULT[key][0] or str(tmp_path)]
+            if key in keys:
+                assert getattr(parser.parse_args([*argv, *flag]), CONFIG_KEYS[key][0]) is not None
+            else:
+                assert cli.main([*argv, *flag]) == 2
+                assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
 
     def test_flag_repairs_bad_config_file_value(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("eta = 1.5\n")
         args = cli.build_parser().parse_args(
-            ["verify", "bony", "--config", str(cfg_file), "--eta", "0.2"]
+            ["iterate", "--config", str(cfg_file), "--eta", "0.2"]
         )
         assert cli._build_config(args).eta == 0.2
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 import shell_norm_oracle
-from lpmhd import littlewood_paley
+from lpmhd import TransportProblem, littlewood_paley, solve_transport, transport_estimate_report
 from lpmhd.littlewood_paley import (
     BesovSpec,
     FilterBank,
@@ -22,9 +22,18 @@ from lpmhd.littlewood_paley import (
     lq_besov_norm,
     shell_lp_matrix,
 )
-from lpmhd.random_fields import ball_field, decaying_series, interior_field, ring_field
+from lpmhd.mhd import select_time_horizon
+from lpmhd.random_fields import (
+    ball_field,
+    decaying_series,
+    divergence_free_field,
+    interior_field,
+    ring_field,
+    sample_rng,
+)
 from lpmhd.spectral import (
     Field,
+    FrequencyGrid,
     SpectralField,
     _dealiased_samples,
     lp_norm,
@@ -253,6 +262,31 @@ class TestShellNormKernel:
         # The default band's lowest shell holds no lattice point: its row is exactly 0.
         assert not bank.phi[0].any()
         assert np.all(mat[0] == 0.0) and np.all(mat[1:] > 0.0)
+
+    def test_norm_paths_never_leave_the_cube(self, monkeypatch):
+        # Every shell lies in the 2/3-rule cube, so no norm scatters its data
+        # back onto the half spectrum.
+        grid, bank, series = self._setup(2, 2)
+        velocity = TimeSeriesField.from_snapshots(
+            series.times, [divergence_free_field(grid, bank, sample_rng(9, i)) for i in range(3)]
+        )
+        problem = TransportProblem(series.field(0), velocity, series, series.T, 0.01)
+        solution = solve_transport(problem)
+        spectral_field = to_spectral(series.field(1))
+        calls = Counter()
+        original = FrequencyGrid.from_cube
+
+        def counted(self, *args, **kwargs):
+            calls["from_cube"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FrequencyGrid, "from_cube", counted)
+        for p in (2.0, 3.0):
+            shell_lp_matrix(series, p, bank)
+            besov_norm(spectral_field, BesovSpec(1.0, p, 1.0), bank)
+            select_time_horizon(spectral_field, 0.5, 0.01, 0.05, p, bank)
+            transport_estimate_report(solution, problem, 0.5, p, 1.0, bank)
+        assert calls == Counter()
 
     def test_time_outer_norm_uses_one_matrix(self, monkeypatch):
         _, bank, series = self._setup(2, 1, n_times=4)

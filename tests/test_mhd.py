@@ -84,6 +84,8 @@ class TestIterationConfig:
             (dict(t_max=math.inf), "T_max must be finite, got inf"),
             (dict(c0=math.inf), "C0 must be finite, got inf"),
             (dict(tolerance=math.nan), "tolerance must be finite, got nan"),
+            (dict(t_max=1e9), r"lie in \[dt, 1000000 dt\], got T_max=1000000000.0, dt=0.002"),
+            (dict(t_max=2.0, dt=1e-6), r"\[dt, 1000000 dt\], got T_max=2.0, dt=1e-06"),
         ],
     )
     def test_knob_validation(self, kw, msg):

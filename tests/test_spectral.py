@@ -157,10 +157,7 @@ class TestDealiasingCube:
         hat = grid.fft(_random_field(grid, 3, components=d).samples)
         cube = grid.to_cube(hat)
         np.testing.assert_array_equal(grid.from_cube(cube), hat * grid.dealias_mask)
-        out = np.full_like(hat, 7.0)
-        assert grid.from_cube(cube, out=out) is out
-        np.testing.assert_array_equal(out[:, ~grid.dealias_mask], 7.0)
-        np.testing.assert_array_equal(grid.to_cube(out), cube)
+        np.testing.assert_array_equal(grid.to_cube(grid.from_cube(cube)), cube)
 
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
     def test_divergence_check_reads_the_cube_like_its_scattered_copy(self, d, n):
