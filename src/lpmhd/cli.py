@@ -236,19 +236,21 @@ def _cmd_norms(args) -> int:
     grid = cfg.grid()
     bank = cfg.bank(grid)
     s = grid.d / cfg.p if args.s is None else args.s
-    fields = [_read_field_checked(path, grid) for path in args.files]
     spec = BesovSpec(s, cfg.p, args.r)
+    # Every usage check comes before the first line of output, as in verify.
+    if args.q is not None and len(args.files) < 2:
+        raise ConfigError("a mixed space-time norm needs at least two snapshot files")
+    mixed_spec = None if args.q is None else BesovSpec(s, cfg.p, args.r, args.q)
+    fields = [_read_field_checked(path, grid) for path in args.files]
     for path, f in zip(args.files, fields):
         print(f"{path}: besov(s={s:g}, p={cfg.p:g}, r={args.r:g}) = "
               f"{besov_norm(f, spec, bank)!r}")
-    if args.q is not None:
-        if len(fields) < 2:
-            raise ConfigError("a mixed space-time norm needs at least two snapshot files")
+    if mixed_spec is not None:
         times = np.arange(len(fields)) * cfg.dt
         # Every shell lies in the cube, so dropping the rest changes no norm.
         hats = np.stack([grid.fft(f.samples, dealiased=True) for f in fields])
         series = TimeSeriesField(grid, times, hats)
-        mixed = chemin_lerner_norm(series, BesovSpec(s, cfg.p, args.r, args.q), bank)
+        mixed = chemin_lerner_norm(series, mixed_spec, bank)
         print(f"series: mixed(q={args.q:g}) over dt={cfg.dt:g} spacing = {mixed!r}")
     return 0
 

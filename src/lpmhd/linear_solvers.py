@@ -24,11 +24,11 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _check_bank,
     _cube_besov_norm,
     _cumulative_trapezoid,
     _gather_cube,
     _interpolate,
-    besov_norm,
     chemin_lerner_norm,
     chemin_lerner_trace,
 )
@@ -157,7 +157,7 @@ def solve_heat(problem: HeatProblem) -> TimeSeriesField:
     """
     grid, dt, forcing, uhat = problem.grid, problem.dt, problem.forcing, problem.u0_cube
     times, stack = _snapshot_stack(problem, uhat)
-    z = grid.to_cube(-grid.k_sq * dt)
+    z = -grid.cube_k.k_sq * dt
     decay, phi1, phi2 = np.exp(z), etd_phi1(z), etd_phi2(z)
     g_n = None if forcing is None else _interpolate(forcing.times, forcing.coeffs, 0.0)
     for n in range(1, problem.n_steps + 1):
@@ -200,13 +200,15 @@ def heat_estimate_report(
         rhs factors = ||u0|| in B^s_{p,r} and ||G|| in L~^q1(B^{s-2+2/q1}_{p,r}),
 
     with q1 <= q, all on [0, T]: a forcing series that runs past T is measured
-    only up to T.  Zero data is flagged degenerate.
+    only up to T, and u0 on ``problem.u0_cube``, the datum the marcher used.
+    Zero data is flagged degenerate.
     """
     if q1 > q:
         raise ValueError(f"need q1 <= q, got q1={q1}, q={q}")
+    _check_bank(problem.u0, bank)
     lhs_exp = s + (0.0 if math.isinf(q) else 2.0 / q)
     lhs = chemin_lerner_norm(solution, BesovSpec(lhs_exp, p, r, q), bank)
-    u0_norm = besov_norm(problem.u0, BesovSpec(s, p, r), bank)
+    u0_norm = _cube_besov_norm(problem.u0_cube, BesovSpec(s, p, r), bank)
     if problem.forcing is None:
         g_norm = 0.0
     else:
@@ -285,19 +287,18 @@ def _velocity_reader(problem: TransportProblem):
 
 def _advection_rhs(
     grid: FrequencyGrid,
-    ik: np.ndarray,
     fhat: np.ndarray,
     v_samples: np.ndarray,
     g_hat: np.ndarray | None,
 ) -> np.ndarray:
     """Right side -F[v.grad f] + g_hat of one RK stage on the dealiasing cube
-    (``fhat``, ``ik`` and ``g_hat`` hold cube entries): one batched inverse
+    (``fhat`` and ``g_hat`` hold cube entries): one batched inverse
     for the d derivatives, or one per derivative when the batch would not
     fit ``spectral._one_batch``, and one forward for the product."""
     if _one_batch(grid, grid.d * fhat.shape[0]):
-        grads = iter(grid.ifft(ik[:, None] * fhat))
+        grads = iter(grid.ifft(grid.cube_k.ik[:, None] * fhat))
     else:
-        grads = (grid.ifft(ik_a * fhat) for ik_a in ik)
+        grads = (grid.ifft(ik_a * fhat) for ik_a in grid.cube_k.ik)
     adv = next(grads) * v_samples[0]
     for v_a, grad in zip(v_samples[1:], grads):
         grad *= v_a
@@ -319,7 +320,6 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
     grid = problem.grid
     fhat = problem.f0_cube
     times, stack = _snapshot_stack(problem, fhat)
-    ik = grid.to_cube(grid.ik)
     dt = problem.dt
     source = problem.source
     v_at = _velocity_reader(problem)
@@ -330,10 +330,10 @@ def solve_transport(problem: TransportProblem) -> TimeSeriesField:
         t = n * dt
         v0, vh, v1 = v_at(t), v_at(t + dt / 2.0), v_at(t + dt)
         g0, gh, g1 = g_at(t), g_at(t + dt / 2.0), g_at(t + dt)
-        k1 = _advection_rhs(grid, ik, fhat, v0, g0)
-        k2 = _advection_rhs(grid, ik, fhat + 0.5 * dt * k1, vh, gh)
-        k3 = _advection_rhs(grid, ik, fhat + 0.5 * dt * k2, vh, gh)
-        k4 = _advection_rhs(grid, ik, fhat + dt * k3, v1, g1)
+        k1 = _advection_rhs(grid, fhat, v0, g0)
+        k2 = _advection_rhs(grid, fhat + 0.5 * dt * k1, vh, gh)
+        k3 = _advection_rhs(grid, fhat + 0.5 * dt * k2, vh, gh)
+        k4 = _advection_rhs(grid, fhat + dt * k3, v1, g1)
         fhat = fhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         stack[n + 1] = fhat
     return TimeSeriesField(grid, times, stack)
@@ -391,8 +391,10 @@ def transport_estimate_report(
     returning traces at the smallest C for which it holds on the whole run.
     Admissible s: -d*min(1/p, 1-1/p) - 1 < s < 1 + d/p, with the upper
     endpoint allowed exactly when r = 1.  grad v comes from the velocity's
-    coefficients, so the CFL check is the one ``solve_transport`` made.
+    coefficients, so the CFL check is the one ``solve_transport`` made, and
+    ||f0|| from ``problem.f0_cube``, the datum the marcher used.
     """
+    _check_bank(problem.f0, bank)
     grid = problem.grid
     d = grid.d
     s_lo = -d * min(1.0 / p, 1.0 - 1.0 / p) - 1.0
@@ -406,12 +408,11 @@ def transport_estimate_report(
     times = solution.times
 
     velocity = problem.velocity
-    ik = grid.to_cube(grid.ik)
 
     def strength(t: float) -> float:
         """max(||grad v||_{B^{d/p}_{p,r}}, ||grad v||_Linf) at t, from ik (x) v^."""
         v_hat = _interpolate(velocity.times, velocity.coeffs, t)
-        grad = (v_hat[:, None] * ik).reshape((d * d,) + v_hat.shape[1:])
+        grad = (v_hat[:, None] * grid.cube_k.ik).reshape((d * d,) + v_hat.shape[1:])
         sup = lp_norm(Field(grid, grid.ifft(grad)), math.inf)
         return max(_cube_besov_norm(grad, BesovSpec(d / p, p, r), bank), sup)
 
@@ -421,7 +422,7 @@ def transport_estimate_report(
         grad_strength = np.array([strength(float(t)) for t in times])
     V = _cumulative_trapezoid(grad_strength, times)
     lhs = chemin_lerner_trace(solution, BesovSpec(s, p, r, math.inf), bank)
-    f0_norm = besov_norm(problem.f0, BesovSpec(s, p, r), bank)
+    f0_norm = _cube_besov_norm(problem.f0_cube, BesovSpec(s, p, r), bank)
     source = problem.source
     g_norms = np.zeros(times.size) if source is None else np.array([
         _cube_besov_norm(_interpolate(source.times, source.coeffs, t), BesovSpec(s, p, r), bank)

@@ -19,20 +19,22 @@ Low-pass j:           S_j       = 1_{k=0} + sum_{j' <= j-1} phi_j'
 Besov norm:           || 2^(js) ||Delta_j f||_Lp ||_{l^r over j}
 Chemin-Lerner norm:   time L^q per shell first, then the l^r shell sum.
 
-Every shell norm comes from one kernel, ``_shell_lp_norms``, which reads
-coefficients on the 2/3-rule cube ``grid.cube``: it holds every shell of the
-bank.  At p = 2 the kernel runs no transform: by Parseval ||Delta_j f||_L2 =
-sqrt(phi_j^2 w . |f^|^2) / N^d, w the column weight ``grid.parseval_weight``.
-Other p need the samples of each shell, and those come from a dense DFT
-restricted to the cube |m_a| <= K_j that holds the shell's support
-(``_ShellCube``): gather its (2K+1)^(d-1) x (K+1) coefficients times phi_j,
-one complex matrix product per leading axis against exp(2 pi i n m / N), and
-one real product along the last axis that applies the half-spectrum weights
-and the 1/N^d.  At 3-D N=32 the default shells have K = 1, 2, 5, 10 (the
-lowest holds no lattice point and is exactly 0), so the work is a few small
-BLAS products instead of a full N^d inverse per shell.  A ``TimeSeriesField``
-is one stacked coefficient array on the same cube, so the shell matrices of
-the time-mixed norms read its snapshots as they are stored.
+The bank's phi_j and S_j live on the 2/3-rule cube ``grid.cube``, which holds
+every shell (``grid.from_cube(bank.phi)`` is the half-spectrum phi).  Every
+shell norm comes from one kernel, ``_shell_lp_norms``, which reads
+coefficients on the same cube.  At p = 2 the kernel runs no transform: by
+Parseval ||Delta_j f||_L2 = sqrt(phi_j^2 w . |f^|^2) / N^d, w the column
+weight ``grid.parseval_weight``.  Other p need the samples of each shell,
+and those come from a dense DFT restricted to the cube |m_a| <= K_j that
+holds the shell's support (``_ShellCube``): gather its (2K+1)^(d-1) x (K+1)
+coefficients times phi_j, one complex matrix product per leading axis
+against exp(2 pi i n m / N), and one real product along the last axis that
+applies the half-spectrum weights and the 1/N^d.  At 3-D N=32 the default
+shells have K = 1, 2, 5, 10 (the lowest holds no lattice point and is exactly
+0), so the work is a few small BLAS products instead of a full N^d inverse
+per shell.  A ``TimeSeriesField`` is one stacked coefficient array on the
+same cube, so the shell matrices of the time-mixed norms read its snapshots
+as they are stored.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _cube_samples(hat: np.ndarray, cube: _ShellCube) -> np.ndarray:
 
 
 class FilterBank:
-    """Dyadic shell multipliers phi_j on a fixed grid, j in [j_min, j_max]."""
+    """Dyadic shell multipliers phi_j on a grid's 2/3-rule cube, j in [j_min, j_max]."""
 
     def __init__(self, grid: FrequencyGrid, j_min: int, j_max: int):
         if j_max - j_min < 3:
@@ -170,7 +172,7 @@ class FilterBank:
         self.grid = grid
         self.j_min = int(j_min)
         self.j_max = int(j_max)
-        rho = grid.k_mag
+        rho = grid.cube_k.k_mag
         den = _denominator(rho)
         if np.any((rho > 0.0) & (den <= 0.0)):
             raise ValueError("partition denominator vanished on a lattice shell")
@@ -180,7 +182,7 @@ class FilterBank:
             shells.append(np.where(rho > 0.0, _bump(rho * 2.0 ** (-j)) / den_safe, 0.0))
         self.phi = np.stack(shells)
         self.mean_indicator = (rho == 0.0).astype(np.float64)
-        self._lowpass_cache: dict = {}
+        self._lowpass = np.cumsum(np.concatenate([self.mean_indicator[None], self.phi]), axis=0)
 
     @property
     def shells(self) -> range:
@@ -194,12 +196,12 @@ class FilterBank:
     def phi_sq(self) -> np.ndarray:
         """phi_j^2 times the Parseval weight on the cube, one row per shell: the p = 2 matrix."""
         weight = self.grid.parseval_weight[: self.grid.cube_shape[-1]]
-        return (self.grid.to_cube(self.phi) ** 2 * weight).reshape(self.n_shells, -1)
+        return (self.phi**2 * weight).reshape(self.n_shells, -1)
 
     @cached_property
     def _cubes(self) -> list:
         """Per shell, the ``_ShellCube`` of its support (None for an empty shell)."""
-        return [_shell_cube(self.grid, phi) for phi in self.grid.to_cube(self.phi)]
+        return [_shell_cube(self.grid, phi) for phi in self.phi]
 
     def index(self, j: int) -> int:
         if not self.j_min <= j <= self.j_max:
@@ -210,19 +212,14 @@ class FilterBank:
         return self.phi[self.index(j)]
 
     def lowpass_multiplier(self, j: int) -> np.ndarray:
-        """Multiplier of S_j: the mean mode plus all shells j' <= j - 1."""
+        """Multiplier of S_j: the mean mode plus the shells j' <= j - 1, added in order."""
         if not self.j_min <= j <= self.j_max + 1:
             raise ValueError(f"low-pass level {j} outside [{self.j_min}, {self.j_max + 1}]")
-        if j not in self._lowpass_cache:
-            mult = self.mean_indicator.copy()
-            for jp in range(self.j_min, j):
-                mult += self.phi[self.index(jp)]
-            self._lowpass_cache[j] = mult
-        return self._lowpass_cache[j]
+        return self._lowpass[j - self.j_min]
 
     def interior_mask(self) -> np.ndarray:
         """Lattice points where the kept shells form an exact partition of unity."""
-        rho = self.grid.k_mag
+        rho = self.grid.cube_k.k_mag
         return (rho >= 2.0 ** (self.j_min + 1)) & (rho <= 2.0 ** (self.j_max - 1))
 
     def partition_defect(self) -> float:
@@ -237,7 +234,7 @@ class FilterBank:
         """Deterministic summary of the bank, with a hash of the values on the
         full N^d lattice (phi is radial, so column m mirrors column |m|)."""
         import hashlib  # here, so only writing filter_bank.json loads OpenSSL
-        full = np.take(self.phi, np.abs(self.grid.m1d), axis=-1)
+        full = np.take(self.grid.from_cube(self.phi), np.abs(self.grid.m1d), axis=-1)
         digest = hashlib.sha256(np.ascontiguousarray(full).tobytes()).hexdigest()
         return {
             "j_min": self.j_min,
@@ -256,22 +253,33 @@ def build_filter_bank(grid: FrequencyGrid) -> FilterBank:
     return FilterBank(grid, *default_band(grid))
 
 
-def _apply_multiplier(mult: np.ndarray, f):
-    hat = _coeffs(f) * mult
+def _check_bank(f, bank: FilterBank) -> None:
+    """Raise TypeError unless f is a Field or SpectralField, and ValueError
+    unless it lives on the bank's grid; callers check before any work."""
+    if not isinstance(f, (Field, SpectralField)):
+        raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
+    if f.grid != bank.grid:
+        raise ValueError("field and bank live on different grids")
+
+
+def _apply_multiplier(bank: FilterBank, mult, f):
+    """f times ``bank``'s multiplier ``mult`` on the cube; a SpectralField returns zero off it."""
+    _check_bank(f, bank)
+    hat = f.grid.to_cube(_coeffs(f)) * mult
     if isinstance(f, SpectralField):
-        return SpectralField(f.grid, hat)
+        return SpectralField(f.grid, f.grid.from_cube(hat))
     return Field(f.grid, f.grid.ifft(hat))
 
 
 def dyadic_block(bank: FilterBank, j: int, f):
     """Shell projection Delta_j f.  Spectral input composes without roundoff
     leaving the multiplier supports, so disjoint shells annihilate exactly."""
-    return _apply_multiplier(bank.block_multiplier(j), f)
+    return _apply_multiplier(bank, bank.block_multiplier(j), f)
 
 
 def low_pass(bank: FilterBank, j: int, f):
     """S_j f: mean mode plus every shell strictly below j."""
-    return _apply_multiplier(bank.lowpass_multiplier(j), f)
+    return _apply_multiplier(bank, bank.lowpass_multiplier(j), f)
 
 
 @dataclass(frozen=True)
@@ -355,10 +363,8 @@ def _cube_besov_norm(hat: np.ndarray, spec: BesovSpec, bank: FilterBank) -> floa
 
 def besov_norm(f, spec: BesovSpec, bank: FilterBank) -> float:
     """Homogeneous Besov norm; the mean mode belongs to no shell and drops out."""
-    hat = _coeffs(f)
-    if f.grid != bank.grid:
-        raise ValueError("field and bank live on different grids")
-    return _cube_besov_norm(f.grid.to_cube(hat), spec, bank)
+    _check_bank(f, bank)
+    return _cube_besov_norm(f.grid.to_cube(_coeffs(f)), spec, bank)
 
 
 def _interpolate(times: np.ndarray, stack, t: float) -> np.ndarray:

@@ -41,6 +41,7 @@ from .littlewood_paley import (
     BesovSpec,
     FilterBank,
     TimeSeriesField,
+    _check_bank,
     _coeffs,
     _cumulative_trapezoid,
     _running_norm,
@@ -48,6 +49,7 @@ from .littlewood_paley import (
     besov_norm,
     build_filter_bank,
     chemin_lerner_norm,
+    low_pass,
     shell_lp_matrix,
 )
 from .linear_solvers import HeatProblem, TransportProblem, solve_heat, solve_transport
@@ -256,12 +258,6 @@ def _clamped_level(bank: FilterBank, n: int) -> int:
     return min(n, bank.j_max + 1)
 
 
-def _truncated(grid: FrequencyGrid, hat: np.ndarray, level: int,
-               bank: FilterBank) -> SpectralField:
-    """S_level of one field's half-spectrum coefficients ``hat`` on ``grid``."""
-    return SpectralField(grid, hat * bank.lowpass_multiplier(level))
-
-
 def truncate_initial_data(data: MhdInitialData, n: int, bank: FilterBank) -> MhdInitialData:
     """Low-pass both initial fields at dyadic level n (S_n).
 
@@ -270,8 +266,7 @@ def truncate_initial_data(data: MhdInitialData, n: int, bank: FilterBank) -> Mhd
     """
     if not bank.j_min <= n <= bank.j_max + 1:
         raise ValueError(f"level {n} outside the dyadic band [{bank.j_min}, {bank.j_max + 1}]")
-    u_hat, b_hat = (_truncated(data.grid, hat, n, bank) for hat in (data.u0_hat, data.b0_hat))
-    return MhdInitialData(to_physical(u_hat), to_physical(b_hat))
+    return MhdInitialData(low_pass(bank, n, data.u0), low_pass(bank, n, data.b0))
 
 
 @dataclass
@@ -289,11 +284,12 @@ def _free_evolution_traces(
 ) -> tuple:
     """Combined L~1(B^{d/p+1}) + L~2(B^{d/p}) running norms of e^{t Lap}u0 at
     the multiples of dt up to t_max (within 1e-8 dt, as ``_n_steps`` allows)."""
+    _check_bank(u0, bank)
     grid = u0.grid
     d = grid.d
     n_steps = math.floor(t_max / dt + 1e-8)
     times = np.arange(n_steps + 1) * dt
-    hat0, k_sq = grid.to_cube(_coeffs(u0)), grid.to_cube(grid.k_sq)
+    hat0, k_sq = grid.to_cube(_coeffs(u0)), grid.cube_k.k_sq
     mat = np.stack([_shell_lp_norms(hat0 * np.exp(-k_sq * t), p, bank) for t in times], 1)
     l1 = _running_norm(mat, times, BesovSpec(d / p + 1.0, p, 1.0, 1.0), bank)
     l2 = _running_norm(mat, times, BesovSpec(d / p, p, 1.0, 2.0), bank)
@@ -371,7 +367,7 @@ def init_iterate(
     bank = bank or config.bank(grid)
     level = _clamped_level(bank, max(0, bank.j_min))
     u_series, b_series = (
-        solve_heat(HeatProblem(_truncated(grid, hat, level, bank), None, T, config.dt))
+        solve_heat(HeatProblem(low_pass(bank, level, SpectralField(grid, hat)), None, T, config.dt))
         for hat in (data.u0_hat, data.b0_hat))
     return IterationState(
         n=0,
@@ -401,9 +397,6 @@ def _assemble_sources(
     """
     grid = u_series.grid
     d = grid.d
-    ik = grid.to_cube(grid.ik)
-    k_axes = [grid.to_cube(np.broadcast_to(k, grid.spectral_shape)) for k in grid.k_axes]
-    k_sq = grid.to_cube(grid.k_sq)
     upper = np.triu_indices(d)
     n_sym = upper[0].size
     n_rows = n_sym + d * d
@@ -430,8 +423,8 @@ def _assemble_sources(
         np.multiply(um[:, None], bm[None], out=prods[n_sym - lo:].reshape((d, d) + grid.shape))
         hat[lo:] = grid.fft(prods[: n_rows - lo], dealiased=True)
         tensors = hat[entry]
-        div_hat = sum(tensors[:, :, j] * ik[j] for j in range(d))
-        forcing[n] = _leray(div_hat[0], k_axes, k_sq)
+        div_hat = sum(tensors[:, :, j] * grid.cube_k.ik[j] for j in range(d))
+        forcing[n] = _leray(div_hat[0], grid.cube_k.k_axes, grid.cube_k.k_sq)
         source[n] = div_hat[1]
     times = u_series.times
     return TimeSeriesField(grid, times.copy(), forcing), TimeSeriesField(grid, times.copy(), source)
@@ -452,10 +445,11 @@ def iterate_once(state: IterationState, config: IterationConfig) -> IterationSta
     level = _clamped_level(bank, max(n_next, bank.j_min))
     forcing, source = _assemble_sources(state.u_series, state.b_series)
     b_next = solve_transport(TransportProblem(
-        _truncated(data.grid, data.b0_hat, level, bank), state.u_series, source, T, config.dt))
+        low_pass(bank, level, SpectralField(data.grid, data.b0_hat)), state.u_series, source,
+        T, config.dt))
     del source
     u_next = solve_heat(HeatProblem(
-        _truncated(data.grid, data.u0_hat, level, bank), forcing, T, config.dt))
+        low_pass(bank, level, SpectralField(data.grid, data.u0_hat)), forcing, T, config.dt))
     return replace(state, n=n_next, u_series=u_next, b_series=b_next)
 
 

@@ -97,10 +97,10 @@ def paraproduct(bank: FilterBank, u: Field, v: Field) -> Field:
     v_hat = grid.fft(v.samples, dealiased=True)
     c = max(u.components, v.components)
     acc = np.zeros((c,) + grid.cube_shape, dtype=np.complex128)
-    rho = grid.to_cube(grid.k_mag)
+    rho = grid.cube_k.k_mag
     for j in range(bank.j_min + 1, bank.j_max + 1):
-        low = grid.ifft(u_hat * grid.to_cube(bank.lowpass_multiplier(j - 1)))
-        high = grid.ifft(v_hat * grid.to_cube(bank.block_multiplier(j)))
+        low = grid.ifft(u_hat * bank.lowpass_multiplier(j - 1))
+        high = grid.ifft(v_hat * bank.block_multiplier(j))
         support = (rho > 2.0**j / 12.0) & (rho < (10.0 / 3.0) * 2.0**j)
         acc += grid.fft(low * high, dealiased=True) * support
     return Field(grid, grid.ifft(acc))
@@ -115,9 +115,8 @@ def remainder(bank: FilterBank, u: Field, v: Field) -> Field:
     """
     _check_product_args(bank, u, v)
     grid = bank.grid
-    phi = grid.to_cube(bank.phi)[:, None]
     hats = (grid.fft(f.samples, dealiased=True) for f in (u, v))
-    bu, bv = (grid.ifft(hat * phi) for hat in hats)
+    bu, bv = (grid.ifft(hat * bank.phi[:, None]) for hat in hats)
     c = max(u.components, v.components)
     acc = np.zeros((c,) + grid.cube_shape, dtype=np.complex128)
     for idx in range(bank.n_shells):

@@ -91,5 +91,5 @@ def decaying_series(
     """
     f0 = interior_field(grid, bank, rng)
     times = np.asarray(times, dtype=np.float64)
-    decay = np.exp(-np.multiply.outer(times, grid.to_cube(grid.k_sq)))[:, None]
+    decay = np.exp(-np.multiply.outer(times, grid.cube_k.k_sq))[:, None]
     return TimeSeriesField(grid, times, decay * grid.fft(f0.samples, dealiased=True))

@@ -15,8 +15,8 @@ Conventions fixed here, once, for the whole package:
   ``grid.spectral_shape = (N,)*(d-1) + (N//2+1,)``: wavenumbers are
   k = (2*pi/L) * m with integer m in [-N/2, N/2) in FFT order on the first
   d-1 axes and m = 0..N/2 on the last.  The unstored modes m_last < 0 are
-  the conjugates of stored ones, and every multiplier the grid caches lives on
-  ``spectral_shape``;
+  the conjugates of stored ones.  The grid's multipliers live on
+  ``spectral_shape`` and, as ``grid.cube_k``, on the 2/3-rule cube below;
 * Parseval on the half spectrum weights last-axis columns 0 and N/2 by 1
   and every other column by 2 (``grid.parseval_weight``): each of those
   stands for itself and its unstored conjugate;
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -65,6 +66,8 @@ __all__ = [
 # N=32's (98,304 samples per derivative direction) run faster split and,
 # whole, set the process's memory peak.
 _BATCH_SAMPLES = 2**16
+
+_Wavenumbers = namedtuple("_Wavenumbers", "k_axes k_sq k_mag ik")  # see FrequencyGrid.cube_k
 
 
 def _one_batch(grid: FrequencyGrid, rows: int) -> bool:
@@ -153,6 +156,16 @@ class FrequencyGrid:
         return tuple(i.size for i in self.cube)
 
     @cached_property
+    def cube_k(self) -> _Wavenumbers:
+        """``k_axes`` (broadcastable per axis), ``k_sq``, ``k_mag`` and ``ik`` on the
+        cube, from ``k1d`` at its indices by the same formulas, so each is bitwise
+        ``to_cube`` of the half-spectrum array (no plane m_a = +-N/2 is left to zero)."""
+        k_axes = np.ix_(*(self.k1d[i] for i in self.cube))
+        k_sq = sum(ka**2 for ka in k_axes)
+        ik = np.stack(np.broadcast_arrays(*(1j * k for k in k_axes)))
+        return _Wavenumbers(k_axes, k_sq, np.sqrt(k_sq), ik)
+
+    @cached_property
     def _cube_blocks(self) -> tuple:
         """(half-spectrum slices, cube slices) of the cube's 2**(d-1) contiguous blocks."""
         K, N = self.N // 3, self.N
@@ -172,9 +185,9 @@ class FrequencyGrid:
         return out
 
     def from_cube(self, coeffs: np.ndarray) -> np.ndarray:
-        """The half-spectrum array, zero off the cube, of (..., *cube_shape) entries."""
+        """Half-spectrum array of (..., *cube_shape) entries, zero off the cube, in their dtype."""
         lead = coeffs.shape[: coeffs.ndim - self.d]
-        out = np.zeros(lead + self.spectral_shape, dtype=np.complex128)
+        out = np.zeros(lead + self.spectral_shape, dtype=coeffs.dtype)
         for full, part in self._cube_blocks:
             out[(Ellipsis,) + full] = coeffs[(Ellipsis,) + part]
         return out
@@ -397,7 +410,7 @@ def _check_divergence_free(grid: FrequencyGrid, hats: np.ndarray, rtol: float,
     max(1, ||f||_L2) for every (d, *spectral_shape) or (d, *cube_shape) field
     f of ``hats``, both sides by Parseval with no transform, one field at a
     time so no temporary spans the stack; returns the ||f||_L2 values."""
-    ik = grid.ik if hats.shape[-grid.d:] == grid.spectral_shape else grid.to_cube(grid.ik)
+    ik = grid.ik if hats.shape[-grid.d:] == grid.spectral_shape else grid.cube_k.ik
     norms = np.empty(hats.shape[: -grid.d - 1])
     for index in np.ndindex(norms.shape):
         norms[index] = _l2_norms(grid, hats[index])
@@ -464,6 +477,5 @@ def tensor_divergence(a: Field, b: Field) -> Field:
     grid = a.grid
     am = _dealiased_samples(grid, a.samples)
     bm = _dealiased_samples(grid, b.samples)
-    ik = grid.to_cube(grid.ik)
-    out = sum(grid.fft(am * bm[j], dealiased=True) * ik[j] for j in range(d))
+    out = sum(grid.fft(am * bm[j], dealiased=True) * grid.cube_k.ik[j] for j in range(d))
     return Field(grid, grid.ifft(out))

@@ -20,9 +20,10 @@ from lpmhd import (
 
 @pytest.fixture(scope="session")
 def full_lattice():
-    """Expands a radial array on the half spectrum (phi, k_sq, a low-pass
-    multiplier) to the full N^d lattice in FFT order, as the oracles expect:
-    column m of the last axis carries the value of column |m|."""
+    """Expands a radial array on the half spectrum (``grid.k_sq``, or
+    ``grid.from_cube`` of the bank's phi or of a low-pass multiplier, which
+    live on the 2/3-rule cube) to the full N^d lattice in FFT order, as the
+    oracles expect: column m of the last axis carries the value of column |m|."""
 
     def expand(grid, arr):
         return np.take(arr, np.abs(grid.m1d), axis=-1)

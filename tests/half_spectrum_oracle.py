@@ -2,8 +2,9 @@
 helpers and the Bony paraproduct and remainder on the whole half spectrum,
 masking with ``grid.dealias_mask`` after every transform.  The package runs
 them on the 2/3-rule cube instead; these are the full-layout formulas its
-results must reproduce bit for bit.  Series come in on the cube and are
-scattered onto the half spectrum before use; stacks go out on it.
+results must reproduce bit for bit.  Series and the bank's multipliers come
+in on the cube and are scattered onto the half spectrum before use; stacks
+go out on it.
 """
 
 import numpy as np
@@ -100,8 +101,8 @@ def paraproduct(bank, u, v):
     acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)
     rho = grid.k_mag
     for j in range(bank.j_min + 1, bank.j_max + 1):
-        low = grid.ifft(u_hat * (bank.lowpass_multiplier(j - 1) * grid.dealias_mask))
-        high = grid.ifft(v_hat * (bank.block_multiplier(j) * grid.dealias_mask))
+        low = grid.ifft(u_hat * grid.from_cube(bank.lowpass_multiplier(j - 1)) * grid.dealias_mask)
+        high = grid.ifft(v_hat * grid.from_cube(bank.block_multiplier(j)) * grid.dealias_mask)
         support = (rho > 2.0**j / 12.0) & (rho < (10.0 / 3.0) * 2.0**j)
         acc += grid.fft(low * high) * (grid.dealias_mask & support)
     return grid.ifft(acc)
@@ -110,7 +111,8 @@ def paraproduct(bank, u, v):
 def remainder(bank, u, v):
     """R(u, v) from masked shell blocks, each diagonal's transform masked, as samples."""
     grid = bank.grid
-    bu, bv = (list(grid.ifft(grid.fft(f.samples) * (bank.phi * grid.dealias_mask)[:, None]))
+    phi = grid.from_cube(bank.phi) * grid.dealias_mask
+    bu, bv = (list(grid.ifft(grid.fft(f.samples) * phi[:, None]))
               for f in (u, v))
     c = max(u.components, v.components)
     acc = np.zeros((c,) + grid.spectral_shape, dtype=np.complex128)

@@ -200,7 +200,8 @@ def test_09_reduction_and_symmetry_consistency(grid, bank, full_lattice):
         np.all(s.samples == 0.0) for s in _fields(diag.final_state.b_series)
     )
     levels = {
-        lvl: full_lattice(grid, bank.lowpass_multiplier(lvl)) for lvl in range(0, bank.j_max + 2)
+        lvl: full_lattice(grid, grid.from_cube(bank.lowpass_multiplier(lvl)))
+        for lvl in range(0, bank.j_max + 2)
     }
     oracle_snaps = oracle_iteration(
         tg.u0.samples, grid.L, config.dt, diag.T, levels, bank.j_max + 1, 6

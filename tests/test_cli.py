@@ -528,6 +528,15 @@ class TestNormsCommand:
         assert code == 2
         assert "at least two" in err
 
+    @pytest.mark.parametrize("names, q", [(["a.field"], "1"), (["a.field", "b.field"], "0.5")])
+    def test_bad_mixed_norm_prints_nothing(self, capsys, tmp_path, names, q):
+        # One file or q < 1: both used to print each file's Besov line first.
+        paths = [_write_initial(tmp_path, n=32, name=name)[2] for name in names]
+        code = cli.main(["norms", *paths, "--N", "32", "--q", q])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_mixed_norm_of_white_noise_files(self, capsys, tmp_path):
         # Any field file is accepted: every shell lies in the 2/3 cube, so
         # its series drops nothing the norm reads.  The value is pinned.

@@ -42,9 +42,46 @@ from lpmhd.spectral import (
 )
 
 
+# The sweep of test_spectral.GRID_SWEEP and BOXES.
+GRID_SWEEP = [(2, n) for n in (8, 16, 32, 64, 128, 256)] + [(3, n) for n in (8, 16, 32, 64)]
+BOXES = [m * math.pi for m in (2.0, 1.0, 4.0, 3.0, 24.0, 2.5)] + [3.0]
+
+
 class TestFilterBank:
     def test_default_band(self, grid):
         assert default_band(grid) == (-2, 3)
+
+    @pytest.mark.parametrize("d, n, L, digest", [
+        (2, 64, 2.0 * math.pi, "85fcf61b4eb80f1670f89027fa8b15b40a6339f5c192617729f6406373b1b2d2"),
+        (3, 32, 2.0 * math.pi, "d6283e954735d8e76f6253fa445417916755c3cf327d243de26fe79f2550d52b"),
+        (2, 32, 3.0 * math.pi, "a4976f3e146f4845577b4b77a88abb3b665759aa7a7cc5dee890f97d3ca54829"),
+    ])
+    def test_fingerprint_is_pinned(self, d, n, L, digest):
+        # The hash of filter_bank.json, as the half-spectrum bank gave it.
+        assert build_filter_bank(make_grid(d, n, L)).fingerprint()["phi_sha256"] == digest
+
+    @pytest.mark.parametrize("d, n", GRID_SWEEP)
+    def test_cube_bank_is_the_gathered_half_spectrum_formula(self, d, n):
+        # The bank as built on the half spectrum: phi_j over the grid's |k|, and
+        # S_j as the mean indicator plus each shell below j, added in turn.
+        for L in BOXES:
+            grid = make_grid(d, n, L)
+            bank = build_filter_bank(grid)
+            assert bank.phi.shape[1:] == grid.cube_shape
+            rho = grid.k_mag
+            den = littlewood_paley._denominator(rho)
+            den = np.where(den > 0.0, den, 1.0)
+            phi = np.stack([np.where(rho > 0.0, littlewood_paley._bump(rho * 2.0**-j) / den, 0.0)
+                            for j in bank.shells])
+            assert grid.from_cube(bank.phi).tobytes() == phi.tobytes()  # +0.0 off the cube
+            lows = [(rho == 0.0).astype(np.float64)]
+            for row in phi:
+                lows.append(lows[-1] + row)
+            pairs = [(bank.phi, phi), (bank.mean_indicator, lows[0])] + [
+                (bank.lowpass_multiplier(j), low)
+                for j, low in zip(range(bank.j_min, bank.j_max + 2), lows)]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.tobytes() == grid.to_cube(want).tobytes()
 
     @staticmethod
     def _nyquist_band(grid):
@@ -77,7 +114,7 @@ class TestFilterBank:
         for L in (2.0 * math.pi, 3.0 * math.pi, 3.0, 24.0 * math.pi):
             grid = make_grid(2, 32, L)
             bank = build_filter_bank(grid)
-            assert not bank.phi[:, ~grid.dealias_mask].any()
+            assert not grid.from_cube(bank.phi)[:, ~grid.dealias_mask].any()
 
     def test_partition_exact_on_interior(self, bank):
         assert bank.partition_defect() == 0.0
@@ -157,7 +194,8 @@ class TestBesovNorm:
             expected = 0.0
             for j in bank.shells:
                 expected += 2.0 ** (j * s) * lp_norm(
-                    Field(grid, grid.ifft(grid.fft(f.samples) * bank.phi[bank.index(j)]).real),
+                    Field(grid, grid.ifft(grid.fft(f.samples)
+                                          * grid.from_cube(bank.phi[bank.index(j)])).real),
                     2.0,
                 )
             np.testing.assert_allclose(
@@ -214,7 +252,7 @@ class TestShellNormKernel:
         # octave down: each gives other shell supports.
         for L, band_shift in ((2.0 * math.pi, 0), (3.0, 0), (2.0 * math.pi, 1)):
             grid, bank, series = self._setup(d, d if vector else 1, L=L, band_shift=band_shift)
-            phi = full_lattice(grid, bank.phi)
+            phi = full_lattice(grid, grid.from_cube(bank.phi))
             expected = shell_norm_oracle.shell_matrix(
                 [series.field(i).samples for i in range(series.n_times)], phi, p
             )
@@ -239,7 +277,7 @@ class TestShellNormKernel:
         # The corner m = (15, 15) lies beyond the top shell's radius 32/3, so
         # outside every shell's support and every cube of the p != 2 kernel.
         corner = to_spectral(series.field(0)).coeffs
-        assert not bank.phi[:, 15, 15].any()
+        assert not grid.from_cube(bank.phi)[:, 15, 15].any()
         corner[0, 15, 15] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
             besov_norm(SpectralField(grid, corner), BesovSpec(1.0, p, 1.0), bank)

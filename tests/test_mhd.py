@@ -44,7 +44,15 @@ from lpmhd import (
     twin_run_uniqueness,
 )
 from lpmhd import littlewood_paley, mhd, spectral
+from lpmhd.linear_solvers import (
+    HeatProblem,
+    TransportProblem,
+    solve_heat,
+    solve_transport,
+    transport_estimate_report,
+)
 from lpmhd.mhd import compute_e0
+from lpmhd.paraproduct import paraproduct, remainder
 from lpmhd.random_fields import divergence_free_field, sample_rng
 from lpmhd.spectral import _dealiased_samples
 
@@ -243,7 +251,7 @@ class TestHorizon:
         u0 = divergence_free_field(grid, bank, np.random.default_rng(11))
         times, got = mhd._free_evolution_traces(u0, 2e-3, 0.05, p, bank)
         want_times, want = horizon_oracle.free_evolution_traces(
-            u0.samples, full_lattice(grid, bank.phi), bank.shells,
+            u0.samples, full_lattice(grid, grid.from_cube(bank.phi)), bank.shells,
             full_lattice(grid, grid.k_sq), 2e-3, 0.05, p
         )
         np.testing.assert_array_equal(times, want_times)
@@ -268,6 +276,74 @@ class TestHorizon:
         t_small = select_time_horizon(data.u0, 0.05, 2e-3, 0.5, 2.0, bank).T
         t_large = select_time_horizon(data.u0, 0.2, 2e-3, 0.5, 2.0, bank).T
         assert t_small <= t_large
+
+
+class TestBankGridCheck:
+    """Every reader of a bank refuses a field on another grid before any work."""
+
+    @staticmethod
+    def _data():
+        grid, rng = make_grid(2, 32, 3.0), np.random.default_rng(21)
+        return prepare_initial_data(
+            *(Field(grid, 0.05 * rng.standard_normal((2,) + grid.shape)) for _ in range(2)))
+
+    @pytest.mark.parametrize("call", [
+        lambda data, bank: select_time_horizon(data.u0, 0.1, 2e-3, 0.5, 2.0, bank),
+        lambda data, bank: littlewood_paley.dyadic_block(bank, bank.j_min + 1, data.u0),
+        lambda data, bank: littlewood_paley.low_pass(bank, bank.j_min + 1, data.u0),
+        lambda data, bank: truncate_initial_data(data, bank.j_min + 1, bank),
+    ], ids=["select_time_horizon", "dyadic_block", "low_pass", "truncate_initial_data"])
+    @pytest.mark.parametrize("other", [(32, 2.0 * math.pi), (16, 3.0)], ids=["other-L", "other-N"])
+    def test_bank_on_another_grid_raises(self, call, other, count_transforms):
+        # Same N with another L used to run with the wrong |k| (a horizon of
+        # 0.024 where the data's own bank gives 0.002); another N died in numpy.
+        data = self._data()
+        bank = littlewood_paley.build_filter_bank(make_grid(2, *other))
+        counts = count_transforms()
+        with pytest.raises(ValueError, match="field and bank live on different grids"):
+            call(data, bank)
+        assert counts == Counter()
+
+
+class TestCubeMultipliers:
+    def test_only_data_is_gathered(self, monkeypatch):
+        # The bank and the grid hold every multiplier on the 2/3-rule cube, so
+        # the one gathers left are of data: u0 in the horizon, and in an
+        # iterate S_{n+1} of u0 and of B0, each gathered again by its problem.
+        cfg = _small_config(N=32, max_iterations=1)
+        grid = cfg.grid()
+        rng = np.random.default_rng(31)
+        data = prepare_initial_data(
+            *(Field(grid, 0.05 * rng.standard_normal((2,) + grid.shape)) for _ in range(2)))
+        state = init_iterate(data, cfg, 0.01)
+        forcing, source = mhd._assemble_sources(state.u_series, state.b_series)
+        heat = HeatProblem(state.u_series.field(0), forcing, 0.01, cfg.dt)
+        transport = TransportProblem(state.b_series.field(0), state.u_series, source, 0.01, cfg.dt)
+        solution = solve_transport(transport)
+        f, g = (Field(grid, rng.standard_normal((1,) + grid.shape)) for _ in range(2))
+        fresh = cfg.bank(grid)  # its p = 2 and p != 2 tables are built on first use
+        runs = {
+            "shell_lp_matrix": lambda: [littlewood_paley.shell_lp_matrix(state.u_series, p, fresh)
+                                        for p in (2.0, 3.0)],
+            "paraproduct": lambda: paraproduct(fresh, f, g),
+            "remainder": lambda: remainder(fresh, f, g),
+            "solve_heat": lambda: solve_heat(heat),
+            "solve_transport": lambda: solve_transport(transport),
+            "transport_estimate_report": lambda: transport_estimate_report(
+                solution, transport, 1.0, 3.0, 1.0, fresh),
+            "select_time_horizon": lambda: select_time_horizon(data.u0, 0.1, cfg.dt, 0.02, 3.0,
+                                                               fresh),
+            "iterate_once": lambda: iterate_once(state, cfg),
+        }
+        calls, original = Counter(), FrequencyGrid.to_cube
+        for name, run in runs.items():
+            def counted(self, coeffs, _name=name):
+                calls[_name] += 1
+                return original(self, coeffs)
+
+            monkeypatch.setattr(FrequencyGrid, "to_cube", counted)
+            run()
+        assert calls == Counter(select_time_horizon=1, iterate_once=4)
 
 
 class TestIterationScheme:
@@ -447,7 +523,7 @@ class TestIterationScheme:
                 assert series.coeffs.shape == (series.n_times, 2) + grid.cube_shape
             mult = bank.lowpass_multiplier(mhd._clamped_level(bank, max(n, bank.j_min)))
             np.testing.assert_array_equal(state.b_series.coeffs[0],
-                                          grid.to_cube(data.b0_hat * mult))
+                                          grid.to_cube(data.b0_hat * grid.from_cube(mult)))
             state = iterate_once(state, cfg)
 
     @staticmethod

@@ -103,6 +103,12 @@ class TestFrequencyGrid:
         assert grid != make_grid(2, 32, 2.0 * math.pi)
 
 
+# Every default band and its cube: 2-D N = 8..256 and 3-D N = 8..64 on boxes
+# whose L/2 pi has odd part 1, 1.5 and 3, and on two boxes off the dyadic ladder.
+GRID_SWEEP = [(2, n) for n in (8, 16, 32, 64, 128, 256)] + [(3, n) for n in (8, 16, 32, 64)]
+BOXES = [m * math.pi for m in (2.0, 1.0, 4.0, 3.0, 24.0, 2.5)] + [3.0]
+
+
 class TestDealiasingCube:
     SIZES = [(d, n, L) for d in (2, 3) for n in (8, 16, 32, 64) for L in (2.0 * math.pi, 3.0)]
 
@@ -110,6 +116,25 @@ class TestDealiasingCube:
         grid = make_grid(2, 64)
         assert "cube" not in vars(grid) and "_cube_blocks" not in vars(grid)
         assert grid.cube is grid.cube
+
+    @pytest.mark.parametrize("d, n", GRID_SWEEP)
+    def test_cube_wavenumbers_are_the_gathered_half_spectrum_ones(self, d, n):
+        for L in BOXES:
+            grid = make_grid(d, n, L)
+            assert "cube_k" not in vars(grid)
+            cube = grid.cube_k
+            assert grid.cube_k is cube
+            for a, k in enumerate(cube.k_axes):  # broadcastable like k_axes
+                assert k.shape == tuple(m if b == a else 1 for b, m in enumerate(grid.cube_shape))
+            pairs = [(np.broadcast_to(k, grid.cube_shape),
+                      grid.to_cube(np.broadcast_to(h, grid.spectral_shape)))
+                     for k, h in zip(cube.k_axes, grid.k_axes)]
+            pairs += [(cube.k_sq, grid.to_cube(grid.k_sq)), (cube.k_mag, grid.to_cube(grid.k_mag)),
+                      (cube.ik, grid.to_cube(grid.ik)),
+                      (-cube.k_sq * 2e-3, grid.to_cube(-grid.k_sq * 2e-3))]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d, n", [(2, 8), (2, 64), (3, 16), (3, 32)])
     def test_cube_is_the_dealias_mask(self, d, n):
@@ -158,6 +183,14 @@ class TestDealiasingCube:
         cube = grid.to_cube(hat)
         np.testing.assert_array_equal(grid.from_cube(cube), hat * grid.dealias_mask)
         np.testing.assert_array_equal(grid.to_cube(grid.from_cube(cube)), cube)
+
+    def test_scatter_keeps_the_dtype(self):
+        # As to_cube does; a real multiplier scatters to a real array.
+        grid = make_grid(2, 64)
+        cube = grid.to_cube(grid.fft(_random_field(grid, 4).samples))
+        real = grid.from_cube(cube.real)
+        assert real.dtype == np.float64 and grid.to_cube(real).dtype == np.float64
+        assert real.tobytes() == grid.from_cube(cube).real.tobytes()
 
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
     def test_divergence_check_reads_the_cube_like_its_scattered_copy(self, d, n):
