@@ -57,6 +57,7 @@ from .mhd import (
     taylor_green_data,
     twin_run_uniqueness,
 )
+from .spectral import _l2_norms
 from .suites import SUITES
 
 __all__ = ["main", "entry"]
@@ -162,14 +163,28 @@ def _cmd_solve(args) -> int:
 
 
 def _load_initial_data(args, cfg: RunConfig):
+    """Taylor-Green, or the prepared --u0/--B0 files.  ConfigError when more than
+    1e-13 of their L2 norm lies where S_{j_max+1}, the highest low-pass a run
+    applies to its data, is below 1 (modes off the cube count): a run drops it."""
     grid = cfg.grid()
     if args.u0 is not None or args.B0 is not None:
         if args.u0 is None or args.B0 is None:
             raise ConfigError("custom initial data needs both --u0 and --B0")
-        return prepare_initial_data(
+        data = prepare_initial_data(
             _read_field_checked(args.u0, grid), _read_field_checked(args.B0, grid)
         )
-    return taylor_green_data(grid)
+    else:
+        data = taylor_green_data(grid)
+    bank = cfg.bank(grid)
+    hats = np.concatenate([data.u0_hat, data.b0_hat])
+    unseen = (1.0 - grid.from_cube(bank.lowpass_multiplier(bank.j_max + 1))) * hats
+    lost, total = _l2_norms(grid, unseen), _l2_norms(grid, hats)
+    if lost > 1e-13 * total:
+        at = np.unravel_index(np.argmax(np.abs(unseen)), unseen.shape)[1:]
+        m = tuple(int(m_a.reshape(-1)[i]) for m_a, i in zip(grid.m_axes, at))
+        raise ConfigError(f"a run would drop {lost / total:.3g} of the L2 norm of (u0, B0), where "
+                          f"S_{bank.j_max + 1} < 1; the largest unseen coefficient is at m = {m}")
+    return data
 
 
 def _horizon_certified(horizon) -> bool:

@@ -83,23 +83,6 @@ def _bump(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _denominator(rho: np.ndarray) -> np.ndarray:
-    """sum_k psi(2^-k rho) over every k that can contribute on this lattice.
-
-    The sum is invariant under rho -> 2*rho, and positive wherever rho > 0
-    because the annulus is wider than one octave.
-    """
-    pos = rho[rho > 0.0]
-    if pos.size == 0:
-        return np.zeros_like(rho)
-    k_lo = math.floor(math.log2(pos.min() / ANNULUS_HI))
-    k_hi = math.ceil(math.log2(pos.max() / ANNULUS_LO))
-    den = np.zeros_like(rho)
-    for k in range(k_lo, k_hi + 1):
-        den += _bump(rho * 2.0 ** (-k))
-    return den
-
-
 def default_band(grid: FrequencyGrid) -> tuple:
     """Widest shell range (j_min, j_max) resolved by the grid.
 
@@ -173,16 +156,25 @@ class FilterBank:
         self.j_min = int(j_min)
         self.j_max = int(j_max)
         rho = grid.cube_k.k_mag
-        den = _denominator(rho)
+        # psi(2^-k rho) in one stack, a row per k whose annulus meets the lattice
+        # or is a kept shell (other rows would vanish on it).  numpy sums the
+        # leading axis row by row, in k order; the sum is positive where rho > 0
+        # since the annulus is wider than an octave.
+        k_lo = min(self.j_min, math.floor(math.log2(grid.k_min / ANNULUS_HI)))
+        k_hi = max(self.j_max, math.ceil(math.log2(rho.max() / ANNULUS_LO)))
+        ks = np.arange(k_lo, k_hi + 1).reshape((-1,) + (1,) * grid.d)
+        bumps = _bump(rho * np.ldexp(1.0, -ks))  # exact: the factors are powers of 2
+        den = bumps.sum(axis=0)
         if np.any((rho > 0.0) & (den <= 0.0)):
             raise ValueError("partition denominator vanished on a lattice shell")
-        den_safe = np.where(den > 0.0, den, 1.0)
-        shells = []
-        for j in self.shells:
-            shells.append(np.where(rho > 0.0, _bump(rho * 2.0 ** (-j)) / den_safe, 0.0))
-        self.phi = np.stack(shells)
-        self.mean_indicator = (rho == 0.0).astype(np.float64)
-        self._lowpass = np.cumsum(np.concatenate([self.mean_indicator[None], self.phi]), axis=0)
+        # At rho = 0 every bump is +0.0 and den is replaced by 1, so phi_j is +0.0 there.
+        den = np.where(den > 0.0, den, 1.0)
+        self.phi = bumps[self.j_min - k_lo : self.j_max - k_lo + 1] / den
+        self._lowpass = np.empty((self.n_shells + 1,) + rho.shape)
+        self._lowpass[0] = rho == 0.0
+        for i, phi in enumerate(self.phi):  # S_{j+1} = S_j + phi_j, in order
+            np.add(self._lowpass[i], phi, out=self._lowpass[i + 1])
+        self.mean_indicator = self._lowpass[0]
 
     @property
     def shells(self) -> range:

@@ -162,7 +162,9 @@ class FrequencyGrid:
         ``to_cube`` of the half-spectrum array (no plane m_a = +-N/2 is left to zero)."""
         k_axes = np.ix_(*(self.k1d[i] for i in self.cube))
         k_sq = sum(ka**2 for ka in k_axes)
-        ik = np.stack(np.broadcast_arrays(*(1j * k for k in k_axes)))
+        ik = np.empty((self.d,) + self.cube_shape, dtype=np.complex128)
+        for a, k in enumerate(k_axes):
+            ik[a] = 1j * k
         return _Wavenumbers(k_axes, k_sq, np.sqrt(k_sq), ik)
 
     @cached_property

@@ -9,6 +9,7 @@ import pytest
 from lpmhd import (
     Field,
     SuiteResult,
+    ball_field,
     build_filter_bank,
     interior_field,
     leray_project,
@@ -391,7 +392,46 @@ class TestIterateCommand:
         assert "error: CFL violation: dt*max|v|*N/L = 2.037 > 0.5" in err
 
     def test_generic_field_files_accepted(self, capsys, tmp_path):
-        # White noise fills the Nyquist planes, which preparation zeroes.
+        # Raw fields with a mean, a divergence and white noise on both Nyquist
+        # planes: preparation removes all three, and the rest lies where S_3 = 1.
+        grid = make_grid(2, 32, 2.0 * np.pi)
+        rng = np.random.default_rng(3)
+        sign = (-1.0) ** np.arange(grid.N)
+        flags = []
+        for name in ("u0", "B0"):
+            low = np.concatenate([ball_field(grid, 4.0, rng).samples for _ in range(2)])
+            nyquist = (sign[:, None] * rng.standard_normal((2, 1, grid.N))
+                       + sign * rng.standard_normal((2, grid.N, 1)))
+            path = tmp_path / f"{name}.field"
+            write_field(path, Field(grid, 1e-3 * (low + 0.5 + nyquist)))
+            flags += [f"--{name}", str(path)]
+        code = cli.main(["iterate", *self._FLAGS, "--max_iterations", "2", *flags,
+                         "--output_dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert [r["n"] for r in read_diagnostics(tmp_path / "diagnostics.csv")] == [0, 1, 2]
+
+    @pytest.mark.parametrize("command", [["iterate"], ["unique", "--perturbation", "1e-3"]])
+    def test_data_the_run_cannot_see_exit_2(self, capsys, tmp_path, command):
+        # Taylor-Green plus (0.05 sin 28 x2, 0) in both fields: S_4 vanishes at
+        # |k| = 28, so a run would drop the added mode, half the data's energy.
+        grid = make_grid(2, 64, 2.0 * np.pi)
+        data = taylor_green_data(grid)
+        x2 = grid.coords()[1]
+        mode = np.stack([0.05 * np.sin(28.0 * x2), np.zeros_like(x2)])
+        flags = []
+        for name, f in (("u0", data.u0), ("B0", data.b0)):
+            path = tmp_path / f"{name}.field"
+            write_field(path, Field(grid, f.samples + mode))
+            flags += [f"--{name}", str(path)]
+        code = cli.main([*command, "--N", "64", *flags, "--output_dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: a run would drop 0.707 of the L2 norm of (u0, B0), where S_4 < 1; "
+                       "the largest unseen coefficient is at m = (0, 28)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_white_noise_files_exit_2(self, capsys, tmp_path):
+        # White noise fills the whole lattice; most of it lies where S_3 < 1.
         grid = make_grid(2, 32, 2.0 * np.pi)
         rng = np.random.default_rng(3)
         flags = []
@@ -400,10 +440,10 @@ class TestIterateCommand:
             path = tmp_path / f"{name}.field"
             write_field(path, Field(grid, raw.samples * (1e-3 / lp_norm(raw, 2.0))))
             flags += [f"--{name}", str(path)]
-        code = cli.main(["iterate", *self._FLAGS, "--max_iterations", "2", *flags,
-                         "--output_dir", str(tmp_path)])
-        assert code == 0, capsys.readouterr().err
-        assert [r["n"] for r in read_diagnostics(tmp_path / "diagnostics.csv")] == [0, 1, 2]
+        code = cli.main(["iterate", *self._FLAGS, *flags, "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "drop 0.845 of the L2 norm of (u0, B0), where S_3 < 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_run_exit_1(self, capsys, tmp_path):
         data = taylor_green_data(make_grid(2, 32, 2.0 * np.pi))

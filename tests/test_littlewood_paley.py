@@ -60,6 +60,17 @@ class TestFilterBank:
         # The hash of filter_bank.json, as the half-spectrum bank gave it.
         assert build_filter_bank(make_grid(d, n, L)).fingerprint()["phi_sha256"] == digest
 
+    @staticmethod
+    def _denominator(rho):
+        """sum_k psi(2^-k rho), one bump per k, over every k that can contribute."""
+        pos = rho[rho > 0.0]
+        k_lo = math.floor(math.log2(pos.min() / littlewood_paley.ANNULUS_HI))
+        k_hi = math.ceil(math.log2(pos.max() / littlewood_paley.ANNULUS_LO))
+        den = np.zeros_like(rho)
+        for k in range(k_lo, k_hi + 1):
+            den += littlewood_paley._bump(rho * 2.0 ** (-k))
+        return den
+
     @pytest.mark.parametrize("d, n", GRID_SWEEP)
     def test_cube_bank_is_the_gathered_half_spectrum_formula(self, d, n):
         # The bank as built on the half spectrum: phi_j over the grid's |k|, and
@@ -69,7 +80,7 @@ class TestFilterBank:
             bank = build_filter_bank(grid)
             assert bank.phi.shape[1:] == grid.cube_shape
             rho = grid.k_mag
-            den = littlewood_paley._denominator(rho)
+            den = self._denominator(rho)
             den = np.where(den > 0.0, den, 1.0)
             phi = np.stack([np.where(rho > 0.0, littlewood_paley._bump(rho * 2.0**-j) / den, 0.0)
                             for j in bank.shells])
@@ -82,6 +93,22 @@ class TestFilterBank:
                 for j, low in zip(range(bank.j_min, bank.j_max + 2), lows)]
             for got, want in pairs:
                 assert got.dtype == want.dtype and got.tobytes() == grid.to_cube(want).tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 32), (2, 8)])
+    def test_bank_evaluates_the_bump_once(self, d, n, monkeypatch):
+        # Every dyadic bump of the bank comes from one call on a stacked array.
+        calls = []
+
+        def counted(rho):
+            calls.append(rho.shape)
+            return bump(rho)
+
+        bump = littlewood_paley._bump
+        monkeypatch.setattr(littlewood_paley, "_bump", counted)
+        grid = make_grid(d, n)
+        bank = build_filter_bank(grid)
+        assert len(calls) == 1 and calls[0][1:] == grid.cube_shape
+        assert calls[0][0] >= bank.n_shells
 
     @staticmethod
     def _nyquist_band(grid):

@@ -21,6 +21,7 @@ from lpmhd import (
     Field,
     IterationConfig,
     MhdInitialData,
+    SpectralField,
     TimeSeriesField,
     check_uniform_bounds,
     chemin_lerner_norm,
@@ -575,6 +576,37 @@ class TestIterationScheme:
         broken = TimeSeriesField.from_snapshots(times, snaps)
         res_bad = system_residual(broken, diag.final_state.b_series)
         assert res_bad["u"].max() > 10.0 * res["u"].max()
+
+
+class TestMagneticPotential:
+    """In 2-D, B = (-d2 a, d1 a) and the non-resistive potential a is only
+    transported, d_t a + u.grad a = 0.  Marching a0 under the converged u is
+    a second discretization of B(T), independent of the iteration's B
+    equation with its stretching source."""
+
+    @staticmethod
+    def _potential_error(dt):
+        config = IterationConfig(d=2, N=64, dt=dt, tolerance=1e-15)
+        grid = config.grid()
+        data = taylor_green_data(grid, amplitude=0.05)
+        diag = run_iteration(data, config, T_override=0.058)
+        assert diag.converged
+        ik, k_sq = grid.cube_k.ik, grid.cube_k.k_sq
+        b0 = grid.to_cube(data.b0_hat)
+        a0 = -(ik[0] * b0[1] - ik[1] * b0[0]) / np.where(k_sq > 0.0, k_sq, 1.0)
+        potential = solve_transport(TransportProblem(
+            SpectralField(grid, grid.from_cube(a0[None])), diag.final_state.u_series,
+            None, diag.T, dt))
+        a_T = potential.coeffs[-1, 0]
+        b_T = diag.final_state.b_series.coeffs[-1]
+        b_pot = np.stack([-ik[1] * a_T, ik[0] * a_T])
+        return float(spectral._l2_norms(grid, b_T - b_pot) / spectral._l2_norms(grid, b_T))
+
+    def test_potential_pins_b_at_order_two(self):
+        coarse, fine = self._potential_error(2e-3), self._potential_error(1e-3)
+        assert 1.82e-10 < coarse < 1.84e-10
+        assert 4.55e-11 < fine < 4.60e-11
+        assert 1.9 <= math.log2(coarse / fine) <= 2.1
 
 
 class TestOsgoodCheck:
