@@ -163,9 +163,10 @@ def _cmd_solve(args) -> int:
 
 
 def _load_initial_data(args, cfg: RunConfig):
-    """Taylor-Green, or the prepared --u0/--B0 files.  ConfigError when more than
-    1e-13 of their L2 norm lies where S_{j_max+1}, the highest low-pass a run
-    applies to its data, is below 1 (modes off the cube count): a run drops it."""
+    """Taylor-Green, or the prepared --u0/--B0 files, and the bank the run
+    takes.  ConfigError when more than 1e-13 of their L2 norm lies where
+    S_{j_max+1}, the highest low-pass a run applies to its data, is below 1
+    (modes off the cube count): a run drops it."""
     grid = cfg.grid()
     if args.u0 is not None or args.B0 is not None:
         if args.u0 is None or args.B0 is None:
@@ -184,7 +185,7 @@ def _load_initial_data(args, cfg: RunConfig):
         m = tuple(int(m_a.reshape(-1)[i]) for m_a, i in zip(grid.m_axes, at))
         raise ConfigError(f"a run would drop {lost / total:.3g} of the L2 norm of (u0, B0), where "
                           f"S_{bank.j_max + 1} < 1; the largest unseen coefficient is at m = {m}")
-    return data
+    return data, bank
 
 
 def _horizon_certified(horizon) -> bool:
@@ -205,9 +206,9 @@ def _run_failed(exc: ValueError) -> int:
 def _cmd_iterate(args) -> int:
     cfg = _build_config(args)
     icfg = cfg.iteration()
-    data = _load_initial_data(args, cfg)
+    data, bank = _load_initial_data(args, cfg)
     try:
-        diag = run_iteration(data, icfg)
+        diag = run_iteration(data, icfg, bank=bank)
     except ValueError as exc:
         return _run_failed(exc)
     write_diagnostics(diag, _out_path(cfg, "diagnostics.csv"))
@@ -232,9 +233,9 @@ def _cmd_unique(args) -> int:
     icfg = cfg.iteration()
     if not 0.0 <= args.perturbation < math.inf:
         raise ConfigError(f"perturbation must be finite and >= 0, got {args.perturbation}")
-    data = _load_initial_data(args, cfg)
+    data, bank = _load_initial_data(args, cfg)
     try:
-        report = twin_run_uniqueness(data, icfg, args.perturbation)
+        report = twin_run_uniqueness(data, icfg, args.perturbation, bank)
     except ValueError as exc:
         return _run_failed(exc)
     write_uniqueness_report(report, _out_path(cfg, "uniqueness.json"))

@@ -158,21 +158,33 @@ class MhdInitialData:
     Construction keeps ``u0_hat`` and ``b0_hat``, the half-spectrum
     coefficients of one forward transform per field, and validates the
     invariants on them by Parseval; use ``prepare_initial_data`` to project
-    raw fields into compliance.
+    raw fields into compliance.  Prepared data keep instead the projected
+    spectra that their samples are one inverse transform of.
     """
 
     u0: Field
     b0: Field
 
     def __post_init__(self):
+        self.u0_hat, self.b0_hat = (f.grid.fft(f.samples) for f in (self.u0, self.b0))
+        self._validate()
+
+    @classmethod
+    def _from_spectra(cls, u0_hat: SpectralField, b0_hat: SpectralField) -> "MhdInitialData":
+        """Data whose samples are one inverse transform of each spectrum, kept as the hats."""
+        data = cls.__new__(cls)
+        data.u0, data.b0 = to_physical(u0_hat), to_physical(b0_hat)
+        data.u0_hat, data.b0_hat = u0_hat.coeffs, b0_hat.coeffs
+        data._validate()
+        return data
+
+    def _validate(self) -> None:
         grid = self.u0.grid
         if self.b0.grid != grid:
             raise ValueError("u0 and B0 live on different grids")
         d = grid.d
         if self.u0.components != d or self.b0.components != d:
             raise ValueError(f"initial fields must have {d} components")
-        self.u0_hat = grid.fft(self.u0.samples)
-        self.b0_hat = grid.fft(self.b0.samples)
         for name, hat in (("u0", self.u0_hat), ("B0", self.b0_hat)):
             msg = f"{name} is not divergence-free: |div|_L2"
             scale = max(1.0, float(_check_divergence_free(grid, hat, 1e-10, msg)))
@@ -188,16 +200,16 @@ class MhdInitialData:
 
 def prepare_initial_data(u0: Field, b0: Field) -> MhdInitialData:
     """Leray-project and de-mean raw fields into valid initial data, with
-    every m = +-N/2 plane zeroed (the Nyquist convention of ``grid.ik``)."""
-    out = []
-    grid = u0.grid
+    every m = +-N/2 plane zeroed (the Nyquist convention of ``grid.ik``).
+    The data keep these projected spectra as ``u0_hat`` and ``b0_hat``."""
+    hats = []
     for f in (u0, b0):
-        hat = leray_project(to_spectral(f)).coeffs
-        hat[(slice(None),) + (0,) * grid.d] = 0.0
-        for m in grid.m_axes:
-            hat = np.where(np.abs(m) == grid.N // 2, 0.0, hat)
-        out.append(Field(grid, grid.ifft(hat)))
-    return MhdInitialData(out[0], out[1])
+        hat = leray_project(to_spectral(f))
+        hat.coeffs[(slice(None),) + (0,) * f.grid.d] = 0.0
+        for a in range(f.grid.d):
+            hat.coeffs[(slice(None),) * (a + 1) + (f.grid.N // 2,)] = 0.0
+        hats.append(hat)
+    return MhdInitialData._from_spectra(*hats)
 
 
 def taylor_green_data(grid: FrequencyGrid, amplitude: float = 0.05) -> MhdInitialData:
@@ -559,8 +571,10 @@ def run_iteration(
     data: MhdInitialData,
     config: IterationConfig,
     T_override: float | None = None,
+    bank: FilterBank | None = None,
 ) -> IterationDiagnostics:
-    """Drive the iteration to ``max_iterations`` or tolerance.
+    """Drive the iteration to ``max_iterations`` or tolerance, on ``bank``
+    (default ``config.bank``), which must live on the data's grid.
 
     The horizon comes from ``select_time_horizon`` unless overridden.  Row
     n carries the bounds of iterate n and the difference norm D_n between
@@ -568,7 +582,7 @@ def run_iteration(
     through the flags, never raised.
     """
     grid = _checked_grid(data, config)
-    bank = config.bank(grid)
+    bank = bank or config.bank(grid)
     u0 = SpectralField(grid, data.u0_hat)
     if T_override is None:
         horizon = select_time_horizon(u0, config.eta, config.dt, config.t_max, config.p, bank)
@@ -704,7 +718,7 @@ def _twin_report(
     d = grid.d
     p = config.p
     pert = perturb_initial_data(data, size, config.seed + 7919, bank)
-    twin = run_iteration(pert, config, T_override=base.T)
+    twin = run_iteration(pert, config, T_override=base.T, bank=bank)
     du = base.final_state.u_series - twin.final_state.u_series
     db = base.final_state.b_series - twin.final_state.b_series
     times = du.times
@@ -758,11 +772,13 @@ def _twin_report(
 
 
 def twin_run_uniqueness(
-    data: MhdInitialData, config: IterationConfig, perturbation_size: float
+    data: MhdInitialData, config: IterationConfig, perturbation_size: float,
+    bank: FilterBank | None = None,
 ) -> UniquenessReport:
     """Run the iteration twice (base data, perturbed data) on one shared
-    horizon and gauge the difference against the Osgood inequality."""
-    base = run_iteration(data, config)
+    horizon and one bank (as in ``run_iteration``) and gauge the difference
+    against the Osgood inequality."""
+    base = run_iteration(data, config, bank=bank)
     return _twin_report(base, data, config, perturbation_size)
 
 

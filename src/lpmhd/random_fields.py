@@ -1,7 +1,8 @@
 """Seeded random field generators for test corpora and verification suites.
 
 Every generator draws white noise in physical space, moves to the
-half spectrum, applies an exact radial support mask, and returns to
+half spectrum (or, for ``divergence_free_field``, to the 2/3-rule cube that
+holds its band), applies an exact radial support mask, and returns to
 physical space, so the spectra carry exact zeros outside the declared
 support instead of roundoff-level leakage from filtering real data.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .littlewood_paley import FilterBank, TimeSeriesField
-from .spectral import Field, FrequencyGrid, SpectralField, leray_project, lp_norm, to_physical
+from .spectral import Field, FrequencyGrid, _leray, lp_norm
 
 __all__ = [
     "sample_rng",
@@ -29,18 +30,14 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _masked_noise(
-    grid: FrequencyGrid, mask: np.ndarray, rng: np.random.Generator,
-    components: int = 1, normalize: bool = True,
+    grid: FrequencyGrid, mask: np.ndarray, rng: np.random.Generator, components: int = 1,
 ) -> Field:
     white = rng.standard_normal((components,) + grid.shape)
-    hat = grid.fft(white) * mask
-    out = Field(grid, grid.ifft(hat))
-    if normalize:
-        scale = lp_norm(out, 2.0)
-        if scale == 0.0:
-            raise ValueError("support mask selects no lattice modes")
-        out = Field(grid, out.samples / scale)
-    return out
+    out = Field(grid, grid.ifft(grid.fft(white) * mask))
+    scale = lp_norm(out, 2.0)
+    if scale == 0.0:
+        raise ValueError("support mask selects no lattice modes")
+    return Field(grid, out.samples / scale)
 
 
 def ring_field(grid: FrequencyGrid, lam: float, rng: np.random.Generator) -> Field:
@@ -55,26 +52,30 @@ def ball_field(grid: FrequencyGrid, lam: float, rng: np.random.Generator) -> Fie
     return _masked_noise(grid, mask, rng)
 
 
+def _interior_band(k_mag: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """Mask of the interior band, where the shell partition sums exactly to one."""
+    return (k_mag >= 2.0 ** (bank.j_min + 1)) & (k_mag <= 2.0 ** (bank.j_max - 1))
+
+
 def interior_field(
-    grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator,
-    components: int = 1, normalize: bool = True,
+    grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator, components: int = 1,
 ) -> Field:
-    """Random field supported on the interior band, where the shell
+    """Random unit-L2 field supported on the interior band, where the shell
     partition sums exactly to one."""
-    lo = 2.0 ** (bank.j_min + 1)
-    hi = 2.0 ** (bank.j_max - 1)
-    mask = (grid.k_mag >= lo) & (grid.k_mag <= hi)
-    return _masked_noise(grid, mask, rng, components, normalize)
+    return _masked_noise(grid, _interior_band(grid.k_mag, bank), rng, components)
 
 
 def divergence_free_field(grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator) -> Field:
     """Random unit-L2 interior-band vector field, Leray-projected mode by mode.
 
-    The projector acts within each mode, so the support mask survives it.
+    The band lies inside the 2/3-rule cube, where the masked noise is
+    projected (within each mode, so the mask survives) and inverted once.
+    ``prepare_initial_data`` keeps projected spectra as ``u0_hat``/``b0_hat``.
     """
-    raw = interior_field(grid, bank, rng, components=grid.d, normalize=False)
-    hat = leray_project(SpectralField(grid, grid.fft(raw.samples)))
-    out = to_physical(hat)
+    k = grid.cube_k
+    white = rng.standard_normal((grid.d,) + grid.shape)
+    hat = grid.fft(white, dealiased=True) * _interior_band(k.k_mag, bank)
+    out = Field(grid, grid.ifft(_leray(hat, k.k_axes, k.k_sq)))
     scale = lp_norm(out, 2.0)
     if scale == 0.0:
         raise ValueError("projection annihilated every selected mode")

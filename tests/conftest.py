@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lpmhd import (
+    FilterBank,
     FrequencyGrid,
     IterationConfig,
     build_filter_bank,
@@ -68,5 +69,23 @@ def count_transforms(monkeypatch):
 
             monkeypatch.setattr(FrequencyGrid, name, counted)
         return counts
+
+    return start
+
+
+@pytest.fixture
+def count_banks(monkeypatch):
+    """Call to start counting FilterBank builds; returns the live list of built banks."""
+
+    def start() -> list:
+        built = []
+        original = FilterBank.__init__
+
+        def counted(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(FilterBank, "__init__", counted)
+        return built
 
     return start

@@ -296,6 +296,12 @@ class TestIterateCommand:
     _FLAGS = ["--N", "32", "--T_max", "0.01", "--max_iterations", "1",
               "--tolerance", "0"]
 
+    def test_builds_one_filter_bank(self, capsys, tmp_path, count_banks):
+        # The unseen-share check's bank is the run's.
+        built = count_banks()
+        assert cli.main(["iterate", *self._FLAGS, "--output_dir", str(tmp_path)]) == 0
+        assert len(built) == 1
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         # p = 3 takes the shell norms through BLAS products, p = 2 by Parseval.
         for p in ("2", "3"):
@@ -474,6 +480,13 @@ class TestIterateCommand:
 class TestUniqueCommand:
     _FLAGS = ["--N", "32", "--T_max", "0.01", "--max_iterations", "2",
               "--tolerance", "0"]
+
+    def test_builds_one_filter_bank(self, capsys, tmp_path, count_banks):
+        # The check's bank serves the base run and its twin.
+        built = count_banks()
+        code = cli.main(["unique", "--perturbation", "1e-3", *self._FLAGS,
+                         "--output_dir", str(tmp_path)])
+        assert code == 0 and len(built) == 1
 
     def test_zero_perturbation_gauge_passes(self, capsys, tmp_path):
         code = cli.main(

@@ -29,6 +29,7 @@ from lpmhd import (
     divergence,
     init_iterate,
     iterate_once,
+    leray_project,
     log_interpolation_ratio,
     lp_norm,
     make_grid,
@@ -41,6 +42,7 @@ from lpmhd import (
     select_time_horizon,
     system_residual,
     taylor_green_data,
+    to_spectral,
     truncate_initial_data,
     twin_run_uniqueness,
 )
@@ -152,6 +154,99 @@ class TestInitialData:
         assert lp_norm(divergence(data.u0), 2.0) <= 1e-11
         np.testing.assert_allclose(mean_mode(data.u0), 0.0, atol=1e-15)
         np.testing.assert_allclose(mean_mode(data.b0), 0.0, atol=1e-15)
+
+
+def _round_trip_prepare(u0, b0):
+    """``prepare_initial_data`` before it kept its spectra: the projected,
+    zeroed spectra are inverted and ``MhdInitialData`` transforms the samples
+    forward again."""
+    grid = u0.grid
+    out = []
+    for f in (u0, b0):
+        hat = leray_project(to_spectral(f)).coeffs
+        hat[(slice(None),) + (0,) * grid.d] = 0.0
+        for m in grid.m_axes:
+            hat = np.where(np.abs(m) == grid.N // 2, 0.0, hat)
+        out.append(Field(grid, grid.ifft(hat)))
+    return MhdInitialData(out[0], out[1])
+
+
+class TestPreparedData:
+    """Prepared data invert each projected spectrum once and keep it."""
+
+    @staticmethod
+    def _raw(d, n, seed=0):
+        # White noise: a mean, a compressible part and both Nyquist planes to remove.
+        grid = make_grid(d, n)
+        rng = np.random.default_rng(seed)
+        return tuple(Field(grid, 0.05 * rng.standard_normal((d,) + grid.shape)) for _ in range(2))
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 32)])
+    def test_two_forward_and_two_inverse_transforms(self, d, n, count_transforms):
+        raw = self._raw(d, n)
+        counts = count_transforms()
+        prepare_initial_data(*raw)
+        assert counts == Counter(fft=2, ifft=2)
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 32)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_round_trip_pipeline(self, d, n, seed):
+        raw = self._raw(d, n, seed)
+        data, want = prepare_initial_data(*raw), _round_trip_prepare(*raw)
+        grid = data.grid
+        for got_f, want_f, got_hat, want_hat in (
+            (data.u0, want.u0, data.u0_hat, want.u0_hat),
+            (data.b0, want.b0, data.b0_hat, want.b0_hat),
+        ):
+            np.testing.assert_array_equal(got_f.samples, want_f.samples)
+            assert np.max(np.abs(got_hat - want_hat)) <= 1e-15 * np.max(np.abs(want_hat))
+            # Exactly +0.0 at k = 0 and on every plane m_a = +-N/2.
+            planes = [got_hat[(slice(None),) + (0,) * d]] + [
+                got_hat[(slice(None),) * (a + 1) + (grid.N // 2,)] for a in range(d)]
+            for plane in planes:
+                for part in (plane.real, plane.imag):
+                    assert np.all(part == 0.0) and not np.any(np.signbit(part))
+
+    def test_hats_are_the_projected_spectra(self, grid):
+        raw = self._raw(2, 64)
+        data = prepare_initial_data(*raw)
+        for f, hat in zip(raw, (data.u0_hat, data.b0_hat)):
+            want = leray_project(to_spectral(f)).coeffs
+            want[:, 0, 0] = 0.0
+            want[:, grid.N // 2, :] = 0.0
+            want[:, :, grid.N // 2] = 0.0
+            np.testing.assert_array_equal(hat, want)
+
+    @pytest.mark.parametrize("other", [(2, 16), (2, 32, 3.0), (3, 32)],
+                             ids=["other-N", "other-L", "other-d"])
+    def test_mismatched_grids_rejected(self, other):
+        # other-L used to pass, with B0 moved onto u0's grid; other-N died in numpy.
+        u0 = self._raw(2, 32)[0]
+        grid = make_grid(*other)
+        b0 = Field(grid, 0.05 * np.random.default_rng(1).standard_normal((grid.d,) + grid.shape))
+        with pytest.raises(ValueError, match="u0 and B0 live on different grids"):
+            prepare_initial_data(u0, b0)
+        with pytest.raises(ValueError, match="u0 and B0 live on different grids"):
+            MhdInitialData(u0, b0)
+
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_wrong_component_counts_rejected(self, grid, components):
+        rng = np.random.default_rng(5)
+        good = Field(grid, rng.standard_normal((2,) + grid.shape))
+        bad = Field(grid, rng.standard_normal((components,) + grid.shape))
+        msg = f"projection expects a 2-component field, got {components}"
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=msg):
+                prepare_initial_data(*pair)
+            with pytest.raises(ValueError, match="initial fields must have 2 components"):
+                MhdInitialData(*pair)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, value):
+        u0, b0 = self._raw(2, 64)
+        b0.samples[1, 3, 5] = value  # past Field's own check, as a caller can
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+            prepare_initial_data(u0, b0)
 
 
 class TestPerturbation:
@@ -304,6 +399,58 @@ class TestBankGridCheck:
         with pytest.raises(ValueError, match="field and bank live on different grids"):
             call(data, bank)
         assert counts == Counter()
+
+    @pytest.mark.parametrize("run", [
+        lambda data, cfg, bank: run_iteration(data, cfg, bank=bank),
+        lambda data, cfg, bank: run_iteration(data, cfg, T_override=0.01, bank=bank),
+        lambda data, cfg, bank: twin_run_uniqueness(data, cfg, 1e-3, bank),
+    ], ids=["run_iteration", "T_override", "twin_run_uniqueness"])
+    @pytest.mark.parametrize("other", [(32, 2.0 * math.pi), (16, 3.0)], ids=["other-L", "other-N"])
+    def test_run_on_another_grids_bank_raises(self, run, other, count_transforms):
+        data = self._data()
+        bank = littlewood_paley.build_filter_bank(make_grid(2, *other))
+        counts = count_transforms()
+        with pytest.raises(ValueError, match="field and bank live on different grids"):
+            run(data, _small_config(N=32, L=3.0), bank)
+        assert counts == Counter()
+
+
+class TestOneBankPerRun:
+    """A run takes the bank it is given; twin runs share the base run's."""
+
+    def test_given_bank_is_used_and_changes_nothing(self, count_banks):
+        cfg = _small_config(N=32, max_iterations=2)
+        data = taylor_green_data(cfg.grid())
+        want = run_iteration(data, cfg)
+        bank = cfg.bank(data.grid)
+        built = count_banks()
+        got = run_iteration(data, cfg, bank=bank)
+        assert built == [] and got.final_state.bank is bank
+        assert [(r.h1_lhs, r.h2_lhs, r.d_n) for r in got.records[:-1]] == [
+            (r.h1_lhs, r.h2_lhs, r.d_n) for r in want.records[:-1]]
+        for name in ("u_series", "b_series"):
+            np.testing.assert_array_equal(getattr(got.final_state, name).coeffs,
+                                          getattr(want.final_state, name).coeffs)
+
+    def test_twin_runs_build_one_bank(self, count_banks):
+        cfg = _small_config(N=32, max_iterations=1)
+        data = taylor_green_data(cfg.grid())
+        built = count_banks()
+        report = twin_run_uniqueness(data, cfg, 1e-3)
+        assert len(built) == 1
+        bank = built[0]
+        again = twin_run_uniqueness(data, cfg, 1e-3, bank)
+        assert len(built) == 1
+        np.testing.assert_array_equal(again.rho, report.rho)
+        assert (again.a_t, again.c_t) == (report.a_t, report.c_t)
+        # The twin on its own bank, as before the bank was shared, is the same run.
+        base = run_iteration(data, cfg, bank=bank)
+        pert = perturb_initial_data(data, 1e-3, cfg.seed + 7919, bank)
+        shared, own = (run_iteration(pert, cfg, T_override=base.T, bank=b)
+                       for b in (bank, cfg.bank(data.grid)))
+        for name in ("u_series", "b_series"):
+            np.testing.assert_array_equal(getattr(shared.final_state, name).coeffs,
+                                          getattr(own.final_state, name).coeffs)
 
 
 class TestCubeMultipliers:
@@ -585,27 +732,46 @@ class TestMagneticPotential:
     equation with its stretching source."""
 
     @staticmethod
-    def _potential_error(dt):
-        config = IterationConfig(d=2, N=64, dt=dt, tolerance=1e-15)
-        grid = config.grid()
-        data = taylor_green_data(grid, amplitude=0.05)
-        diag = run_iteration(data, config, T_override=0.058)
+    def _potential_error(data, config, T):
+        grid = data.grid
+        diag = run_iteration(data, config, T_override=T)
         assert diag.converged
         ik, k_sq = grid.cube_k.ik, grid.cube_k.k_sq
         b0 = grid.to_cube(data.b0_hat)
         a0 = -(ik[0] * b0[1] - ik[1] * b0[0]) / np.where(k_sq > 0.0, k_sq, 1.0)
         potential = solve_transport(TransportProblem(
             SpectralField(grid, grid.from_cube(a0[None])), diag.final_state.u_series,
-            None, diag.T, dt))
+            None, diag.T, config.dt))
         a_T = potential.coeffs[-1, 0]
         b_T = diag.final_state.b_series.coeffs[-1]
         b_pot = np.stack([-ik[1] * a_T, ik[0] * a_T])
         return float(spectral._l2_norms(grid, b_T - b_pot) / spectral._l2_norms(grid, b_T))
 
     def test_potential_pins_b_at_order_two(self):
-        coarse, fine = self._potential_error(2e-3), self._potential_error(1e-3)
+        def error(dt):
+            config = IterationConfig(d=2, N=64, dt=dt, tolerance=1e-15)
+            return self._potential_error(taylor_green_data(config.grid(), amplitude=0.05),
+                                         config, 0.058)
+
+        coarse, fine = error(2e-3), error(1e-3)
         assert 1.82e-10 < coarse < 1.84e-10
         assert 4.55e-11 < fine < 4.60e-11
+        assert 1.9 <= math.log2(coarse / fine) <= 2.1
+
+    def test_potential_pins_b_on_random_data_at_order_two(self):
+        # Prepared random data: u0_hat and b0_hat are the projected spectra.
+        def error(dt):
+            config = IterationConfig(d=2, N=32, dt=dt, tolerance=1e-15)
+            grid = config.grid()
+            bank = config.bank(grid)
+            u, b = (divergence_free_field(grid, bank, sample_rng(0, i)) for i in (0, 1))
+            data = prepare_initial_data(Field(grid, 0.05 * u.samples / lp_norm(u, 2.0)),
+                                        Field(grid, 0.5 * b.samples / lp_norm(b, 2.0)))
+            return self._potential_error(data, config, 0.02)
+
+        coarse, fine = error(2e-3), error(1e-3)
+        assert 1.85e-10 < coarse < 1.87e-10
+        assert 4.63e-11 < fine < 4.68e-11
         assert 1.9 <= math.log2(coarse / fine) <= 2.1
 
 
