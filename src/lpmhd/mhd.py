@@ -155,36 +155,26 @@ class IterationConfig:
 class MhdInitialData:
     """Divergence-free, mean-free velocity and magnetic initial fields.
 
-    Construction keeps ``u0_hat`` and ``b0_hat``, the half-spectrum
-    coefficients of one forward transform per field, and validates the
-    invariants on them by Parseval; use ``prepare_initial_data`` to project
-    raw fields into compliance.  Prepared data keep instead the projected
-    spectra that their samples are one inverse transform of.
+    Each is a ``Field`` or a ``SpectralField``: ``u0_hat``/``b0_hat`` keep its
+    half spectrum (one forward transform of samples), ``u0``/``b0`` its samples
+    (one inverse transform of a spectrum).  Non-finite data raise; the invariants
+    are checked on the spectra by Parseval.  ``prepare_initial_data`` projects
+    raw fields into compliance.
     """
 
-    u0: Field
-    b0: Field
+    u0: Field | SpectralField
+    b0: Field | SpectralField
 
     def __post_init__(self):
-        self.u0_hat, self.b0_hat = (f.grid.fft(f.samples) for f in (self.u0, self.b0))
-        self._validate()
-
-    @classmethod
-    def _from_spectra(cls, u0_hat: SpectralField, b0_hat: SpectralField) -> "MhdInitialData":
-        """Data whose samples are one inverse transform of each spectrum, kept as the hats."""
-        data = cls.__new__(cls)
-        data.u0, data.b0 = to_physical(u0_hat), to_physical(b0_hat)
-        data.u0_hat, data.b0_hat = u0_hat.coeffs, b0_hat.coeffs
-        data._validate()
-        return data
-
-    def _validate(self) -> None:
         grid = self.u0.grid
         if self.b0.grid != grid:
             raise ValueError("u0 and B0 live on different grids")
         d = grid.d
         if self.u0.components != d or self.b0.components != d:
             raise ValueError(f"initial fields must have {d} components")
+        self.u0_hat, self.b0_hat = _coeffs(self.u0), _coeffs(self.b0)
+        self.u0, self.b0 = (f if isinstance(f, Field) else to_physical(f)
+                            for f in (self.u0, self.b0))
         for name, hat in (("u0", self.u0_hat), ("B0", self.b0_hat)):
             msg = f"{name} is not divergence-free: |div|_L2"
             scale = max(1.0, float(_check_divergence_free(grid, hat, 1e-10, msg)))
@@ -209,7 +199,7 @@ def prepare_initial_data(u0: Field, b0: Field) -> MhdInitialData:
         for a in range(f.grid.d):
             hat.coeffs[(slice(None),) * (a + 1) + (f.grid.N // 2,)] = 0.0
         hats.append(hat)
-    return MhdInitialData._from_spectra(*hats)
+    return MhdInitialData(*hats)
 
 
 def taylor_green_data(grid: FrequencyGrid, amplitude: float = 0.05) -> MhdInitialData:
@@ -274,11 +264,13 @@ def truncate_initial_data(data: MhdInitialData, n: int, bank: FilterBank) -> Mhd
     """Low-pass both initial fields at dyadic level n (S_n).
 
     n must lie in [j_min, j_max + 1]; the multiplier is radial, so
-    divergence-freeness survives exactly.
+    divergence-freeness survives exactly.  The kept spectra are low-passed,
+    so truncation takes one inverse transform per field and no forward one.
     """
     if not bank.j_min <= n <= bank.j_max + 1:
         raise ValueError(f"level {n} outside the dyadic band [{bank.j_min}, {bank.j_max + 1}]")
-    return MhdInitialData(low_pass(bank, n, data.u0), low_pass(bank, n, data.b0))
+    return MhdInitialData(*(low_pass(bank, n, SpectralField(data.grid, hat))
+                            for hat in (data.u0_hat, data.b0_hat)))
 
 
 @dataclass

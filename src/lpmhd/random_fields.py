@@ -52,17 +52,12 @@ def ball_field(grid: FrequencyGrid, lam: float, rng: np.random.Generator) -> Fie
     return _masked_noise(grid, mask, rng)
 
 
-def _interior_band(k_mag: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Mask of the interior band, where the shell partition sums exactly to one."""
-    return (k_mag >= 2.0 ** (bank.j_min + 1)) & (k_mag <= 2.0 ** (bank.j_max - 1))
-
-
 def interior_field(
     grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator, components: int = 1,
 ) -> Field:
     """Random unit-L2 field supported on the interior band, where the shell
     partition sums exactly to one."""
-    return _masked_noise(grid, _interior_band(grid.k_mag, bank), rng, components)
+    return _masked_noise(grid, grid.from_cube(bank.interior_mask()), rng, components)
 
 
 def divergence_free_field(grid: FrequencyGrid, bank: FilterBank, rng: np.random.Generator) -> Field:
@@ -70,11 +65,10 @@ def divergence_free_field(grid: FrequencyGrid, bank: FilterBank, rng: np.random.
 
     The band lies inside the 2/3-rule cube, where the masked noise is
     projected (within each mode, so the mask survives) and inverted once.
-    ``prepare_initial_data`` keeps projected spectra as ``u0_hat``/``b0_hat``.
     """
     k = grid.cube_k
     white = rng.standard_normal((grid.d,) + grid.shape)
-    hat = grid.fft(white, dealiased=True) * _interior_band(k.k_mag, bank)
+    hat = grid.fft(white, dealiased=True) * bank.interior_mask()
     out = Field(grid, grid.ifft(_leray(hat, k.k_axes, k.k_sq)))
     scale = lp_norm(out, 2.0)
     if scale == 0.0:

@@ -88,7 +88,10 @@ class TestFilterBank:
             lows = [(rho == 0.0).astype(np.float64)]
             for row in phi:
                 lows.append(lows[-1] + row)
-            pairs = [(bank.phi, phi), (bank.mean_indicator, lows[0])] + [
+            band = (rho >= 2.0 ** (bank.j_min + 1)) & (rho <= 2.0 ** (bank.j_max - 1))
+            assert grid.from_cube(bank.interior_mask()).tobytes() == band.tobytes()  # in the cube
+            pairs = [(bank.phi, phi), (bank.mean_indicator, lows[0]),
+                     (bank.interior_mask(), band)] + [
                 (bank.lowpass_multiplier(j), low)
                 for j, low in zip(range(bank.j_min, bank.j_max + 2), lows)]
             for got, want in pairs:

@@ -140,6 +140,16 @@ class TestInitialData:
         np.testing.assert_array_equal(data.u0_hat, grid.fft(tg.u0.samples))
         np.testing.assert_array_equal(data.b0_hat, grid.fft(tg.b0.samples))
 
+    def test_spectra_are_kept_and_inverted_once(self, grid, count_transforms):
+        tg = taylor_green_data(grid)
+        hats = [to_spectral(f) for f in (tg.u0, tg.b0)]
+        counts = count_transforms()
+        data = MhdInitialData(*hats)
+        assert counts == Counter(ifft=2)
+        assert data.u0_hat is hats[0].coeffs and data.b0_hat is hats[1].coeffs
+        np.testing.assert_array_equal(data.u0.samples, grid.ifft(hats[0].coeffs))
+        np.testing.assert_array_equal(data.b0.samples, grid.ifft(hats[1].coeffs))
+
     def test_mean_mode_rejected(self, grid):
         good = taylor_green_data(grid)
         shifted = Field(grid, good.u0.samples + 0.5)
@@ -230,7 +240,7 @@ class TestPreparedData:
             MhdInitialData(u0, b0)
 
     @pytest.mark.parametrize("components", [1, 3])
-    def test_wrong_component_counts_rejected(self, grid, components):
+    def test_wrong_component_counts_rejected(self, grid, components, count_transforms):
         rng = np.random.default_rng(5)
         good = Field(grid, rng.standard_normal((2,) + grid.shape))
         bad = Field(grid, rng.standard_normal((components,) + grid.shape))
@@ -238,15 +248,23 @@ class TestPreparedData:
         for pair in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match=msg):
                 prepare_initial_data(*pair)
+        counts = count_transforms()
+        for pair in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="initial fields must have 2 components"):
                 MhdInitialData(*pair)
+        assert counts == Counter()  # the constructor checks before any transform
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_samples_rejected(self, value):
-        u0, b0 = self._raw(2, 64)
-        b0.samples[1, 3, 5] = value  # past Field's own check, as a caller can
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
-            prepare_initial_data(u0, b0)
+        # The constructor took NaN (it fails every comparison in the checks)
+        # and named an inf a nonzero mean mode.
+        for which in range(2):
+            fields = self._raw(2, 64)
+            fields[which].samples[1, 3, 5] = value  # past Field's own check, as a caller can
+            for build in (prepare_initial_data, MhdInitialData):
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        ValueError, match="^field samples must be finite$"):
+                    build(*fields)
 
 
 class TestPerturbation:
@@ -305,6 +323,17 @@ class TestTruncation:
         data = prepare_initial_data(u, u)
         out = truncate_initial_data(data, bank.j_min, bank)
         assert lp_norm(out.u0, 2.0) < 0.5 * lp_norm(data.u0, 2.0)
+
+    def test_one_inverse_transform_per_field(self, grid, bank, count_transforms):
+        # The kept spectra are low-passed; the samples are those of low-passing the samples.
+        data = taylor_green_data(grid)
+        want = [littlewood_paley.low_pass(bank, bank.j_min + 1, f).samples
+                for f in (data.u0, data.b0)]
+        counts = count_transforms()
+        out = truncate_initial_data(data, bank.j_min + 1, bank)
+        assert counts == Counter(ifft=2)
+        np.testing.assert_array_equal(out.u0.samples, want[0])
+        np.testing.assert_array_equal(out.b0.samples, want[1])
 
     def test_out_of_band_level_rejected(self, grid, bank):
         data = taylor_green_data(grid)
