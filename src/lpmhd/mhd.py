@@ -59,6 +59,7 @@ from .spectral import (
     FrequencyGrid,
     SpectralField,
     _check_divergence_free,
+    _check_lattice,
     _leray,
     _one_batch,
     leray_project,
@@ -127,7 +128,7 @@ class IterationConfig:
                             ("C0", self.c0), ("tolerance", self.tolerance)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        self.grid()
+        _check_lattice(self.d, self.N, self.L)
         if not (1.0 <= self.p <= 2.0 * self.d):
             raise ValueError(f"p must lie in [1, 2*d] = [1, {2 * self.d}], got {self.p}")
         if not (0.0 < self.eta < 1.0):
@@ -194,29 +195,24 @@ def prepare_initial_data(u0: Field, b0: Field) -> MhdInitialData:
     The data keep these projected spectra as ``u0_hat`` and ``b0_hat``."""
     hats = []
     for f in (u0, b0):
-        hat = leray_project(to_spectral(f))
-        hat.coeffs[(slice(None),) + (0,) * f.grid.d] = 0.0
+        hat = _leray(f.grid.fft(f.samples), f.grid.k_axes, f.grid.k_sq)
+        hat[(slice(None),) + (0,) * f.grid.d] = 0.0
         for a in range(f.grid.d):
-            hat.coeffs[(slice(None),) * (a + 1) + (f.grid.N // 2,)] = 0.0
-        hats.append(hat)
+            hat[(slice(None),) * (a + 1) + (f.grid.N // 2,)] = 0.0
+        hats.append(SpectralField(f.grid, hat))
     return MhdInitialData(*hats)
 
 
 def taylor_green_data(grid: FrequencyGrid, amplitude: float = 0.05) -> MhdInitialData:
-    """Small-amplitude cellular data: u0 and B0 are phase-shifted
-    Taylor-Green vortices, both exactly divergence-free and mean-free."""
+    """Phase-shifted Taylor-Green vortices u0, B0 of small amplitude in y = k_min x, sampled
+    at y_j = 2 pi j / N on every box: exactly divergence-free and mean-free."""
     if grid.d != 2:
         raise ValueError("the cellular data family is two-dimensional")
-    x1, x2 = grid.coords()
-    u0 = Field(
-        grid,
-        amplitude * np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)]),
-    )
-    b0 = Field(
-        grid,
-        amplitude * np.stack([np.cos(x1) * np.sin(x2), -np.sin(x1) * np.cos(x2)]),
-    )
-    return MhdInitialData(u0, b0)
+    y = np.arange(grid.N) * (2.0 * math.pi / grid.N)
+    sin, cos = np.sin(y), np.cos(y)
+    sc, cs = np.multiply.outer(sin, cos), np.multiply.outer(cos, sin)
+    return MhdInitialData(Field(grid, amplitude * np.stack([sc, -cs])),
+                          Field(grid, amplitude * np.stack([cs, -sc])))
 
 
 def perturb_initial_data(

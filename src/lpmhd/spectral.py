@@ -75,6 +75,16 @@ def _one_batch(grid: FrequencyGrid, rows: int) -> bool:
     return rows * grid.N**grid.d <= _BATCH_SAMPLES
 
 
+def _check_lattice(d: int, N: int, L: float) -> None:
+    """Raise ValueError unless (d, N, L) admit a ``FrequencyGrid``."""
+    if d not in (2, 3):
+        raise ValueError(f"d must be 2 or 3, got {d}")
+    if N < 8 or (N & (N - 1)) != 0:
+        raise ValueError(f"N must be a power of two >= 8, got {N}")
+    if not (L > 0):
+        raise ValueError(f"L must be positive, got {L}")
+
+
 class FrequencyGrid:
     """Uniform periodic lattice with cached wavenumber arrays.
 
@@ -89,12 +99,7 @@ class FrequencyGrid:
     """
 
     def __init__(self, d: int, N: int, L: float = 2.0 * math.pi):
-        if d not in (2, 3):
-            raise ValueError(f"d must be 2 or 3, got {d}")
-        if N < 8 or (N & (N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 8, got {N}")
-        if not (L > 0):
-            raise ValueError(f"L must be positive, got {L}")
+        _check_lattice(d, N, L)
         self.d = int(d)
         self.N = int(N)
         self.L = float(L)
@@ -369,24 +374,23 @@ def leray_project(F: SpectralField) -> SpectralField:
     At each k != 0 the coefficient vector loses its component along k; the
     k = 0 mode is untouched.
     """
-    d = F.grid.d
-    if F.components != d:
-        raise ValueError(f"projection expects a {d}-component field, got {F.components}")
-    return SpectralField(F.grid, _leray(F.coeffs, F.grid.k_axes, F.grid.k_sq))
+    return SpectralField(F.grid, _leray(F.coeffs.copy(), F.grid.k_axes, F.grid.k_sq))
 
 
 def _leray(coeffs: np.ndarray, k_axes, k_sq: np.ndarray) -> np.ndarray:
     """``leray_project`` of (d, ...) coefficients under wavenumbers ``k_axes``
-    and |k|^2 ``k_sq`` broadcasting against them, on any set of modes."""
+    and |k|^2 ``k_sq`` broadcasting against them, on any set of modes, in place."""
+    d = len(k_axes)
+    if coeffs.shape[0] != d:
+        raise ValueError(f"projection expects a {d}-component field, got {coeffs.shape[0]}")
     k_sq_safe = np.where(k_sq == 0.0, 1.0, k_sq)
     dot = np.zeros(coeffs.shape[1:], dtype=np.complex128)
     for a, k in enumerate(k_axes):
         dot += k * coeffs[a]
     dot /= k_sq_safe
-    out = coeffs.copy()
     for a, k in enumerate(k_axes):
-        out[a] -= k * dot
-    return out
+        coeffs[a] -= k * dot
+    return coeffs
 
 
 def lp_norm(f: Field, p: float) -> float:

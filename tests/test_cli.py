@@ -302,6 +302,14 @@ class TestIterateCommand:
         assert cli.main(["iterate", *self._FLAGS, "--output_dir", str(tmp_path)]) == 0
         assert len(built) == 1
 
+    def test_taylor_green_on_a_box_of_side_pi(self, capsys, tmp_path):
+        # Taylor-Green data take the box's lowest mode; sin x on [0, pi) used
+        # to fail its own divergence check and exit 2.
+        code = cli.main(["iterate", "--N", "32", "--L", str(np.pi), "--output_dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith("T=0.014 ")
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         # p = 3 takes the shell norms through BLAS products, p = 2 by Parseval.
         for p in ("2", "3"):

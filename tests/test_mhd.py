@@ -72,6 +72,24 @@ class TestIterationConfig:
         assert cfg.grid().N == 64
         assert cfg.bank().grid == cfg.grid()
 
+    def test_config_builds_no_grid(self, monkeypatch):
+        # The config checks d, N and L with the grid's own check; the tg2d
+        # set-up (config, cfg.grid(), bank, data) builds the one grid it uses.
+        built = []
+        original = FrequencyGrid.__init__
+
+        def counted(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(FrequencyGrid, "__init__", counted)
+        cfg = IterationConfig(d=2, N=64)
+        assert built == []
+        grid = cfg.grid()
+        data = taylor_green_data(grid, 0.05)
+        assert cfg.bank(grid).grid is grid and data.grid is grid
+        assert built == [grid]
+
     def test_p_range_message_names_dimension(self):
         with pytest.raises(ValueError, match=r"p must lie in \[1, 2\*d\] = \[1, 4\]"):
             IterationConfig(p=5.0)
@@ -114,6 +132,27 @@ class TestInitialData:
         np.testing.assert_allclose(
             data.b0.samples[0], 0.05 * np.cos(x1) * np.sin(x2), atol=1e-15
         )
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("amplitude", [0.05, 0.5])
+    def test_cellular_data_are_the_meshgrid_formula(self, n, amplitude):
+        # Outer products of 1-D factors make the same IEEE products as the N^d trig passes.
+        grid = make_grid(2, n)
+        x1, x2 = grid.coords()
+        data = taylor_green_data(grid, amplitude)
+        np.testing.assert_array_equal(
+            data.u0.samples, amplitude * np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)]))
+        np.testing.assert_array_equal(
+            data.b0.samples, amplitude * np.stack([np.cos(x1) * np.sin(x2), -np.sin(x1) * np.cos(x2)]))
+
+    @pytest.mark.parametrize("L", [math.pi, 3.0 * math.pi, 24.0 * math.pi])
+    def test_cellular_data_take_the_lowest_mode_on_any_box(self, L):
+        # sin x is not periodic on [0, pi): the data there used to fail their own
+        # divergence check.  In units of k_min x every box samples the same cell.
+        want = taylor_green_data(make_grid(2, 32))
+        data = taylor_green_data(make_grid(2, 32, L))
+        for got, ref in ((data.u0, want.u0), (data.b0, want.b0)):
+            np.testing.assert_array_equal(got.samples, ref.samples)
 
     def test_cellular_data_amplitude(self, grid):
         data = taylor_green_data(grid, amplitude=1.0)

@@ -246,6 +246,15 @@ class TestLerayProjection:
         twice = leray_project(once)
         np.testing.assert_allclose(twice.coeffs, once.coeffs, atol=1e-10)
 
+    def test_leaves_its_argument_unchanged(self, grid):
+        # The kernel projects in place; the public call copies once for its caller.
+        F = to_spectral(_random_field(grid, 8, components=2))
+        before = F.coeffs.copy()
+        out = leray_project(F)
+        assert out.coeffs is not F.coeffs
+        np.testing.assert_array_equal(F.coeffs, before)
+        assert not np.array_equal(out.coeffs, before)
+
     def test_fixes_divergence_free_input(self, grid):
         x1, x2 = grid.coords()
         v = Field(grid, np.stack([np.sin(x2), np.cos(x1)]))
