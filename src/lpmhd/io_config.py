@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -278,50 +278,37 @@ def read_diagnostics(path) -> list:
     return rows
 
 
-def write_uniqueness_report(report: UniquenessReport, path):
-    """JSON with every field; arrays become lists, floats keep full
-    round-trip precision."""
-    doc = {
-        "perturbation_size": report.perturbation_size,
-        "T": report.T,
-        "times": [float(t) for t in report.times],
-        "rho": [float(r) for r in report.rho],
-        "delta_b_trace": [float(b) for b in report.delta_b_trace],
-        "A_T": report.a_t,
-        "C_T": report.c_t,
-        "C_emp": report.c_emp,
-        "offset": report.offset,
-        "solution_scale": report.solution_scale,
-        "osgood_passed": report.osgood_passed,
-        "worst_margin": report.worst_margin,
-        "horizon": asdict(report.horizon),
-    }
+# UniquenessReport attribute -> JSON key, where the two differ.
+_REPORT_KEYS = {"a_t": "A_T", "c_t": "C_T", "c_emp": "C_emp"}
+
+
+def _write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def write_uniqueness_report(report: UniquenessReport, path):
+    """JSON with every field; arrays become lists, floats keep full
+    round-trip precision."""
+    doc = {_REPORT_KEYS.get(name, name):
+           [float(x) for x in value] if isinstance(value, np.ndarray) else value
+           for name, value in asdict(report).items()}  # the horizon becomes a dict too
+    _write_json(doc, path)
+
+
 def read_uniqueness_report(path) -> UniquenessReport:
     with open(path) as fh:
         doc = json.load(fh)
-    try:
-        return UniquenessReport(
-            perturbation_size=doc["perturbation_size"],
-            T=doc["T"],
-            times=np.asarray(doc["times"], dtype=np.float64),
-            rho=np.asarray(doc["rho"], dtype=np.float64),
-            delta_b_trace=np.asarray(doc["delta_b_trace"], dtype=np.float64),
-            a_t=doc["A_T"],
-            c_t=doc["C_T"],
-            c_emp=doc["C_emp"],
-            offset=doc["offset"],
-            solution_scale=doc["solution_scale"],
-            osgood_passed=doc["osgood_passed"],
-            worst_margin=doc["worst_margin"],
-            horizon=Horizon(**doc["horizon"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from None
+    values = {}
+    for f in fields(UniquenessReport):
+        key = _REPORT_KEYS.get(f.name, f.name)
+        if key not in doc:
+            raise FormatError(f"{path}: missing field '{key}'")
+        value = doc[key]
+        values[f.name] = (np.asarray(value, dtype=np.float64) if isinstance(value, list)
+                          else Horizon(**value) if isinstance(value, dict) else value)
+    return UniquenessReport(**values)
 
 
 ESTIMATE_COLUMNS = ("variant", "indices", "lhs", "factors", "ratio", "degenerate", "seed")
@@ -354,9 +341,7 @@ def write_estimate_reports(reports, path):
 def write_filter_bank(bank: FilterBank, path):
     """Bank summary JSON: band, annulus constants, grid, and the SHA-256 of
     the lattice multiplier values for cross-implementation comparison."""
-    with open(path, "w") as fh:
-        json.dump(bank.fingerprint(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(bank.fingerprint(), path)
 
 
 def write_run_manifest(path, problem: str, grid: FrequencyGrid, dt: float, T: float,
@@ -373,6 +358,4 @@ def write_run_manifest(path, problem: str, grid: FrequencyGrid, dt: float, T: fl
         "snapshots": list(snapshot_files),
         "times": [float(t) for t in times],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)

@@ -285,6 +285,8 @@ class BesovSpec:
     q: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if not (self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not (self.r >= 1.0):

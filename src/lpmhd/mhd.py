@@ -54,6 +54,7 @@ from .littlewood_paley import (
 )
 from .linear_solvers import HeatProblem, TransportProblem, solve_heat, solve_transport
 from .paraproduct import _log_interpolation_from_matrix
+from .random_fields import divergence_free_field
 from .spectral import (
     Field,
     FrequencyGrid,
@@ -65,7 +66,6 @@ from .spectral import (
     leray_project,
     lp_norm,
     make_grid,
-    mean_mode,
     tensor_divergence,
     to_physical,
     to_spectral,
@@ -144,6 +144,8 @@ class IterationConfig:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.tolerance < 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def grid(self) -> FrequencyGrid:
         return make_grid(self.d, self.N, self.L)
@@ -220,34 +222,16 @@ def perturb_initial_data(
 ) -> MhdInitialData:
     """Add a reproducible divergence-free perturbation of L2 size ``size``.
 
-    The noise is band-limited to the interior shells, Leray-projected and
-    normalized before scaling, and applied to both fields.  size = 0
-    returns data bit-identical to the input.
+    Each field gets ``size`` times its own ``divergence_free_field`` draw
+    (unit-L2 interior-band noise, Leray-projected), u0's first, from one
+    ``default_rng(seed)``.  size = 0 returns data bit-identical to the input.
     """
     if not 0.0 <= size < math.inf:
         raise ValueError(f"perturbation size must be finite and >= 0, got {size}")
-    grid = data.grid
-    rng = np.random.default_rng(seed)
-    # The draw fills the full N^d lattice in C order, non-Hermitian on purpose.
-    k_mag = np.sqrt(sum(k**2 for k in np.meshgrid(*([grid.k1d] * grid.d), indexing="ij")))
-    sel = (k_mag >= 2.0 ** (bank.j_min + 1)) & (k_mag <= 2.0 ** (bank.j_max - 1))
-    spatial = tuple(range(1, grid.d + 1))
-    fields = []
-    for base in (data.u0, data.b0):
-        hat = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
-        vals = rng.normal(size=(grid.d, int(sel.sum()))) + 1j * rng.normal(
-            size=(grid.d, int(sel.sum()))
-        )
-        hat[:, sel] = vals
-        # The real part of the inverse, taken once: the Hermitian part's half spectrum.
-        mirrored = np.roll(np.flip(hat, axis=spatial), 1, axis=spatial)
-        half = 0.5 * (hat + np.conj(mirrored))[..., : grid.N // 2 + 1]
-        noise = to_physical(leray_project(SpectralField(grid, half)))
-        noise = Field(grid, noise.samples - mean_mode(noise)[(...,) + (None,) * grid.d])
-        scale = lp_norm(noise, 2.0)
-        shaped = noise.samples / scale if scale > 0 else noise.samples
-        fields.append(Field(grid, base.samples + size * shaped))
-    return MhdInitialData(fields[0], fields[1])
+    grid, rng = data.grid, np.random.default_rng(seed)
+    return MhdInitialData(*(
+        Field(grid, base.samples + size * divergence_free_field(grid, bank, rng).samples)
+        for base in (data.u0, data.b0)))
 
 
 def _clamped_level(bank: FilterBank, n: int) -> int:

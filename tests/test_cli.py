@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "variant T requires s2 <= d/p" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_products_non_finite_index_exit_2(self, capsys, tmp_path, value):
+        code = cli.main(["verify", "products", "--samples", "2", "--s1", value,
+                         "--variant", "T", "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"s must be finite, got {value}" in err
+        assert not (tmp_path / "verify_products.csv").exists()
+
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        code = cli.main(["verify", "heat", "--samples", "1", "--seed", "-1",
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "verify_heat.csv").exists()
 
     def test_threads_flag_is_gone(self, capsys):
         code = cli.main(["verify", "bony", "--threads", "2"])
@@ -555,6 +573,24 @@ class TestUniqueCommand:
         rep = read_uniqueness_report(tmp_path / "uniqueness.json")
         assert rep.horizon.condition_met == (code == 0)
 
+    @pytest.mark.parametrize("seed", ["-1", "-8000"])
+    def test_negative_seed_exit_2_before_any_run(self, capsys, tmp_path, monkeypatch, seed):
+        # The twin draws from seed + 7919, so the check must come before the base run.
+        calls = []
+        original = mhd.run_iteration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mhd, "run_iteration", counted)
+        code = cli.main(["unique", "--perturbation", "1e-3", *self._FLAGS, "--seed", seed,
+                         "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and calls == []
+        assert err == f"error: seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "uniqueness.json").exists()
+
     def test_negative_perturbation_exit_2(self, capsys, tmp_path):
         code = cli.main(["unique", "--perturbation", "-1", *self._FLAGS])
         err = capsys.readouterr().err
@@ -581,6 +617,16 @@ class TestNormsCommand:
         assert "a.field" in out and "b.field" in out
         assert "besov(s=1," in out
         assert "mixed(q=1)" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_index_exit_2(self, capsys, tmp_path, value):
+        paths = [_write_initial(tmp_path, n=16, name=name)[2] for name in ("a.field", "b.field")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["norms", *paths, "--N", "16", f"--s={value}", "--q", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: s must be finite, got {float(value)}\n"
 
     def test_mixed_norm_needs_two_files(self, capsys, tmp_path):
         _, _, p1 = _write_initial(tmp_path, n=16, name="a.field")

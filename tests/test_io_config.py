@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,11 @@ class TestConfigParsing:
     def test_cadence_must_be_positive(self):
         with pytest.raises(ConfigError, match="cadence"):
             load_config("cadence = 0\n")
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            load_config("seed = -1\n")
+        assert load_config("seed = 0\n").seed == 0
 
     def test_output_dir_must_not_be_a_file(self, tmp_path):
         target = tmp_path / "occupied"
@@ -288,6 +295,16 @@ class TestUniquenessJson:
         doc = json.loads(path.read_text())
         for key in ("A_T", "C_T", "C_emp", "osgood_passed", "solution_scale", "horizon"):
             assert key in doc
+
+    def test_keys_are_the_documented_ones(self, tmp_path):
+        path = tmp_path / "unique.json"
+        write_uniqueness_report(self._report(), path)
+        text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text()
+        table = text.split("## Uniqueness report JSON", 1)[1].split("\n## ", 1)[0]
+        documented = {key for row in table.splitlines() if row.startswith("| `")
+                      for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert len(documented) == 13
+        assert set(json.loads(path.read_text())) == documented
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "unique.json"

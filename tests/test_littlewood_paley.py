@@ -218,6 +218,11 @@ class TestBesovNorm:
         with pytest.raises(ValueError):
             BesovSpec(1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ValueError, match=f"^s must be finite, got {s}$"):
+            BesovSpec(s, 2.0, 1.0)
+
     def test_single_shell_closed_form(self, grid, bank):
         f = ring_field(grid, 2.0 ** 1, np.random.default_rng(2))
         for s in (-1.0, 0.0, 1.5):

@@ -121,6 +121,12 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match=msg):
             IterationConfig(**kw)
 
+    @pytest.mark.parametrize("seed", [-1, -7919, -8000])
+    def test_negative_seed_rejected(self, seed):
+        # The twin draws from seed + 7919, so seeds down to -7919 would reach the RNG.
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            IterationConfig(seed=seed)
+
 
 class TestInitialData:
     def test_cellular_data_structure(self, grid):
@@ -332,6 +338,15 @@ class TestPerturbation:
         a = perturb_initial_data(data, 1e-3, seed=7, bank=bank)
         b = perturb_initial_data(data, 1e-3, seed=7, bank=bank)
         assert np.array_equal(a.u0.samples, b.u0.samples)
+
+    def test_noise_is_the_divergence_free_field_draw(self, grid, bank):
+        # One stream, u0's draw first: the recipe of random_fields, scaled by the size.
+        data = taylor_green_data(grid)
+        pert = perturb_initial_data(data, 3e-3, seed=5, bank=bank)
+        rng = np.random.default_rng(5)
+        for got, base in ((pert.u0, data.u0), (pert.b0, data.b0)):
+            want = base.samples + 3e-3 * divergence_free_field(grid, bank, rng).samples
+            assert np.array_equal(got.samples, want)
 
     def test_negative_size_rejected(self, grid, bank):
         data = taylor_green_data(grid)
