@@ -38,7 +38,6 @@ from .spectral import (
     FrequencyGrid,
     SpectralField,
     _check_divergence_free,
-    _one_batch,
     lp_norm,
 )
 
@@ -292,16 +291,12 @@ def _advection_rhs(
     g_hat: np.ndarray | None,
 ) -> np.ndarray:
     """Right side -F[v.grad f] + g_hat of one RK stage on the dealiasing cube
-    (``fhat`` and ``g_hat`` hold cube entries): one batched inverse
-    for the d derivatives, or one per derivative when the batch would not
-    fit ``spectral._one_batch``, and one forward for the product."""
-    if _one_batch(grid, grid.d * fhat.shape[0]):
-        grads = iter(grid.ifft(grid.cube_k.ik[:, None] * fhat))
-    else:
-        grads = (grid.ifft(ik_a * fhat) for ik_a in grid.cube_k.ik)
-    adv = next(grads) * v_samples[0]
-    for v_a, grad in zip(v_samples[1:], grads):
-        grad *= v_a
+    (``fhat`` and ``g_hat`` hold cube entries): one inverse for the d
+    derivatives, accumulated in place, and one forward for the product."""
+    grads = grid.ifft(grid.cube_k.ik[:, None] * fhat)
+    grads *= v_samples[:, None]
+    adv = grads[0]
+    for grad in grads[1:]:
         adv += grad
     out = -grid.fft(adv, dealiased=True)
     if g_hat is not None:

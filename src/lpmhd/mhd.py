@@ -62,7 +62,6 @@ from .spectral import (
     _check_divergence_free,
     _check_lattice,
     _leray,
-    _one_batch,
     leray_project,
     lp_norm,
     make_grid,
@@ -268,6 +267,8 @@ def _free_evolution_traces(
 ) -> tuple:
     """Combined L~1(B^{d/p+1}) + L~2(B^{d/p}) running norms of e^{t Lap}u0 at
     the multiples of dt up to t_max (within 1e-8 dt, as ``_n_steps`` allows)."""
+    if not (0.0 < dt < math.inf and dt <= t_max < math.inf):
+        raise ValueError(f"need a finite dt > 0 and horizon T >= dt, got T={t_max}, dt={dt}")
     _check_bank(u0, bank)
     grid = u0.grid
     d = grid.d
@@ -373,9 +374,7 @@ def _assemble_sources(
     Everything happens on the 2/3-rule cube (``grid.cube``).  Per snapshot:
     one dealiased inverse of the stacked (u, B) coefficients and one
     dealiased forward of the products, of which the symmetric B (x) B -
-    u (x) u contributes only its d(d+1)/2 distinct entries; when those
-    rows would not fit ``spectral._one_batch``, the symmetric rows and the
-    u (x) B rows go forward as two batches through one buffer.  The
+    u (x) u contributes only its d(d+1)/2 distinct entries.  The
     contraction with i*k_j and the Leray projection run on the cube,
     straight into the two preallocated cube stacks.
     """
@@ -383,16 +382,12 @@ def _assemble_sources(
     d = grid.d
     upper = np.triu_indices(d)
     n_sym = upper[0].size
-    n_rows = n_sym + d * d
     # entry[t, i, j]: the row of the transformed products holding entry (i, j)
     # of tensor t, B (x) B - u (x) u (symmetric) or u (x) B.
     entry = np.empty((2, d, d), dtype=np.intp)
     entry[0][upper] = entry[0].T[upper] = np.arange(n_sym)
     entry[1] = n_sym + np.arange(d * d).reshape(d, d)
-    whole = _one_batch(grid, n_rows)
-    # Split, the buffer holds the n_sym symmetric rows, then the d*d >= n_sym u (x) B rows.
-    prods = np.empty((n_rows if whole else d * d,) + grid.shape)
-    hat = np.empty((n_rows,) + grid.cube_shape, dtype=np.complex128)
+    prods = np.empty((n_sym + d * d,) + grid.shape)
     forcing = np.empty((u_series.n_times, d) + grid.cube_shape, dtype=np.complex128)
     source = np.empty_like(forcing)
     for n in range(u_series.n_times):
@@ -400,18 +395,12 @@ def _assemble_sources(
         for row, (i, j) in enumerate(zip(*upper)):
             np.multiply(bm[i], bm[j], out=prods[row])
             prods[row] -= um[i] * um[j]
-        lo = 0  # the row of ``hat`` that the buffer's first row stands for
-        if not whole:
-            hat[:n_sym] = grid.fft(prods[:n_sym], dealiased=True)
-            lo = n_sym
-        np.multiply(um[:, None], bm[None], out=prods[n_sym - lo:].reshape((d, d) + grid.shape))
-        hat[lo:] = grid.fft(prods[: n_rows - lo], dealiased=True)
-        tensors = hat[entry]
+        np.multiply(um[:, None], bm[None], out=prods[n_sym:].reshape((d, d) + grid.shape))
+        tensors = grid.fft(prods, dealiased=True)[entry]
         div_hat = sum(tensors[:, :, j] * grid.cube_k.ik[j] for j in range(d))
         forcing[n] = _leray(div_hat[0], grid.cube_k.k_axes, grid.cube_k.k_sq)
         source[n] = div_hat[1]
-    times = u_series.times
-    return TimeSeriesField(grid, times.copy(), forcing), TimeSeriesField(grid, times.copy(), source)
+    return tuple(TimeSeriesField(grid, u_series.times.copy(), s) for s in (forcing, source))
 
 
 def iterate_once(state: IterationState, config: IterationConfig) -> IterationState:

@@ -60,19 +60,12 @@ __all__ = [
     "tensor_divergence",
 ]
 
-# Largest float64 sample count that the solvers' hot loops transform as one
-# batch; a larger batch is split.  Measured on 2 vCPUs: the batches of 2-D
-# N=64 (up to 28,672 samples) and 3-D N=16 run up to 21% slower split, while 3-D
-# N=32's (98,304 samples per derivative direction) run faster split and,
-# whole, set the process's memory peak.
+# Largest float64 sample count that ``FrequencyGrid.fft/ifft`` transform as one batch;
+# they slice longer leads, so no caller splits.  On 2 vCPUs, 2-D N=64 and 3-D N=16 batches
+# ran up to 21% slower split; 3-D N=32's ran faster in 2-row slices and, whole, set the peak.
 _BATCH_SAMPLES = 2**16
 
 _Wavenumbers = namedtuple("_Wavenumbers", "k_axes k_sq k_mag ik")  # see FrequencyGrid.cube_k
-
-
-def _one_batch(grid: FrequencyGrid, rows: int) -> bool:
-    """True if ``rows`` fields of samples on ``grid`` fit one transform batch."""
-    return rows * grid.N**grid.d <= _BATCH_SAMPLES
 
 
 def _check_lattice(d: int, N: int, L: float) -> None:
@@ -199,22 +192,38 @@ class FrequencyGrid:
             out[(Ellipsis,) + full] = coeffs[(Ellipsis,) + part]
         return out
 
-    def _reframe(self, lines: np.ndarray, axis: int, rows: int, swap: bool = False) -> np.ndarray:
-        """Fresh array with ``rows`` rows along ``axis`` and K+1 columns that
-        takes the cube rows (the first K+1 and the last K) of the first K+1
-        columns of ``lines``, zero elsewhere: 2K+1 rows gather the cube, N rows
-        scatter it back.  ``swap`` stores axis -2 innermost, so that numpy.fft
+    def _reframe(self, lines: np.ndarray, axis: int, rows: int, swap: bool = False,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Array with ``rows`` rows along ``axis`` and K+1 columns that takes
+        the cube rows (the first K+1 and the last K) of the first K+1 columns
+        of ``lines``, zero elsewhere: 2K+1 rows gather the cube, N rows scatter
+        it back.  A gather may write into ``out``; otherwise the array is
+        fresh, and ``swap`` stores axis -2 innermost, so that numpy.fft
         transforms all its lines in one pocketfft call, not one per row."""
         K, n = self.N // 3, lines.shape[axis]
         shape = list(lines.shape)
         shape[axis], shape[-1] = rows, K + 1
-        blank = np.zeros if rows > n else np.empty  # a gather writes every entry
-        out = blank(shape[:-2] + (shape[:-3:-1] if swap else shape[-2:]), complex)
-        out = out.swapaxes(-1, -2) if swap else out
+        if out is None:
+            blank = np.zeros if rows > n else np.empty  # a gather writes every entry
+            out = blank(shape[:-2] + (shape[:-3:-1] if swap else shape[-2:]), complex)
+            out = out.swapaxes(-1, -2) if swap else out
         head = (slice(None),) * (lines.ndim + axis)
         for dst, src in ((slice(0, K + 1),) * 2, (slice(rows - K, rows), slice(n - K, n))):
             out[head + (dst, ..., slice(0, K + 1))] = lines[head + (src, ..., slice(0, K + 1))]
         return out
+
+    def _slices(self, arrays: np.ndarray, tail: tuple, dtype) -> tuple:
+        """A fresh (*lead, *tail) ``dtype`` array for (*lead, *trailing d axes) ``arrays`` and
+        (rows, output rows) pairs of at most max(1, _BATCH_SAMPLES // N**d) leading rows, a
+        longer lead flattened: the lines one batch would run, so the bits are one batch's."""
+        lead = arrays.shape[: arrays.ndim - self.d]
+        out = np.empty(lead + tail, dtype=dtype)
+        step = max(1, _BATCH_SAMPLES // self.N**self.d)
+        if math.prod(lead) <= step:
+            return out, [(arrays, out)]
+        rows, out_rows = (a.reshape((-1,) + a.shape[len(lead):]) for a in (arrays, out))
+        return out, [(rows[i : i + step], out_rows[i : i + step])
+                     for i in range(0, len(rows), step)]
 
     def fft(self, samples: np.ndarray, dealiased: bool = False) -> np.ndarray:
         """Forward real transform over the trailing d axes; leading axes batch.
@@ -224,13 +233,17 @@ class FrequencyGrid:
         only the cube, bitwise ``to_cube(fft(samples))``: the array is cut to
         it after each leading axis, so later axes transform fewer lines."""
         K = self.N // 3
-        out = np.fft.rfft(samples, axis=-1)
-        if dealiased and self.d == 2:  # in 3-D this cut would cost one pocketfft call per row
-            out = out[..., : K + 1]
-        for axis in range(-self.d, -1):
-            np.fft.fft(out, axis=axis, out=out)
-            if dealiased:
-                out = self._reframe(out, axis, 2 * K + 1, swap=axis < -2)
+        tail = self.cube_shape if dealiased else self.spectral_shape
+        out, slices = self._slices(samples, tail, np.complex128)
+        for rows, part in slices:
+            lines = np.fft.rfft(rows, axis=-1, out=None if dealiased else part)
+            if dealiased and self.d == 2:  # in 3-D this cut would cost one pocketfft call per row
+                lines = lines[..., : K + 1]
+            for axis in range(-self.d, -1):
+                np.fft.fft(lines, axis=axis, out=lines)
+                if dealiased:  # the last gather, along axis -2, fills ``part``
+                    lines = self._reframe(lines, axis, 2 * K + 1, swap=axis < -2,
+                                          out=part if axis == -2 else None)
         return out
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
@@ -246,16 +259,18 @@ class FrequencyGrid:
         if not pruned and coeffs.shape[-self.d:] != self.spectral_shape:
             raise ValueError(f"coeffs must end in spectral_shape {self.spectral_shape} or "
                              f"cube_shape {self.cube_shape}, got {coeffs.shape}")
-        lines = coeffs
-        for axis in range(-self.d, -1):
-            if pruned:
-                lines = self._reframe(lines, axis, self.N)
-            # Only the caller's array is left as it is; every later one is ours.
-            lines = np.fft.ifft(lines, axis=axis, norm="forward",
-                                out=None if lines is coeffs else lines)
-        samples = np.fft.irfft(lines, n=self.N, axis=-1, norm="forward")
-        samples *= 1.0 / self.N**self.d
-        return samples
+        out, slices = self._slices(coeffs, self.shape, np.float64)
+        for rows, part in slices:
+            lines = rows
+            for axis in range(-self.d, -1):
+                if pruned:
+                    lines = self._reframe(lines, axis, self.N)
+                # Only the caller's rows are left as they are; every later array is ours.
+                lines = np.fft.ifft(lines, axis=axis, norm="forward",
+                                    out=None if lines is rows else lines)
+            np.fft.irfft(lines, n=self.N, axis=-1, norm="forward", out=part)
+        out *= 1.0 / self.N**self.d
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FrequencyGrid)

@@ -3,6 +3,7 @@
 import gc
 import importlib
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import assembly_oracle
+import cauchy_oracle
 import half_spectrum_oracle
 import horizon_oracle
 from lpmhd import (
@@ -423,6 +425,21 @@ class TestHorizon:
         with pytest.raises(ValueError, match="eta"):
             select_time_horizon(data.u0, 1.5, 2e-3, 0.5, 2.0, bank)
 
+    @pytest.mark.parametrize("dt, t_max", [
+        (0.0, 0.5), (-2e-3, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+        (2e-3, math.nan), (2e-3, math.inf), (2e-3, -math.inf), (2e-3, 1e-3),
+    ])
+    def test_bad_step_or_t_max_named(self, grid, bank, dt, t_max):
+        # Each must be named, not left to fail inside numpy or the norm kernel.
+        with pytest.raises(ValueError, match=re.escape(f"got T={t_max}, dt={dt}")):
+            select_time_horizon(taylor_green_data(grid).u0, 0.1, dt, t_max, 2.0, bank)
+
+    @pytest.mark.parametrize("t_override", [math.nan, math.inf, 1e-3, 0.0, -0.01])
+    def test_bad_t_override_named(self, grid, t_override):
+        cfg = _small_config()
+        with pytest.raises(ValueError, match=re.escape(f"got T={t_override}, dt={cfg.dt}")):
+            run_iteration(taylor_green_data(grid), cfg, T_override=t_override)
+
     @pytest.mark.parametrize("d, N, p", [(2, 32, 2.0), (3, 16, 3.0)])
     def test_traces_match_oracle(self, d, N, p, full_lattice):
         grid = make_grid(d, N)
@@ -786,10 +803,11 @@ class TestIterationScheme:
         assert self._iterate_peak_ratio() < 3.41
 
     def test_split_batches_lower_the_iterate_peak(self, monkeypatch):
-        # The same iterate with every transform batch split, as on grids past
-        # the budget: 2.025 units, against 2.108 with the whole batches (and the
-        # truncated data built up front) before the split existed.  The bound
-        # sits halfway.
+        # The same iterate with every transform taken one row at a time, as
+        # on grids past the budget: 1.979 units, against 2.108 with the whole
+        # batches (and the truncated data built up front) before the budget
+        # existed.  The bound sits halfway between that 2.108 and 2.025, the
+        # split callers' reading.
         monkeypatch.setattr(spectral, "_BATCH_SAMPLES", 0)
         assert self._iterate_peak_ratio() < 2.066
 
@@ -857,6 +875,50 @@ class TestMagneticPotential:
         assert 4.63e-11 < fine < 4.68e-11
         assert 1.9 <= math.log2(coarse / fine) <= 2.1
 
+
+class TestCauchyOracle:
+    """Cauchy's formula gives B(T) from the run's own u series and B(0) along
+    backward characteristics (``cauchy_oracle``), using none of the marcher;
+    the relative max error over 48 fixed points pins the marcher's order in
+    2-D and in 3-D."""
+
+    @staticmethod
+    def _cauchy_error(data, config, T):
+        grid = data.grid
+        diag = run_iteration(data, config, T_override=T)
+        assert diag.records[-2].d_n < 1e-15
+        u, b = diag.final_state.u_series, diag.final_state.b_series
+        points = np.random.default_rng(3).uniform(0.0, grid.L, (48, grid.d))
+        b_iter = cauchy_oracle.evaluate(b.coeffs[-1], grid.N, grid.L, points).T
+        b_cauchy = cauchy_oracle.cauchy_b(u.times, u.coeffs, b.coeffs[0], grid.N, grid.L, points)
+        return float(np.max(np.abs(b_iter - b_cauchy)) / np.max(np.abs(b_iter)))
+
+    def test_taylor_green_b_at_order_two(self):
+        def error(dt):
+            config = IterationConfig(d=2, N=64, dt=dt, tolerance=1e-15)
+            return self._cauchy_error(taylor_green_data(config.grid(), amplitude=0.05),
+                                      config, 0.058)
+
+        coarse, fine = error(2e-3), error(1e-3)
+        assert 3.90e-9 < coarse < 3.93e-9
+        assert 9.75e-10 < fine < 9.81e-10
+        assert 1.9 <= math.log2(coarse / fine) <= 2.1
+
+    def test_random_3d_b_at_order_two(self):
+        # u0 and B0 are 0.05 and 0.5 times two draws from one generator, each over its RMS.
+        def error(dt):
+            config = IterationConfig(d=3, N=16, dt=dt, max_iterations=9, tolerance=0.0)
+            grid = config.grid()
+            rng = np.random.default_rng(0)
+            u, b = (divergence_free_field(grid, config.bank(grid), rng) for _ in range(2))
+            data = prepare_initial_data(Field(grid, 0.05 * u.samples / lp_norm(u, 2.0)),
+                                        Field(grid, 0.5 * b.samples / lp_norm(b, 2.0)))
+            return self._cauchy_error(data, config, 0.04)
+
+        coarse, fine = error(4e-3), error(2e-3)
+        assert 8.50e-9 < coarse < 8.56e-9
+        assert 2.12e-9 < fine < 2.14e-9
+        assert 1.9 <= math.log2(coarse / fine) <= 2.1
 
 class TestOsgoodCheck:
     def test_zero_difference_passes(self):
@@ -952,8 +1014,8 @@ class TestSourceAssembly:
         split = mhd._assemble_sources(u, b)
         for got, want in zip(split, whole):
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
-        # Per snapshot: one inverse, then the symmetric rows and the u (x) B rows forward.
-        assert counts == Counter(fft=8, ifft=4)
+        # The grid slices its rows; the assembly still makes one inverse and one forward per snapshot.
+        assert counts == Counter(fft=4, ifft=4)
 
     def test_snapshots_own_their_buffers(self):
         _, u, b = self._series(2)

@@ -5,6 +5,9 @@ import pytest
 import scipy.fft
 
 import half_spectrum_oracle
+from lpmhd import mhd
+from lpmhd.linear_solvers import _advection_rhs
+from lpmhd.littlewood_paley import TimeSeriesField
 from lpmhd.spectral import (
     Field,
     _check_divergence_free,
@@ -59,6 +62,45 @@ class TestFrequencyGrid:
         np.testing.assert_array_equal(grid.ifft(hat), scipy.fft.irfftn(hat, s=grid.shape, axes=axes))
         np.testing.assert_array_equal(
             grid.ifft(cube), scipy.fft.irfftn(grid.from_cube(cube), s=grid.shape, axes=axes))
+
+    @staticmethod
+    def _pocketfft_calls(d, n, monkeypatch) -> list:
+        """(function, rows, line shape, axis) of each numpy.fft call made by one
+        ``_assemble_sources`` snapshot and one ``_advection_rhs`` stage: the
+        input's leading axes count as rows, as pocketfft sees them."""
+        grid = make_grid(d, n)
+        rng = np.random.default_rng(d)
+        u, b, fhat = (grid.fft(rng.standard_normal((d,) + grid.shape), dealiased=True)
+                      for _ in range(3))
+        v = rng.standard_normal((d,) + grid.shape)
+        calls = []
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            def spy(a, *args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append((_name, math.prod(a.shape[:-d]), a.shape[-d:], kwargs["axis"]))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        mhd._assemble_sources(*(TimeSeriesField(grid, [0.0], f[None]) for f in (u, b)))
+        _advection_rhs(grid, fhat, v, None)
+        return calls
+
+    def test_every_3d_batch_holds_the_budget(self, monkeypatch):
+        # 2**16 samples are 2 rows at N=32, so the (u, B) inverse (6 rows),
+        # the product forward (15), the gradient inverse (9) and the advection
+        # forward (3) go in 3, 8, 5 and 2 slices of 3 pocketfft calls each.
+        calls = self._pocketfft_calls(3, 32, monkeypatch)
+        assert max(rows for _, rows, _, _ in calls) == 2
+        assert len(calls) == 3 * (3 + 8 + 5 + 2)
+
+    def test_2d_batches_are_whole(self, monkeypatch):
+        # At N=64 a batch holds 16 rows, and none here holds more than 7, so
+        # each transform is the one batch it always was.
+        assert self._pocketfft_calls(2, 64, monkeypatch) == [
+            ("ifft", 4, (64, 22), -2), ("irfft", 4, (64, 22), -1),
+            ("rfft", 7, (64, 64), -1), ("fft", 7, (64, 22), -2),
+            ("ifft", 4, (64, 22), -2), ("irfft", 4, (64, 22), -1),
+            ("rfft", 2, (64, 64), -1), ("fft", 2, (64, 22), -2),
+        ]
 
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 16)])
     def test_derivative_multipliers_cached_with_nyquist_zeroed(self, d, n):
